@@ -91,44 +91,40 @@ let elem_code = function
 (* Visited structures                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type visited = {
-  lookup : Heap.addr -> int option;
-  insert : Heap.addr -> int -> unit;
-}
+(* Both strategies record visited objects in one address -> id table and
+   differ only in the probes a lookup charges. [Hashed] charges one.
+   [Linear] charges exactly what the paper's list would have walked,
+   without walking it: the list is newest-first and every insertion takes
+   the next id, so a hit on [id] is the [(newest id - id + 1)]-th entry,
+   and a miss walks all entries (at least one probe). *)
+module Addr_tbl = Hashtbl.Make (struct
+  type t = Heap.addr
 
-let make_visited env strategy =
-  let charge_probes n =
-    Env.charge env (env.Env.cost.visited_probe_ns *. float_of_int n);
-    Env.count_n env Key.visited_probes n
-  in
-  match strategy with
-  | Linear ->
-      (* The paper's linear structure: every lookup walks the list. *)
-      let entries : (Heap.addr * int) list ref = ref [] in
-      {
-        lookup =
-          (fun a ->
-            let probes = ref 0 in
-            let rec go = function
-              | [] -> None
-              | (addr, id) :: rest ->
-                  incr probes;
-                  if addr = a then Some id else go rest
-            in
-            let result = go !entries in
-            charge_probes (max 1 !probes);
-            result);
-        insert = (fun a id -> entries := (a, id) :: !entries);
-      }
-  | Hashed ->
-      let table : (Heap.addr, int) Hashtbl.t = Hashtbl.create 64 in
-      {
-        lookup =
-          (fun a ->
-            charge_probes 1;
-            Hashtbl.find_opt table a);
-        insert = (fun a id -> Hashtbl.replace table a id);
-      }
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* The serialize pass never yields and never calls user code, so each
+   domain reuses one table across passes instead of allocating a fresh
+   table (and its garbage) per message. [busy] guards against re-entry
+   all the same: a nested pass gets a table of its own and never clears
+   a live one. *)
+type visited_table = { table : int Addr_tbl.t; mutable busy : bool }
+
+let visited_key =
+  Domain.DLS.new_key (fun () -> { table = Addr_tbl.create 1024; busy = false })
+
+let with_visited_table f =
+  let v = Domain.DLS.get visited_key in
+  if v.busy then f (Addr_tbl.create 64)
+  else begin
+    v.busy <- true;
+    Fun.protect
+      ~finally:(fun () ->
+        Addr_tbl.clear v.table;
+        v.busy <- false)
+      (fun () -> f v.table)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -141,11 +137,14 @@ type root = Whole of Heap.addr | Slice of Heap.addr * int * int
    (Section 7.4). *)
 (* The encode pass proper: everything inside the ser/encode histogram
    ([serialize_raw] below wraps it with the timer and span). *)
-let serialize_pass gc ~visited root =
+let serialize_pass gc ~visited ~table root =
   let env = Vm.Heap.env (Gc.heap gc) in
   let cost = env.Env.cost in
   let heap = Gc.heap gc in
-  let v = make_visited env visited in
+  let charge_probes n =
+    Env.charge env (cost.visited_probe_ns *. float_of_int n);
+    Env.count_n env Key.visited_probes n
+  in
   let types = Buffer.create 256 in
   let objects = Buffer.create 1024 in
   let type_index : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -182,12 +181,19 @@ let serialize_pass gc ~visited root =
   let id_of addr =
     if addr = Heap.null then 0
     else
-      match v.lookup addr with
-      | Some id -> id
-      | None ->
+      match Addr_tbl.find table addr with
+      | id ->
+          charge_probes
+            (match visited with Linear -> !n_objects - id + 1 | Hashed -> 1);
+          id
+      | exception Not_found ->
+          charge_probes
+            (match visited with
+            | Linear -> max 1 (Addr_tbl.length table)
+            | Hashed -> 1);
           incr n_objects;
           let id = !n_objects in
-          v.insert addr id;
+          Addr_tbl.add table addr id;
           Queue.push addr queue;
           id
   in
@@ -288,7 +294,9 @@ let serialize_raw gc ~visited root =
   let env = Vm.Heap.env (Gc.heap gc) in
   Env.with_timer env Key.h_ser_encode (fun () ->
       Simtime.Probe.with_span env ~rank:(-1) ~cat:"ser" ~name:"ser/encode"
-        (fun () -> serialize_pass gc ~visited root))
+        (fun () ->
+          with_visited_table (fun table ->
+              serialize_pass gc ~visited ~table root)))
 
 let serialize gc ~visited obj =
   serialize_raw gc ~visited (Whole (Om.addr_of gc obj))

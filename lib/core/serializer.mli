@@ -11,11 +11,14 @@
     are followed recursively, other reference fields serialize as null,
     and array elements always propagate.
 
-    The structure used to record visited objects is selectable: [Linear]
-    is the paper's implementation (a linear list whose quadratic search
-    cost shows in Figure 10 beyond ~2048 objects); [Hashed] is the
-    "efficient structure" the paper leaves as future work, kept here as an
-    ablation.
+    The structure used to record visited objects is selectable, and only
+    changes what lookups cost in virtual time: both record visited
+    objects in one hash table. [Linear] prices the paper's linear list
+    probe for probe without walking it — a lookup is charged the
+    position of its object in the newest-first list, or the whole list on
+    a miss — so its quadratic search cost shows in Figure 10 beyond ~2048
+    objects. [Hashed] is the "efficient structure" the paper leaves as
+    future work, charged one probe per lookup, kept here as an ablation.
 
     A {e split representation} — several independently deserializable
     segments produced from one array without building intermediate

@@ -16,9 +16,10 @@ val paper_protocol : protocol
 
 val fig10_protocol : total_objects:int -> protocol
 (** Scaled-down protocol for the object-transport experiment: the virtual
-    clock is deterministic, so extra repetitions only cost real time; the
-    iteration count shrinks as the linear visited list's quadratic real
-    cost grows. *)
+    clock is deterministic, so extra repetitions only cost host time, and
+    every round trip builds, serializes and rebuilds the whole graph, so
+    the iteration count shrinks as graphs grow. The counts stay fixed so
+    that [results/fig10.csv] regenerates byte-identical. *)
 
 val pingpong_bytes :
   ?protocol:protocol -> Systems.t -> size:int -> float

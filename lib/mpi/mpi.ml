@@ -334,6 +334,8 @@ let irecv p ~comm ~src ~tag buf =
   in
   Ch3.irecv p.dev ~src ~tag ~context:comm.Comm.ctx buf
 
+exception No_progress of { op : string; rank : int }
+
 (* Polling wait. Inside a fiber scheduler we suspend; in plain code (unit
    tests, self-sends) we spin on the progress engine with a safety bound.
    A doomed rank (its kill time passed) wakes from the wait and dies via
@@ -354,7 +356,7 @@ let wait_poll p ~poll req =
       if not (Ch3.progress p.dev) then begin
         incr spins;
         if !spins > 1_000_000 then
-          failwith "Mpi.wait: no progress outside a scheduler"
+          raise (No_progress { op = "Mpi.wait"; rank = p.prank })
       end
       else spins := 0
     done
@@ -392,7 +394,7 @@ let wait_any p reqs =
         while not (check ()) do
           incr spins;
           if !spins > 1_000_000 then
-            failwith "Mpi.wait_any: no progress outside a scheduler"
+            raise (No_progress { op = "Mpi.wait_any"; rank = p.prank })
         done
       end;
       check_self p;
@@ -424,7 +426,7 @@ let wait_some p reqs =
           while not (check ()) do
             incr spins;
             if !spins > 1_000_000 then
-              failwith "Mpi.wait_some: no progress outside a scheduler"
+              raise (No_progress { op = "Mpi.wait_some"; rank = p.prank })
           done
         end;
       check_self p;

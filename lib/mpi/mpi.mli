@@ -196,11 +196,21 @@ val recv :
   proc -> comm:Comm.t -> src:int -> tag:int -> Buffer_view.t -> Status.t
 (** The returned status's [source] is a communicator rank. *)
 
+exception No_progress of { op : string; rank : int }
+(** A blocking wait called outside a fiber scheduler (plain code: unit
+    tests, self-sends) polled the progress engine 10^6 times without the
+    request completing, so it never will — e.g. a receive with no
+    matching send. [op] names the operation (["Mpi.wait"],
+    ["Mpi.wait_any"], ["Mpi.wait_some"], ["Rma"]) and [rank] is the
+    calling world rank. Inside a scheduler the same situation is a
+    {!Fiber.Deadlock} instead. *)
+
 val wait : proc -> Request.t -> Status.t option
 (** Polling wait: pumps progress until the request completes. The optional
     [poll] hook of {!wait_poll} is how Motor injects GC yields. Raises
     {!Ch3.Mpi_error} if the request completed with a categorized failure
-    (truncation, rendezvous refused). *)
+    (truncation, rendezvous refused), and {!No_progress} if it can never
+    complete outside a scheduler. *)
 
 val wait_poll : proc -> poll:(unit -> unit) -> Request.t -> Status.t option
 val test : proc -> Request.t -> bool
@@ -211,7 +221,7 @@ val wait_all : proc -> Request.t list -> unit
 val wait_any : proc -> Request.t list -> Request.t
 (** Block until at least one of the requests completes; returns the first
     complete one in list order ([MPI_Waitany]). The list must not be
-    empty. *)
+    empty. Raises {!No_progress} as {!wait} does. *)
 
 val test_all : proc -> Request.t list -> bool
 (** One progress pump, then [true] iff every request is complete
@@ -224,7 +234,7 @@ val test_any : proc -> Request.t list -> Request.t option
 val wait_some : proc -> Request.t list -> Request.t list
 (** Block until at least one request completes; returns {e all} the
     complete ones, in list order ([MPI_Waitsome]). The list must not be
-    empty. *)
+    empty. Raises {!No_progress} as {!wait} does. *)
 
 val sendrecv :
   proc ->

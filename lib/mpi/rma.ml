@@ -370,7 +370,7 @@ let pump_until p ~label pred =
     while not (step ()) do
       incr spins;
       if !spins > 1_000_000 then
-        failwith "Rma: no progress outside a scheduler"
+        raise (Mpi.No_progress { op = "Rma"; rank = Mpi.rank p })
     done
   end
 

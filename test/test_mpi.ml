@@ -241,6 +241,26 @@ let test_deadlock_detected () =
    with Fiber.Deadlock { waiting; _ } ->
      Alcotest.(check int) "both ranks blocked" 2 (List.length waiting))
 
+let test_no_progress_outside_scheduler () =
+  (* Plain code, no fibers: a receive nobody sends to can never complete,
+     so each wait flavour must give up with the typed error. *)
+  let w = Mpi.create_world ~n:2 () in
+  let p = Mpi.proc w 1 in
+  let comm = Mpi.comm_world w in
+  let req = Mpi.irecv p ~comm ~src:0 ~tag:0 (Bv.of_bytes (Bytes.create 8)) in
+  List.iter
+    (fun (op, wait) ->
+      match wait () with
+      | () -> Alcotest.failf "%s returned" op
+      | exception Mpi.No_progress { op = got; rank } ->
+          Alcotest.(check string) "operation" op got;
+          Alcotest.(check int) "rank" 1 rank)
+    [
+      ("Mpi.wait", fun () -> ignore (Mpi.wait p req));
+      ("Mpi.wait_any", fun () -> ignore (Mpi.wait_any p [ req ]));
+      ("Mpi.wait_some", fun () -> ignore (Mpi.wait_some p [ req ]));
+    ]
+
 let test_virtual_time_advances () =
   let w =
     run2 (fun p ->
@@ -809,6 +829,8 @@ let () =
           Alcotest.test_case "self send" `Quick test_self_send;
           Alcotest.test_case "deadlock detected" `Quick
             test_deadlock_detected;
+          Alcotest.test_case "no progress outside a scheduler" `Quick
+            test_no_progress_outside_scheduler;
           Alcotest.test_case "virtual time advances" `Quick
             test_virtual_time_advances;
         ] );

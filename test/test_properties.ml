@@ -166,6 +166,89 @@ let prop_visited_strategies_agree_on_graphs =
         (Ser.serialize gc ~visited:Ser.Linear root)
         (Ser.serialize gc ~visited:Ser.Hashed root))
 
+(* Exact visited-structure accounting. The model is the paper's visited
+   list itself: newest first, walked from the head on every lookup, in
+   the serializer's breadth-first order (fields in declaration order).
+   It returns the probes each lookup walks, in lookup order: the 1-based
+   position on a hit, the whole list (at least one probe) on a miss. No
+   allocation happens during the walk (handles aside), so addresses are
+   stable identities. *)
+let paper_list_probes gc root =
+  let mt = graph_class (Gc.registry gc) in
+  let refs =
+    List.filter
+      (fun (fd : Classes.field_desc) ->
+        match fd.Classes.f_type with
+        | Types.Ref _ -> fd.Classes.f_transportable
+        | Types.Prim _ -> false)
+      (Array.to_list mt.Classes.c_fields)
+  in
+  let list = ref [] and walked = ref [] and queue = Queue.create () in
+  let lookup o =
+    let a = Om.addr_of gc o in
+    let rec walk k = function
+      | [] -> None
+      | x :: rest -> if x = a then Some k else walk (k + 1) rest
+    in
+    match walk 1 !list with
+    | Some k -> walked := k :: !walked
+    | None ->
+        walked := max 1 (List.length !list) :: !walked;
+        list := a :: !list;
+        Queue.push o queue
+  in
+  lookup root;
+  while not (Queue.is_empty queue) do
+    let o = Queue.pop queue in
+    List.iter
+      (fun fd -> Option.iter lookup (Om.get_ref gc o fd))
+      refs
+  done;
+  List.rev !walked
+
+let prop_visited_probes_match_paper_list =
+  QCheck.Test.make
+    ~name:
+      "linear charges the paper's list walk probe for probe, hashed one per \
+       lookup"
+    ~count:100
+    QCheck.(pair (int_range 1 40) (int_range 0 9999))
+    (fun (n, seed) ->
+      (* Only probes cost virtual time, at a rate whose sums depend on
+         their order, so the clock checks both amount and order. *)
+      let cost =
+        {
+          Simtime.Cost.motor with
+          ser_per_obj_ns = 0.0;
+          ser_per_field_ns = 0.0;
+          ser_ns_per_byte = 0.0;
+          reflect_field_ns = 0.0;
+          visited_probe_ns = 0.7;
+        }
+      in
+      let rt = Runtime.create ~cost () in
+      let gc = rt.Runtime.gc and env = rt.Runtime.env in
+      let root = build gc rt.Runtime.registry ~n ~seed in
+      let model = paper_list_probes gc root in
+      let charged visited =
+        let stats = env.Simtime.Env.stats in
+        let p0 = Simtime.Stats.get stats Simtime.Stats.Key.visited_probes in
+        let t0 = Simtime.Env.now_ns env in
+        ignore (Ser.serialize gc ~visited root);
+        ( Simtime.Stats.get stats Simtime.Stats.Key.visited_probes - p0,
+          t0,
+          Simtime.Env.now_ns env )
+      in
+      let matches (probes, t0, t1) walks =
+        probes = List.fold_left ( + ) 0 walks
+        && Float.equal t1
+             (List.fold_left
+                (fun t k -> t +. (cost.visited_probe_ns *. float_of_int k))
+                t0 walks)
+      in
+      matches (charged Ser.Linear) model
+      && matches (charged Ser.Hashed) (List.map (fun _ -> 1) model))
+
 (* Mixed-transportability round-trip: graphs with cycles, shared
    substructure, per-node data arrays and a non-transportable reference
    field must decode to a graph {e isomorphic} to the original with the
@@ -926,6 +1009,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_serializer_idempotent;
           QCheck_alcotest.to_alcotest
             prop_visited_strategies_agree_on_graphs;
+          QCheck_alcotest.to_alcotest prop_visited_probes_match_paper_list;
           QCheck_alcotest.to_alcotest prop_split_parts_cover_disjointly;
           QCheck_alcotest.to_alcotest
             prop_mixed_transport_roundtrip_isomorphic;
