@@ -485,16 +485,6 @@ let run_rma ~quick ~out =
   Format.printf "csv written to %s@." out;
   if bad <> [] || hits = 0 then Stdlib.exit 1
 
-let ensure_dir path =
-  if path <> "" && path <> "." && not (Sys.file_exists path) then
-    Sys.mkdir path 0o755
-
-let write_file path contents =
-  ensure_dir (Filename.dirname path);
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
 (* Kill sweep: the rank-death workloads (lib/check) under many fault
    seeds — each seed picks a victim and a kill time, each run goes
    through the ULFM recovery loop (attempt, agree, revoke, shrink,
@@ -544,7 +534,7 @@ let run_killsweep ~quick ~seeds ~out =
     (fun (name, wfail) ->
       Format.printf "%s: %d seed(s), %d failure(s)@." name n_seeds wfail)
     (List.rev !per_workload);
-  write_file out (Buffer.contents buf);
+  Table.write_file out (Buffer.contents buf);
   Format.printf
     "kill sweep: %d run(s), %d failure(s); csv written to %s@." !runs
     !failures out;
@@ -586,9 +576,9 @@ let run_profile ~quick ~out ~trace_out =
   Vm.Gc.collect rt.Vm.Runtime.gc ~full:true;
   Mpi_core.Trace.disable env;
   let snap = Simtime.Stats.snapshot env.Simtime.Env.stats in
-  write_file out (Simtime.Stats.to_json snap);
+  Table.write_file out (Simtime.Stats.to_json snap);
   Format.printf "profile snapshot written to %s@." out;
-  write_file trace_out (Mpi_core.Trace.to_chrome_json trace);
+  Table.write_file trace_out (Mpi_core.Trace.to_chrome_json trace);
   Format.printf "chrome trace written to %s (open at ui.perfetto.dev)@."
     trace_out;
   let hist_rows =
@@ -696,9 +686,7 @@ let run_report ~quick ~path =
   out "| build | us/iter |\n|---|---|\n";
   List.iter (fun (name, us) -> out "| %s | %.1f |\n" name us)
     (Experiments.tabb ());
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  Table.write_file path (Buffer.contents buf);
   Format.printf "report written to %s@." path
 
 let run_speedup ~quick ~out =
@@ -729,13 +717,26 @@ let run_speedup ~quick ~out =
           available)"
          cores)
     ~headers ~rows ();
-  if cores < 4 then
-    Format.printf
-      "note: only %d core(s) available — the ratios measure scheduling \
-       overhead, not scaling; the CI gate skips enforcement below 4 cores@."
-      cores;
   Harness.Speedup.write_csv ~path:out points;
-  Format.printf "csv written to %s@." out
+  Format.printf "csv written to %s@." out;
+  match Harness.Speedup.check ~cores points with
+  | Harness.Speedup.Skipped c ->
+      Format.printf
+        "speedup check skipped: only %d core(s) available (needs %d) — the \
+         ratios measure scheduling overhead, not scaling@."
+        c Harness.Speedup.min_cores
+  | Harness.Speedup.Enforced { passing; failing } ->
+      let show verdict (p : Harness.Speedup.point) =
+        Format.printf "%s %s: %.2fx at %d domains (min %.1fx)@." verdict
+          p.Harness.Speedup.p_workload p.Harness.Speedup.p_speedup
+          p.Harness.Speedup.p_domains Harness.Speedup.min_speedup
+      in
+      List.iter (show "ok  ") passing;
+      List.iter (show "FAIL") failing;
+      if failing <> [] then begin
+        Format.printf "SPEEDUP CHECK FAILED@.";
+        Stdlib.exit 1
+      end
 
 let run_check ~quick =
   let protocol =
@@ -872,7 +873,8 @@ let speedup_cmd =
   cmd_of "speedup"
     "Wall-clock speedup sweep: the ring and allreduce workloads on 1/2/4 \
      real domains (the only real-clock experiment; everything else is \
-     virtual time)."
+     virtual time); exit 1 if a workload's 4-domain speedup is below 1.8x \
+     on a machine with at least 4 cores."
     Term.(const (fun quick out -> run_speedup ~quick ~out) $ quick $ out)
 
 let overlap_cmd =

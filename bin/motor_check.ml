@@ -62,7 +62,7 @@ let reject_parallel what parallel =
       Printf.eprintf
         "error: %s cannot run with --parallel %d: recorded schedules and \
          invariant checks require the deterministic cooperative scheduler \
-         (single domain). Drop --parallel, or use `motor_bench speedup` for \
+         (single domain). Drop --parallel, or use `figures speedup` for \
          multi-domain runs.\n"
         what d;
       true

@@ -4,7 +4,7 @@
    executing rank fibers on OCaml 5 domains actually buys wall-clock
    time on the machine at hand. Medians of [reps] runs: domain spawn
    and GC make the distribution long-tailed, and a median of a handful
-   of runs is what the CI gate can afford. *)
+   of runs is what the CI check can afford. *)
 
 module W = Workloads
 
@@ -17,7 +17,8 @@ type point = {
   p_speedup : float;  (** 1-domain median / this median *)
 }
 
-let default_domains = [ 1; 2; 4 ]
+let domains = [ 1; 2; 4 ]
+let reps = 5
 let cores () = Domain.recommended_domain_count ()
 
 let median samples =
@@ -49,7 +50,7 @@ let workloads ~quick =
              ~size:65536 ()) );
   ]
 
-let sweep ?(quick = false) ?(domains = default_domains) ?(reps = 5) () =
+let sweep ?(quick = false) () =
   List.concat_map
     (fun (name, ranks, run) ->
       List.map
@@ -65,23 +66,41 @@ let sweep ?(quick = false) ?(domains = default_domains) ?(reps = 5) () =
           })
         domains
       |> fun points ->
-      let base =
-        match List.find_opt (fun p -> p.p_domains = 1) points with
-        | Some p -> p.p_median_wall_ms
-        | None -> (List.hd points).p_median_wall_ms
-      in
+      let base = (List.hd points).p_median_wall_ms (* 1 domain *) in
       List.map (fun p -> { p with p_speedup = base /. p.p_median_wall_ms }) points)
     (workloads ~quick)
+
+(* Speedup at the highest measured domain count must reach
+   [min_speedup]. The ratio is machine-independent, unlike the absolute
+   wall times, but only on a machine with at least [min_cores] cores: on
+   fewer, every domain count collapses onto the same CPUs. *)
+let min_speedup = 1.8
+let min_cores = 4
+
+type outcome =
+  | Enforced of { passing : point list; failing : point list }
+  | Skipped of int
+
+let check ~cores points =
+  if cores < min_cores then Skipped cores
+  else
+    let top = List.fold_left (fun d p -> max d p.p_domains) 1 points in
+    let gated = List.filter (fun p -> p.p_domains = top) points in
+    let passing, failing =
+      List.partition (fun p -> p.p_speedup >= min_speedup) gated
+    in
+    Enforced { passing; failing }
 
 let csv_header = "workload,domains,ranks,reps,cores,median_wall_ms,speedup"
 
 let write_csv ~path points =
-  let oc = open_out path in
-  output_string oc (csv_header ^ "\n");
   let c = cores () in
-  List.iter
-    (fun p ->
-      Printf.fprintf oc "%s,%d,%d,%d,%d,%.3f,%.3f\n" p.p_workload p.p_domains
-        p.p_ranks p.p_reps c p.p_median_wall_ms p.p_speedup)
-    points;
-  close_out oc
+  Table.write_file path
+    (String.concat ""
+       ((csv_header ^ "\n")
+       :: List.map
+            (fun p ->
+              Printf.sprintf "%s,%d,%d,%d,%d,%.3f,%.3f\n" p.p_workload
+                p.p_domains p.p_ranks p.p_reps c p.p_median_wall_ms
+                p.p_speedup)
+            points))

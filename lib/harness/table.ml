@@ -65,7 +65,14 @@ let csv_string ~headers ~rows =
     rows;
   Buffer.contents b
 
-let write_csv ~path ~headers ~rows =
-  let oc = open_out path in
-  output_string oc (csv_string ~headers ~rows);
-  close_out oc
+let rec ensure_dir path =
+  if not (Sys.file_exists path) then begin
+    ensure_dir (Filename.dirname path);
+    Sys.mkdir path 0o755
+  end
+
+let write_file path contents =
+  ensure_dir (Filename.dirname path);
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+
+let write_csv ~path ~headers ~rows = write_file path (csv_string ~headers ~rows)

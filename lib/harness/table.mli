@@ -13,5 +13,9 @@ val print_table :
 
 val csv_string : headers:string list -> rows:(string * cell list) list -> string
 
+val write_file : string -> string -> unit
+(** [write_file path contents], creating missing parent directories. *)
+
 val write_csv :
   path:string -> headers:string list -> rows:(string * cell list) list -> unit
+(** [csv_string] through {!write_file}. *)

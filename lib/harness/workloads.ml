@@ -237,7 +237,7 @@ let allreduce_chain ?fault ?reliable ?parallel ~n ~rounds () =
   in
   (digest, w)
 
-(* Compute-heavy collective workload for the wall-clock speedup bench: a
+(* Compute-heavy collective workload for the wall-clock speedup sweep: a
    vector allreduce (sum over i64 lanes) whose input each rank remixes
    locally every round. Both the reduction and the remix are O(size) per
    rank per round, so the work parallelizes across domains; the result

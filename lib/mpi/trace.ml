@@ -165,22 +165,6 @@ let pp_timeline ppf t =
 (* Chrome-trace (chrome://tracing / Perfetto) export                    *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The runtime (rank -1) gets its own thread lane. *)
 let tid_of_rank rank = if rank >= 0 then rank else 1000
 
@@ -257,7 +241,7 @@ let to_chrome_json ?topo t =
           (fun i (k, v) ->
             out "%s\"%s\": \"%s\""
               (if i = 0 then "" else ", ")
-              (json_escape k) (json_escape v))
+              (Simtime.Stats.json_escape k) (Simtime.Stats.json_escape v))
           args;
         out "}"
   in
@@ -316,8 +300,8 @@ let to_chrome_json ?topo t =
     in
     out "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \
          \"pid\": %d, \"tid\": %d"
-      (json_escape name_field)
-      (json_escape (if ev.cat = "" then "event" else ev.cat))
+      (Simtime.Stats.json_escape name_field)
+      (Simtime.Stats.json_escape (if ev.cat = "" then "event" else ev.cat))
       ph ev.t_us (pid_of_rank ev.rank) (tid_of_rank ev.rank);
     (match ev.span_id with Some id -> out ", \"id\": %d" id | None -> ());
     if ph = "i" then out ", \"s\": \"t\"";

@@ -267,7 +267,7 @@ let json_escape s =
   Buffer.contents buf
 
 (* Field order and float formatting are fixed so the output is stable
-   across runs: tests golden-compare it and the CI gate parses it. *)
+   across runs: tests golden-compare it and parse it back. *)
 let to_json s =
   let buf = Buffer.create 1024 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -4,8 +4,9 @@
     pins avoided by the policy, GC collections, messages, FCalls, visited-
     list probes, ...) and — via histograms — how much virtual time each
     firing cost. Counters back the ablation tables; histograms back the
-    profile snapshot and the CI perf gate, letting tests assert "mechanism
-    X fired N times and cost at most T" instead of eyeballing timelines. *)
+    profile snapshot and the benchmark's per-layer rows, letting tests
+    assert "mechanism X fired N times and cost at most T" instead of
+    eyeballing timelines. *)
 
 type t
 
@@ -88,7 +89,12 @@ val hist_summary : snapshot -> string -> summary option
 
 val to_json : snapshot -> string
 (** Stable field order (keys sorted, fixed float formatting): suitable for
-    golden tests and the CI gate. *)
+    golden tests and machine parsing. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    escapes quotes, backslashes and control characters. Also used by
+    the Chrome-trace export. *)
 
 (** Conventional counter and histogram names used across the codebase, so
     that tests, the harness and the libraries agree on spelling. *)

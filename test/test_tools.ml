@@ -1,5 +1,6 @@
-(* Tests for the tooling layers: the MPE-style trace subsystem and the
-   ASCII chart renderer. *)
+(* Tests for the tooling layers: the JSON reader and the speedup check,
+   CSV output, the MPE-style trace subsystem and the ASCII chart
+   renderer. *)
 
 module Mpi = Mpi_core.Mpi
 module Trace = Mpi_core.Trace
@@ -112,154 +113,183 @@ let test_chart_skips_nonpositive () =
   Alcotest.(check bool) "rendered" true (String.length s > 0)
 
 (* ------------------------------------------------------------------ *)
-(* The perf gate (tools/gate.ml): parser and threshold logic            *)
+(* The JSON reader (tools/gate.ml) and the speedup check              *)
 (* ------------------------------------------------------------------ *)
-
-let doc groups_json = Gate.doc_of_string groups_json
-
-let bench_json ?cores groups =
-  let cores_field =
-    match cores with
-    | None -> ""
-    | Some c -> Printf.sprintf "\"cores\": %d, " c
-  in
-  let group (name, tests) =
-    Printf.sprintf "\"%s\": {%s}" name
-      (String.concat ", "
-         (List.map (fun (t, ns) -> Printf.sprintf "\"%s\": %f" t ns) tests))
-  in
-  Printf.sprintf "{\"schema\": 1, %s\"groups\": {%s}}" cores_field
-    (String.concat ", " (List.map group groups))
 
 let test_gate_malformed_json () =
   List.iter
     (fun s ->
-      match Gate.doc_of_string s with
+      match Gate.parse s with
       | exception Gate.Parse_error _ -> ()
       | _ -> Alcotest.failf "expected Parse_error for %S" s)
     [
-      "";
-      "{";
-      "{\"groups\": {\"a\": {\"t\": }}}";
-      "{\"schema\": 1}" (* well-formed JSON, no groups *);
-      "{\"groups\": {}} trailing";
+      "" (* truncated: nothing at all *);
+      "{\"rows\": [1, 2" (* truncated mid-array *);
+      "{\"t\": \"abc" (* truncated mid-string *);
+      "{\"t\": }" (* bad value *);
+      "[tru]" (* bad literal *);
+      "{\"t\": 1} trailing" (* trailing garbage *);
     ]
 
-let test_gate_missing_in_current_fails () =
-  let baseline = doc (bench_json [ ("fig9", [ ("a", 100.0); ("b", 100.0) ]) ]) in
-  let current = doc (bench_json [ ("fig9", [ ("a", 100.0) ]) ]) in
-  let rows = Gate.compare_docs ~current ~baseline () in
-  let b = List.find (fun r -> r.Gate.r_test = "b") rows in
-  Alcotest.(check bool) "missing bench fails the gate" true (Gate.failed b);
-  Alcotest.(check bool) "verdict is Missing" true (b.Gate.r_verdict = Gate.Missing)
-
-let test_gate_new_in_current_informational () =
-  let baseline = doc (bench_json [ ("fig9", [ ("a", 100.0) ]) ]) in
-  let current = doc (bench_json [ ("fig9", [ ("a", 100.0); ("c", 50.0) ]) ]) in
-  let rows = Gate.compare_docs ~current ~baseline () in
-  let c = List.find (fun r -> r.Gate.r_test = "c") rows in
-  Alcotest.(check bool) "new bench does not fail" false (Gate.failed c);
-  Alcotest.(check bool) "verdict is New" true (c.Gate.r_verdict = Gate.New)
-
-let test_gate_thresholds () =
-  (* Exactly at the virtual threshold passes; one part in a thousand
-     over it regresses. Wall-clock groups get the looser 1.50. *)
-  let baseline =
-    doc
-      (bench_json
-         [ ("fig9", [ ("t", 1000.0) ]); ("speedup", [ ("w@1dom", 1000.0) ]) ])
+let test_gate_stats_round_trip () =
+  let stats = Simtime.Stats.create () in
+  Simtime.Stats.add stats "pins" 42;
+  Simtime.Stats.incr stats "quote\"d\\key";
+  Simtime.Stats.observe stats "send_ns" 1500.0;
+  let json =
+    Gate.parse (Simtime.Stats.to_json (Simtime.Stats.snapshot stats))
   in
-  let check_verdict groups test expect_fail =
-    let current = doc (bench_json groups) in
-    let rows = Gate.compare_docs ~current ~baseline () in
-    let r = List.find (fun r -> r.Gate.r_test = test) rows in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s fail=%b" test expect_fail)
-      expect_fail (Gate.failed r)
+  let counters =
+    match Gate.member "counters" json with
+    | Some (Gate.Obj fields) ->
+        List.map
+          (fun (k, v) ->
+            match v with
+            | Gate.Num f -> (k, int_of_float f)
+            | _ -> Alcotest.failf "counter %s is not a number" k)
+          fields
+    | _ -> Alcotest.fail "no counters object"
   in
-  check_verdict [ ("fig9", [ ("t", 1250.0) ]) ] "t" false;
-  check_verdict [ ("fig9", [ ("t", 1251.5) ]) ] "t" true;
-  (* 1.25 < wall ratio 1.4 < 1.50: only the virtual threshold trips *)
-  check_verdict [ ("speedup", [ ("w@1dom", 1400.0) ]) ] "w@1dom" false;
-  check_verdict [ ("speedup", [ ("w@1dom", 1501.5) ]) ] "w@1dom" true
+  Alcotest.(check (list (pair string int)))
+    "counters come back"
+    [ ("pins", 42); ("quote\"d\\key", 1) ]
+    counters;
+  match Option.bind (Gate.member "histograms" json) (Gate.member "send_ns") with
+  | Some h ->
+      Alcotest.(check bool) "histogram count" true
+        (Gate.member "count" h = Some (Gate.Num 1.0))
+  | None -> Alcotest.fail "histogram missing"
 
-let test_gate_wall_clock_only_filter () =
-  let baseline =
-    doc
-      (bench_json
-         [ ("fig9", [ ("t", 100.0) ]); ("speedup", [ ("w@1dom", 100.0) ]) ])
+module Speedup = Harness.Speedup
+
+let point workload domains speedup =
+  {
+    Speedup.p_workload = workload;
+    p_domains = domains;
+    p_ranks = 8;
+    p_reps = 5;
+    p_median_wall_ms = 100.0 /. speedup;
+    p_speedup = speedup;
+  }
+
+let sweep_points =
+  [
+    point "ring" 1 1.0; point "ring" 2 1.6; point "ring" 4 2.5;
+    point "slow" 1 1.0; point "slow" 2 1.9 (* not the gated count *);
+    point "slow" 4 1.1;
+  ]
+
+let test_speedup_ratio () =
+  match Speedup.check ~cores:8 sweep_points with
+  | Speedup.Enforced { passing; failing } ->
+      let names = List.map (fun p -> (p.Speedup.p_workload, p.p_domains)) in
+      Alcotest.(check (list (pair string int)))
+        "ring reaches 1.8x at 4 domains" [ ("ring", 4) ] (names passing);
+      Alcotest.(check (list (pair string int)))
+        "slow fails at 4 domains" [ ("slow", 4) ] (names failing);
+      (match Speedup.check ~cores:4 [ point "w" 1 1.0; point "w" 4 1.8 ] with
+      | Speedup.Enforced { passing = [ _ ]; failing = [] } -> ()
+      | _ -> Alcotest.fail "exactly 1.8x at 4 cores must pass")
+  | Speedup.Skipped _ -> Alcotest.fail "8 cores must enforce"
+
+let test_speedup_skipped_on_small_machines () =
+  match Speedup.check ~cores:2 sweep_points with
+  | Speedup.Skipped 2 -> ()
+  | _ -> Alcotest.fail "a 2-core machine must skip the speedup check"
+
+(* ------------------------------------------------------------------ *)
+(* CSV output                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let test_csv_creates_missing_dirs () =
+  let root = Filename.temp_dir "motor_csv" "" in
+  let nested = Filename.concat (Filename.concat root "a") "b" in
+  let table = Filename.concat nested "t.csv" in
+  let sweep = Filename.concat (Filename.concat nested "c") "s.csv" in
+  Harness.Table.write_csv ~path:table ~headers:[ "x" ]
+    ~rows:[ ("r", [ Harness.Table.Num 1.0 ]) ];
+  Speedup.write_csv ~path:sweep [ point "w" 1 1.0 ];
+  let read path = In_channel.with_open_text path In_channel.input_all in
+  Alcotest.(check string) "table csv" ",x\nr,1\n" (read table);
+  Alcotest.(check bool) "sweep csv starts with its header" true
+    (String.starts_with ~prefix:Speedup.csv_header (read sweep));
+  List.iter Sys.remove [ table; sweep ];
+  List.iter Sys.rmdir
+    [ Filename.dirname sweep; nested; Filename.dirname nested; root ]
+
+(* ------------------------------------------------------------------ *)
+(* DESIGN.md §6 module map                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The map's [lib/<dir>] entries — a line starting "lib/" plus its
+   indented continuation lines — as (dir, sorted capitalised names
+   outside parentheses). *)
+let module_map_entries () =
+  let rec drop_to p = function
+    | [] -> Alcotest.fail "DESIGN.md has no module map"
+    | l :: rest -> if p l then rest else drop_to p rest
   in
-  (* fig9 absent from the current run: fatal normally, invisible with
-     the filter (the multicore job only runs the speedup benches). *)
-  let current = doc (bench_json [ ("speedup", [ ("w@1dom", 100.0) ]) ]) in
-  let all = Gate.compare_docs ~current ~baseline () in
-  Alcotest.(check bool) "full gate sees the missing bench" true
-    (List.exists Gate.failed all);
-  let wall = Gate.compare_docs ~wall_clock_only:true ~current ~baseline () in
-  Alcotest.(check bool) "wall-clock-only gate does not" false
-    (List.exists Gate.failed wall);
-  Alcotest.(check (list string))
-    "only wall groups compared" [ "speedup" ]
-    (List.sort_uniq compare (List.map (fun r -> r.Gate.r_group) wall))
-
-let test_gate_speedup_ratio () =
-  let current =
-    doc
-      (bench_json ~cores:8
-         [
-           ( "speedup",
-             [
-               ("ring@1dom", 1000.0); ("ring@2dom", 600.0);
-               ("ring@4dom", 400.0); ("slow@1dom", 1000.0);
-               ("slow@4dom", 900.0); ("nodial", 123.0);
-             ] );
-         ])
+  let rec take_to p = function
+    | [] -> []
+    | l :: rest -> if p l then [] else l :: take_to p rest
   in
-  match Gate.check_speedup ~min:2.0 current with
-  | Gate.Enforced (passing, failing) ->
-      Alcotest.(check (list string))
-        "ring reaches 2x at its highest domain count" [ "ring" ]
-        (List.map (fun s -> s.Gate.s_workload) passing);
-      Alcotest.(check (list string))
-        "slow fails" [ "slow" ]
-        (List.map (fun s -> s.Gate.s_workload) failing);
-      let ring = List.hd passing in
-      Alcotest.(check int) "ratio taken at 4 domains" 4 ring.Gate.s_domains;
-      Alcotest.(check (float 1e-9)) "ratio value" 2.5 ring.Gate.s_ratio
-  | _ -> Alcotest.fail "expected Enforced"
-
-let test_gate_speedup_skipped_on_small_machines () =
-  let entries = [ ("speedup", [ ("ring@1dom", 1000.0); ("ring@4dom", 2000.0) ]) ] in
-  (match Gate.check_speedup ~min:1.8 (doc (bench_json ~cores:1 entries)) with
-  | Gate.Skipped_low_cores 1 -> ()
-  | _ -> Alcotest.fail "1-core machine must skip the ratio gate");
-  (match Gate.check_speedup ~min:1.8 (doc (bench_json ~cores:4 entries)) with
-  | Gate.Enforced ([], [ s ]) ->
-      Alcotest.(check (float 1e-9)) "0.5x reported" 0.5 s.Gate.s_ratio
-  | _ -> Alcotest.fail "4-core machine must enforce");
-  match Gate.check_speedup ~min:1.8 (doc (bench_json ~cores:8 [])) with
-  | Gate.No_data -> ()
-  | _ -> Alcotest.fail "no speedup entries must be No_data"
-
-let test_gate_reseed_round_trip () =
-  (* --update-baseline copies CURRENT over BASELINE byte-for-byte; the
-     next comparison against the reseeded baseline is all-1.00 clean. *)
-  let s =
-    bench_json ~cores:2
-      [ ("fig9", [ ("a", 123.4) ]); ("speedup", [ ("r@1dom", 5.0) ]) ]
+  let fence = String.starts_with ~prefix:"```" in
+  let block =
+    In_channel.with_open_text "../DESIGN.md" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> drop_to (( = ) "## 6. Module map")
+    |> drop_to fence |> take_to fence
   in
-  let reparsed = doc s in
-  let again = Gate.compare_docs ~current:reparsed ~baseline:reparsed () in
-  Alcotest.(check bool) "self-comparison is clean" false
-    (List.exists Gate.failed again);
-  List.iter
-    (fun r ->
-      match r.Gate.r_verdict with
-      | Gate.Pass ratio -> Alcotest.(check (float 1e-9)) "ratio 1.0" 1.0 ratio
-      | _ -> Alcotest.fail "expected Pass")
-    again;
-  Alcotest.(check (option int)) "cores survive the round trip" (Some 2)
-    reparsed.Gate.d_cores
+  let _, entries =
+    List.fold_left
+      (fun (in_lib, acc) l ->
+        match (String.index_opt l ' ', acc) with
+        | Some i, _ when String.starts_with ~prefix:"lib/" l ->
+            let dir = String.sub l 4 (i - 4) in
+            (true, (dir, String.sub l i (String.length l - i)) :: acc)
+        | _, (dir, text) :: rest
+          when in_lib && String.starts_with ~prefix:" " l ->
+            (true, (dir, text ^ l) :: rest)
+        | _ -> (false, acc))
+      (false, []) block
+  in
+  let names text =
+    let depth = ref 0 in
+    let words =
+      String.map
+        (fun c ->
+          (match c with '(' -> incr depth | ')' -> decr depth | _ -> ());
+          match c with
+          | ('A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_') when !depth = 0 -> c
+          | _ -> ' ')
+        text
+    in
+    String.split_on_char ' ' words
+    |> List.filter (fun w -> w <> "" && w.[0] >= 'A' && w.[0] <= 'Z')
+    |> List.sort compare
+  in
+  List.sort compare (List.map (fun (dir, text) -> (dir, names text)) entries)
+
+let test_module_map_matches_lib () =
+  let subdirs path =
+    Sys.readdir path |> Array.to_list
+    |> List.filter (fun d ->
+           d.[0] <> '.' && Sys.is_directory (Filename.concat path d))
+  in
+  let modules dir =
+    Sys.readdir (Filename.concat "../lib" dir) |> Array.to_list
+    |> List.filter_map (fun f ->
+           if Filename.check_suffix f ".ml" then
+             Some (String.capitalize_ascii (Filename.chop_suffix f ".ml"))
+           else None)
+    |> List.sort compare
+  in
+  let actual =
+    List.sort compare (List.map (fun d -> (d, modules d)) (subdirs "../lib"))
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "DESIGN.md section 6 lists exactly lib/'s modules" actual
+    (module_map_entries ())
 
 let () =
   Alcotest.run "tools"
@@ -267,18 +297,21 @@ let () =
       ( "gate",
         [
           Alcotest.test_case "malformed json" `Quick test_gate_malformed_json;
-          Alcotest.test_case "missing in current" `Quick
-            test_gate_missing_in_current_fails;
-          Alcotest.test_case "new in current" `Quick
-            test_gate_new_in_current_informational;
-          Alcotest.test_case "thresholds" `Quick test_gate_thresholds;
-          Alcotest.test_case "wall-clock-only filter" `Quick
-            test_gate_wall_clock_only_filter;
-          Alcotest.test_case "speedup ratio" `Quick test_gate_speedup_ratio;
+          Alcotest.test_case "stats round trip" `Quick
+            test_gate_stats_round_trip;
+          Alcotest.test_case "speedup ratio" `Quick test_speedup_ratio;
           Alcotest.test_case "speedup cores guard" `Quick
-            test_gate_speedup_skipped_on_small_machines;
-          Alcotest.test_case "reseed round trip" `Quick
-            test_gate_reseed_round_trip;
+            test_speedup_skipped_on_small_machines;
+        ] );
+      ( "csv",
+        [
+          Alcotest.test_case "creates missing directories" `Quick
+            test_csv_creates_missing_dirs;
+        ] );
+      ( "design",
+        [
+          Alcotest.test_case "module map matches lib" `Quick
+            test_module_map_matches_lib;
         ] );
       ( "trace",
         [

@@ -1,19 +1,10 @@
-(* The CI perf gate's engine, split out of the check_bench executable so
-   its parser and threshold logic are unit-testable (test/test_tools.ml).
-
-   Two kinds of metric live in BENCH_results.json:
-
-   - virtual-time benches (Bechamel ns/run of the simulator itself):
-     low-noise, gated at 25% against the committed baseline;
-   - wall-clock benches (the "speedup" group: median-of-N elapsed time
-     of real multi-domain runs): machine-dependent and noisier, gated
-     at 50%, and additionally gated on the 1-domain / max-domain
-     speedup ratio — which is machine-independent — when the recording
-     machine had enough cores for the ratio to mean anything. *)
-
-(* --- A minimal recursive-descent JSON parser (numbers, strings, objects,
-   arrays, literals). Stdlib-only: the container has no JSON library, and
-   the input is our own emitter's output, so strict ASCII is fine. --- *)
+(* A minimal JSON reader for the benchmark of record: benchmark/motor_bench
+   parses its own result rows and BENCHMARK.json with it (and the tests
+   parse Stats.to_json output with it). Strict, stdlib-only recursive
+   descent over numbers, strings, objects, arrays and literals: the
+   container has no JSON library, and the input is our own emitters'
+   output, so strict ASCII is fine. The library keeps its old name
+   because benchmark/dune links it as [gate]. *)
 
 type json =
   | Null
@@ -181,217 +172,3 @@ let parse (s : string) : json =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-(* --- Bench documents --- *)
-
-type doc = {
-  d_groups : (string * (string * float) list) list;
-  d_cores : int option;
-      (** [Domain.recommended_domain_count] on the machine that produced
-          the run; absent in pre-§15 baselines. *)
-}
-
-let doc_of_string s =
-  let json = parse s in
-  let groups =
-    match member "groups" json with
-    | Some (Obj groups) ->
-        List.filter_map
-          (fun (group, v) ->
-            match v with
-            | Obj tests ->
-                Some
-                  ( group,
-                    List.filter_map
-                      (fun (test, v) ->
-                        match v with Num f -> Some (test, f) | _ -> None)
-                      tests )
-            | _ -> None)
-          groups
-    | _ -> raise (Parse_error "no \"groups\" object")
-  in
-  let cores =
-    match member "cores" json with
-    | Some (Num f) -> Some (int_of_float f)
-    | _ -> None
-  in
-  { d_groups = groups; d_cores = cores }
-
-(* --- Gate policy --- *)
-
-let virtual_groups =
-  [ "fig9"; "fig10"; "collectives"; "resilience"; "hier"; "rma" ]
-let wall_groups = [ "speedup" ]
-let virtual_threshold = 1.25
-let wall_threshold = 1.50
-
-let threshold_for group =
-  if List.mem group wall_groups then wall_threshold else virtual_threshold
-
-type verdict =
-  | Pass of float  (** ratio current/baseline *)
-  | Regression of float
-  | Missing  (** in the baseline, absent from the current run *)
-  | New  (** in the current run, absent from the baseline *)
-
-type row = {
-  r_group : string;
-  r_test : string;
-  r_base : float option;
-  r_cur : float option;
-  r_verdict : verdict;
-}
-
-let failed row =
-  match row.r_verdict with
-  | Regression _ | Missing -> true
-  | Pass _ | New -> false
-
-(* Compare one gated group; baseline order first, then the new tests. *)
-let compare_group group ~current ~baseline =
-  let threshold = threshold_for group in
-  let cur_tests = Option.value (List.assoc_opt group current) ~default:[] in
-  match List.assoc_opt group baseline with
-  | None -> []
-  | Some base_tests ->
-      let known =
-        List.map
-          (fun (test, base_ns) ->
-            match List.assoc_opt test cur_tests with
-            | None ->
-                {
-                  r_group = group;
-                  r_test = test;
-                  r_base = Some base_ns;
-                  r_cur = None;
-                  r_verdict = Missing;
-                }
-            | Some cur_ns ->
-                let ratio = cur_ns /. base_ns in
-                {
-                  r_group = group;
-                  r_test = test;
-                  r_base = Some base_ns;
-                  r_cur = Some cur_ns;
-                  r_verdict =
-                    (if cur_ns <= base_ns *. threshold then Pass ratio
-                     else Regression ratio);
-                })
-          base_tests
-      in
-      let fresh =
-        List.filter_map
-          (fun (test, cur_ns) ->
-            if List.mem_assoc test base_tests then None
-            else
-              Some
-                {
-                  r_group = group;
-                  r_test = test;
-                  r_base = None;
-                  r_cur = Some cur_ns;
-                  r_verdict = New;
-                })
-          cur_tests
-      in
-      known @ fresh
-
-let compare_docs ?(wall_clock_only = false) ~current ~baseline () =
-  let gated =
-    if wall_clock_only then wall_groups else virtual_groups @ wall_groups
-  in
-  List.concat_map
-    (fun group ->
-      compare_group group ~current:current.d_groups ~baseline:baseline.d_groups)
-    gated
-
-(* --- Speedup ratios ---
-
-   The "speedup" group's test names are "<workload>@<d>dom". The ratio
-   1-domain / d-domain wall time is machine-independent (unlike the
-   absolute numbers), so it is the thing the multicore CI job pins:
-   speedup at the highest measured domain count must reach [min]. The
-   check only applies when the machine that produced the current run
-   had at least [min_cores] cores — on a 1-core container every domain
-   count collapses onto the same CPU and the ratio is meaningless. *)
-
-type speedup = {
-  s_workload : string;
-  s_domains : int;
-  s_base_ns : float;  (** 1-domain wall time *)
-  s_ns : float;  (** wall time at [s_domains] *)
-  s_ratio : float;
-}
-
-let split_speedup_name name =
-  match String.rindex_opt name '@' with
-  | None -> None
-  | Some i ->
-      let workload = String.sub name 0 i in
-      let rest = String.sub name (i + 1) (String.length name - i - 1) in
-      if String.length rest > 3 && String.sub rest (String.length rest - 3) 3 = "dom"
-      then
-        Option.map
-          (fun d -> (workload, d))
-          (int_of_string_opt (String.sub rest 0 (String.length rest - 3)))
-      else None
-
-let speedups doc =
-  let entries =
-    List.concat_map
-      (fun g -> Option.value (List.assoc_opt g doc.d_groups) ~default:[])
-      wall_groups
-    |> List.filter_map (fun (name, ns) ->
-           Option.map (fun (w, d) -> (w, d, ns)) (split_speedup_name name))
-  in
-  let workloads =
-    List.sort_uniq compare (List.map (fun (w, _, _) -> w) entries)
-  in
-  List.filter_map
-    (fun w ->
-      let mine = List.filter (fun (w', _, _) -> w' = w) entries in
-      match List.find_opt (fun (_, d, _) -> d = 1) mine with
-      | None -> None
-      | Some (_, _, base_ns) -> (
-          match
-            List.fold_left
-              (fun acc (_, d, ns) ->
-                match acc with
-                | Some (d', _) when d' >= d -> acc
-                | _ when d > 1 -> Some (d, ns)
-                | _ -> acc)
-              None mine
-          with
-          | None -> None
-          | Some (d, ns) ->
-              Some
-                {
-                  s_workload = w;
-                  s_domains = d;
-                  s_base_ns = base_ns;
-                  s_ns = ns;
-                  s_ratio = base_ns /. ns;
-                }))
-    workloads
-
-let min_cores = 4
-
-type speedup_outcome =
-  | Enforced of speedup list * speedup list
-      (** (passing, failing) against the requested minimum *)
-  | Skipped_low_cores of int
-      (** the machine had this many cores — below {!min_cores}, the
-          ratio carries no information *)
-  | No_data  (** no "<workload>@<d>dom" entries in the current run *)
-
-let check_speedup ~min doc =
-  match speedups doc with
-  | [] -> No_data
-  | sps -> (
-      match doc.d_cores with
-      | Some c when c < min_cores -> Skipped_low_cores c
-      | Some _ | None ->
-          let passing, failing =
-            List.partition (fun s -> s.s_ratio >= min) sps
-          in
-          Enforced (passing, failing))
