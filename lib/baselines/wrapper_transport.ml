@@ -12,7 +12,7 @@ let env_of ctx = World.env ctx.World.world
    simulation advances) but never GC-polls, so a pending collection waits
    for the call to return — the wrapper pathology of Section 5.1. *)
 let native_wait ctx req =
-  Mpi.wait_poll ctx.World.proc ~poll:(fun () -> ()) req
+  Mpi.wait ctx.World.proc req
 
 let with_pinned ctx obj f =
   let gc = World.gc ctx in

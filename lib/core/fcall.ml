@@ -26,7 +26,9 @@ let polling_wait gc proc ~on_enter_wait req =
   if not (Mpi_core.Request.is_complete req) then begin
     on_enter_wait ();
     ignore
-      (Mpi_core.Mpi.wait_poll proc ~poll:(fun () -> Vm.Gc.poll gc) req)
+      (Mpi_core.Mpi.wait_poll ~idle:(Vm.Gc.idle_poll gc) proc
+         ~poll:(fun () -> Vm.Gc.poll gc)
+         req)
   end;
   Mpi_core.Request.status req
 
@@ -34,9 +36,12 @@ let polling_wait_all gc proc ~on_enter_wait reqs =
   ignore (Mpi_core.Ch3.progress (Mpi_core.Mpi.device proc));
   if not (List.for_all Mpi_core.Request.is_complete reqs) then begin
     on_enter_wait ();
+    let idle = Vm.Gc.idle_poll gc in
     List.iter
       (fun req ->
         ignore
-          (Mpi_core.Mpi.wait_poll proc ~poll:(fun () -> Vm.Gc.poll gc) req))
+          (Mpi_core.Mpi.wait_poll ~idle proc
+             ~poll:(fun () -> Vm.Gc.poll gc)
+             req))
       reqs
   end

@@ -381,6 +381,21 @@ let progress t =
   List.iter (fun h -> if h.h_fn () then did := true) hooks;
   !did
 
+(* What [progress] does while nothing can happen: charge one poll. Only
+   an arrival can change that, so the horizon is the inbox head's; a tick
+   or a hook may act on any pump, so either leaves the horizon unknown. *)
+let idle_poll t =
+  {
+    Fiber.clock = t.env.Simtime.Env.clock;
+    charges = [| t.env.Simtime.Env.cost.progress_poll_ns |];
+    count = ignore;
+    horizon =
+      (fun () ->
+        match (t.tick, t.hooks) with
+        | None, [] -> t.chan.Channel.next_arrival ~rank:t.rank
+        | _ -> None);
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Failure teardown and communicator revocation                        *)
 (* ------------------------------------------------------------------ *)

@@ -57,6 +57,12 @@ val progress : t -> bool
     collective schedule engine); true if any packet was handled or a hook
     made progress. Never blocks. *)
 
+val idle_poll : t -> Fiber.idle
+(** What one {!progress} call does while nothing can happen: charge
+    [progress_poll_ns]. The horizon is the channel's
+    [next_arrival] for this rank; it is unknown while the device has a
+    failure tick or a progress hook, which may act on any pump. *)
+
 val add_progress_hook :
   ?ctx:int -> ?on_abort:(Request.reason -> unit) -> t -> (unit -> bool) -> int
 (** Register a closure invoked by every {!progress} call after the

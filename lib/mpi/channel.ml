@@ -2,6 +2,7 @@ type t = {
   name : string;
   send : src:int -> dst:int -> Packet.t -> unit;
   poll : rank:int -> Packet.t option;
+  next_arrival : rank:int -> float option;
   add_rank : unit -> int;
   n_ranks : unit -> int;
 }
@@ -95,6 +96,12 @@ let make ~name ~per_msg_ns ~per_byte_ns ?topo ?intra ~syscall_fraction ~env
           None
         end
   in
+  (* The inbox is sorted by arrival, so its head is the next delivery. *)
+  let next_arrival ~rank =
+    match !(!inboxes.(rank)) with
+    | [] -> Some Float.infinity
+    | e :: _ -> Some e.arrival
+  in
   let add_rank () =
     let rank = !count in
     let bigger = Array.init (rank + 1) (fun _ -> ref []) in
@@ -103,4 +110,4 @@ let make ~name ~per_msg_ns ~per_byte_ns ?topo ?intra ~syscall_fraction ~env
     incr count;
     rank
   in
-  { name; send; poll; add_rank; n_ranks = (fun () -> !count) }
+  { name; send; poll; next_arrival; add_rank; n_ranks = (fun () -> !count) }

@@ -20,6 +20,13 @@ type t = {
           packets are in flight but not yet arrived this calls
           {!Fiber.note_activity} so waiting on the clock is not mistaken
           for deadlock. *)
+  next_arrival : rank:int -> float option;
+      (** The earliest virtual time at which [poll ~rank] can return a
+          packet unless someone sends first: the head arrival of the
+          inbox, [Some infinity] when it is empty. [None] when the channel
+          cannot promise that (layers with their own timers — {!Fault},
+          {!Reliable}, the {!Ft} silencer — and real-time transports).
+          Idle fast-forward uses it as a wait's horizon. *)
   add_rank : unit -> int;  (** returns the new rank id *)
   n_ranks : unit -> int;
 }

@@ -236,6 +236,7 @@ let wrap ~env fplan chan =
     Channel.name = chan.Channel.name ^ "+fault";
     send = (fun ~src ~dst p -> send t ~src ~dst p);
     poll = (fun ~rank -> poll t ~rank);
+    next_arrival = (fun ~rank:_ -> None);
     add_rank = chan.Channel.add_rank;
     n_ranks = chan.Channel.n_ranks;
   }

@@ -226,6 +226,7 @@ let wrap_channel t chan =
         else chan.Channel.send ~src ~dst p);
     poll =
       (fun ~rank -> if is_out t rank then None else chan.Channel.poll ~rank);
+    next_arrival = (fun ~rank:_ -> None);
     add_rank = chan.Channel.add_rank;
     n_ranks = chan.Channel.n_ranks;
   }

@@ -336,37 +336,61 @@ let irecv p ~comm ~src ~tag buf =
 
 exception No_progress of { op : string; rank : int }
 
-(* Polling wait. Inside a fiber scheduler we suspend; in plain code (unit
-   tests, self-sends) we spin on the progress engine with a safety bound.
-   A doomed rank (its kill time passed) wakes from the wait and dies via
-   [check_self] — the raise happens in fiber context, never inside the
-   predicate (predicates run in scheduler context, where an exception
-   would abort the whole run). *)
-let wait_poll p ~poll req =
-  check_self p;
-  if Fiber.in_scheduler () then
-    Fiber.wait_until ~label:"mpi-wait" (fun () ->
-        poll ();
-        ignore (Ch3.progress p.dev);
-        Request.is_complete req || self_doomed p)
-  else begin
-    let spins = ref 0 in
-    while not (Request.is_complete req || self_doomed p) do
-      poll ();
-      if not (Ch3.progress p.dev) then begin
+(* Plain code (unit tests, self-sends) has no scheduler to suspend into,
+   so it polls in place: [pump], then test [ready]. A failed poll with
+   packets in flight fast-forwards to the next arrival by the scheduler's
+   own rule. The safety bound counts only polls that neither handled a
+   packet nor skipped any time. *)
+let poll_in_place p ~op ?idle pump ready =
+  let spins = ref 0 in
+  let rec go () =
+    let did = pump () in
+    if not (ready ()) then begin
+      let skipped =
+        match idle with Some i -> Fiber.fast_forward [ i ] | None -> 0
+      in
+      if did || skipped > 0 then spins := 0
+      else begin
         incr spins;
-        if !spins > 1_000_000 then
-          raise (No_progress { op = "Mpi.wait"; rank = p.prank })
-      end
-      else spins := 0
-    done
-  end;
+        if !spins > 1_000_000 then raise (No_progress { op; rank = p.prank })
+      end;
+      go ()
+    end
+  in
+  go ()
+
+(* Polling wait. Inside a fiber scheduler we suspend, declaring [idle]
+   so quiet scans can be skipped; in plain code we poll in place. The
+   predicate stays one closure: it runs on every scan. A doomed rank (its
+   kill time passed) wakes from the wait and dies via [check_self] — the
+   raise happens in fiber context, never inside the predicate (predicates
+   run in scheduler context, where an exception would abort the whole
+   run). *)
+let wait_with p ?idle ~poll req =
+  check_self p;
+  (if Fiber.in_scheduler () then
+     Fiber.wait_until ~label:"mpi-wait" ?idle (fun () ->
+         poll ();
+         ignore (Ch3.progress p.dev);
+         Request.is_complete req || self_doomed p)
+   else
+     let ready () = Request.is_complete req || self_doomed p in
+     if not (ready ()) then
+       poll_in_place p ~op:"Mpi.wait" ?idle
+         (fun () ->
+           poll ();
+           Ch3.progress p.dev)
+         ready);
   check_self p;
   match Request.reason req with
   | Some reason -> raise_reason reason
   | None -> Request.status req
 
-let wait p req = wait_poll p ~poll:(fun () -> ()) req
+let wait_poll ~idle p ~poll req =
+  wait_with p ?idle:(Fiber.idle_seq idle (Ch3.idle_poll p.dev)) ~poll req
+
+let wait p req =
+  wait_with p ~idle:(Ch3.idle_poll p.dev) ~poll:(fun () -> ()) req
 
 let test p req =
   ignore (Ch3.progress p.dev);
@@ -380,23 +404,22 @@ let wait_any p reqs =
   | _ ->
       check_self p;
       let found = ref None in
-      let check () =
-        ignore (Ch3.progress p.dev);
+      let ready () =
         match List.find_opt Request.is_complete reqs with
         | Some r ->
             found := Some r;
             true
         | None -> self_doomed p
       in
-      if Fiber.in_scheduler () then Fiber.wait_until ~label:"mpi-waitany" check
-      else begin
-        let spins = ref 0 in
-        while not (check ()) do
-          incr spins;
-          if !spins > 1_000_000 then
-            raise (No_progress { op = "Mpi.wait_any"; rank = p.prank })
-        done
-      end;
+      let idle = Ch3.idle_poll p.dev in
+      if Fiber.in_scheduler () then
+        Fiber.wait_until ~label:"mpi-waitany" ~idle (fun () ->
+            ignore (Ch3.progress p.dev);
+            ready ())
+      else
+        poll_in_place p ~op:"Mpi.wait_any" ~idle
+          (fun () -> Ch3.progress p.dev)
+          ready;
       check_self p;
       Option.get !found
 
@@ -414,21 +437,16 @@ let wait_some p reqs =
   | _ ->
       check_self p;
       let done_ () = List.filter Request.is_complete reqs in
-      let check () =
-        ignore (Ch3.progress p.dev);
-        done_ () <> [] || self_doomed p
-      in
-      if not (check ()) then
+      let pump () = Ch3.progress p.dev in
+      let ready () = done_ () <> [] || self_doomed p in
+      let idle = Ch3.idle_poll p.dev in
+      ignore (pump ());
+      if not (ready ()) then
         if Fiber.in_scheduler () then
-          Fiber.wait_until ~label:"mpi-waitsome" check
-        else begin
-          let spins = ref 0 in
-          while not (check ()) do
-            incr spins;
-            if !spins > 1_000_000 then
-              raise (No_progress { op = "Mpi.wait_some"; rank = p.prank })
-          done
-        end;
+          Fiber.wait_until ~label:"mpi-waitsome" ~idle (fun () ->
+              ignore (pump ());
+              ready ())
+        else poll_in_place p ~op:"Mpi.wait_some" ~idle pump ready;
       check_self p;
       done_ ()
 

@@ -198,9 +198,11 @@ val recv :
 
 exception No_progress of { op : string; rank : int }
 (** A blocking wait called outside a fiber scheduler (plain code: unit
-    tests, self-sends) polled the progress engine 10^6 times without the
-    request completing, so it never will — e.g. a receive with no
-    matching send. [op] names the operation (["Mpi.wait"],
+    tests, self-sends) polled the progress engine 10^6 times in a row
+    without handling a packet or anything in flight to wait for, so the
+    request never completes — e.g. a receive with no matching send. A
+    packet merely in flight is not a hang: the wait fast-forwards the
+    clock to its arrival instead. [op] names the operation (["Mpi.wait"],
     ["Mpi.wait_any"], ["Mpi.wait_some"], ["Rma"]) and [rank] is the
     calling world rank. Inside a scheduler the same situation is a
     {!Fiber.Deadlock} instead. *)
@@ -210,9 +212,21 @@ val wait : proc -> Request.t -> Status.t option
     [poll] hook of {!wait_poll} is how Motor injects GC yields. Raises
     {!Ch3.Mpi_error} if the request completed with a categorized failure
     (truncation, rendezvous refused), and {!No_progress} if it can never
-    complete outside a scheduler. *)
+    complete outside a scheduler. The wait declares its idle poll
+    ({!Ch3.idle_poll}), so the clock jumps over polls that provably find
+    nothing — with the same virtual time and counters as polling them
+    (DESIGN.md §17). *)
 
-val wait_poll : proc -> poll:(unit -> unit) -> Request.t -> Status.t option
+val wait_poll :
+  idle:Fiber.idle ->
+  proc ->
+  poll:(unit -> unit) ->
+  Request.t ->
+  Status.t option
+(** {!wait} with [poll ()] run before every progress pump. [idle]
+    declares what one [poll ()] does while it has nothing to do, with
+    horizon [Some infinity] when it is idle and [None] when it may act. *)
+
 val test : proc -> Request.t -> bool
 (** One progress pump, then completion check ([MPI_Test]). *)
 

@@ -224,6 +224,7 @@ let wrap ?(config = default_config) ~env chan =
       Channel.name = chan.Channel.name ^ "+reliable";
       send = (fun ~src ~dst p -> send t ~src ~dst p);
       poll = (fun ~rank -> poll t ~rank);
+      next_arrival = (fun ~rank:_ -> None);
       add_rank = chan.Channel.add_rank;
       n_ranks = chan.Channel.n_ranks;
     },

@@ -84,6 +84,7 @@ let create_parallel ~env_for ~n_ranks =
     Channel.name = "shm-sharded";
     send;
     poll;
+    next_arrival = (fun ~rank:_ -> None);
     add_rank;
     n_ranks = (fun () -> n_ranks);
   }

@@ -1,9 +1,21 @@
 open Effect
 open Effect.Deep
 
+(* What one poll of a blocked wait does while nothing can happen: the
+   clock charges it makes, in order; its counters, bumped for [n] polls at
+   once; and its horizon, the earliest virtual time at which the poll's
+   outcome can change ([None]: the wait cannot tell, so it is never
+   skipped). DESIGN.md §17. *)
+type idle = {
+  clock : Simtime.Clock.t;
+  charges : float array;
+  count : int -> unit;
+  horizon : unit -> float option;
+}
+
 type _ Effect.t +=
   | Yield : unit Effect.t
-  | Wait : ((unit -> bool) * string) -> unit Effect.t
+  | Wait : ((unit -> bool) * string * idle option) -> unit Effect.t
   | Spawn : (string * (unit -> unit)) -> unit Effect.t
 
 (* ------------------------------------------------------------------ *)
@@ -157,6 +169,7 @@ let pending_dump () =
 
 type blocked = {
   pred : unit -> bool;
+  idle : idle option;
   wlabel : string;
   resume : unit -> unit;
 }
@@ -261,7 +274,7 @@ let poison pr exn =
 let poisoned pr = Option.is_some (Atomic.get pr.pr_poison)
 
 let yield () = perform Yield
-let wait_until ?(label = "wait") pred = perform (Wait (pred, label))
+let wait_until ?(label = "wait") ?idle pred = perform (Wait (pred, label, idle))
 let spawn label f = perform (Spawn (label, f))
 
 let rec exec sched label body =
@@ -276,7 +289,7 @@ let rec exec sched label body =
               Some
                 (fun (k : (a, _) continuation) ->
                   push sched (fun () -> continue k ()))
-          | Wait (pred, wlabel) ->
+          | Wait (pred, wlabel, idle) ->
               Some
                 (fun (k : (a, _) continuation) ->
                   if pred () then continue k ()
@@ -284,6 +297,7 @@ let rec exec sched label body =
                     let b =
                       {
                         pred;
+                        idle;
                         wlabel = label ^ "/" ^ wlabel;
                         resume = (fun () -> continue k ());
                       }
@@ -307,6 +321,84 @@ let scan_blocked sched =
   sched.blocked <- List.rev still;
   List.iter (fun b -> push sched b.resume) woken;
   woken <> []
+
+(* ------------------------------------------------------------------ *)
+(* Idle fast-forward                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let idle_seq a b =
+  if a.clock != b.clock then None
+  else
+    Some
+      {
+        clock = a.clock;
+        charges = Array.append a.charges b.charges;
+        count =
+          (fun n ->
+            a.count n;
+            b.count n);
+        horizon =
+          (fun () ->
+            match a.horizon () with
+            | None -> None
+            | Some h -> Option.map (Float.min h) (b.horizon ()));
+      }
+
+(* The least horizon of a scan's waits, if every one declares a horizon
+   on [clock]. *)
+let rec least_horizon clock h = function
+  | [] -> Some h
+  | i :: rest -> (
+      if i.clock != clock then None
+      else
+        match i.horizon () with
+        | Some h' -> least_horizon clock (Float.min h h') rest
+        | None -> None)
+
+(* Skip whole quiet scans over [idles] (in scan order). One scan adds
+   every wait's charges to the clock in order; replaying those float
+   additions on a local copy gives the clock's exact bits after k scans.
+   Commit the most scans whose end stays strictly before the horizon [h],
+   so no skipped poll could have seen an arrival. A scan that would not
+   move the clock skips nothing. Returns the number of scans skipped. *)
+let skip_scans clock h idles =
+  let per_scan = Array.concat (List.map (fun i -> i.charges) idles) in
+  let now = ref (Simtime.Clock.now_ns clock) and k = ref 0 in
+  let go = ref true in
+  while !go do
+    let c = ref !now in
+    for j = 0 to Array.length per_scan - 1 do
+      c := !c +. per_scan.(j)
+    done;
+    if !c < h && !c > !now then begin
+      now := !c;
+      incr k
+    end
+    else go := false
+  done;
+  if !k > 0 then begin
+    Simtime.Clock.advance_to clock !now;
+    List.iter (fun i -> i.count !k) idles
+  end;
+  !k
+
+(* An infinite horizon skips nothing: with nothing in flight, only the
+   deadlock detector may end the wait. *)
+let fast_forward idles =
+  match idles with
+  | [] -> 0
+  | { clock; _ } :: _ -> (
+      match least_horizon clock Float.infinity idles with
+      | Some h when h < Float.infinity -> skip_scans clock h idles
+      | _ -> 0)
+
+(* After a scan that woke nobody, the next scans repeat it exactly until
+   some horizon passes — provided every blocked wait is quiet. *)
+let fast_forward_blocked sched =
+  if List.for_all (fun b -> Option.is_some b.idle) sched.blocked then
+    (* [blocked] is newest first; scans run oldest first. *)
+    ignore
+      (fast_forward (List.rev_map (fun b -> Option.get b.idle) sched.blocked))
 
 (* ------------------------------------------------------------------ *)
 (* Cooperative (deterministic) main loop                               *)
@@ -352,7 +444,10 @@ let run_cooperative ?policy ?record fibers =
                waiting = List.map (fun b -> b.wlabel) sched.blocked;
                pending = pending_dump ();
              })
-      else loop ()
+      else begin
+        fast_forward_blocked sched;
+        loop ()
+      end
     end
   in
   match loop () with

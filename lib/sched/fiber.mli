@@ -137,13 +137,58 @@ val yield : unit -> unit
 (** Suspend and reschedule at the back of the run queue. Must be called
     from within {!run}. *)
 
-val wait_until : ?label:string -> (unit -> bool) -> unit
+(** {1 Idle fast-forward}
+
+    A blocked wait whose predicate is a polling loop may declare what one
+    poll does while nothing can happen. When a scan over the blocked
+    waits wakes nobody and every wait is declared, the scheduler skips the
+    scans that would repeat it exactly, and keeps the virtual clock and
+    the counters bit for bit where polling one by one would have left
+    them (DESIGN.md §17). *)
+
+type idle = {
+  clock : Simtime.Clock.t;  (** the clock the poll charges *)
+  charges : float array;
+      (** what one idle poll adds to [clock], in the order it adds them *)
+  count : int -> unit;  (** bump the counters of [n] idle polls *)
+  horizon : unit -> float option;
+      (** the earliest virtual time at which a poll could do more than
+          [charges] and [count]: [Some infinity] when nothing is pending
+          (the wait alone never moves), [None] when the wait cannot tell
+          right now (timers, hooks, a pending collection) — then the
+          scheduler polls one by one. Must not charge or change state. *)
+}
+
+val idle_seq : idle -> idle -> idle option
+(** [idle_seq a b] describes a poll that does [a]'s idle poll and then
+    [b]'s: charges concatenated, counters both, the lesser horizon.
+    [None] when the two charge different clocks. *)
+
+val fast_forward : idle list -> int
+(** [fast_forward idles] skips whole quiet scans over [idles], polled in
+    list order: it replays each scan's charges as the same float
+    additions on a local copy of the clock, commits the most scans whose
+    end stays strictly before the least horizon, and bumps each wait's
+    counters by that number, which it returns. It skips nothing when a
+    horizon is [None], when the least one is infinite, or when the waits
+    charge different clocks. Polling loops outside a scheduler call it
+    after every failed poll; the cooperative scheduler applies the same
+    rule after every scan that wakes nobody. *)
+
+val wait_until : ?label:string -> ?idle:idle -> (unit -> bool) -> unit
 (** [wait_until pred] suspends until [pred ()] is true. [pred] runs in
     scheduler context: it must not yield or wait, but it may perform plain
     side effects (e.g. pumping a progress engine). Predicates that move
     data without yet becoming true must call {!note_activity} (the
     channels do this) so the deadlock detector is not fooled by multi-step
-    progress. *)
+    progress.
+
+    [idle] declares what one false [pred ()] does while the wait is
+    quiet: exactly the clock charges and counters in the descriptor, no
+    other effect, until its horizon. Without it the wait is polled one
+    scan at a time. A wrong declaration silently changes virtual times,
+    so only a layer that owns the polled code should build one
+    ([Mpi.wait] and the FCall gate's polling waits do). *)
 
 val spawn : string -> (unit -> unit) -> unit
 (** Add a fiber to the running scheduler (used by dynamic process

@@ -21,6 +21,11 @@ val advance : t -> float -> unit
 (** [advance clock ns] moves the clock forward by [ns] nanoseconds. Negative
     charges are rejected with [Invalid_argument]. *)
 
+val advance_to : t -> float -> unit
+(** [advance_to clock ns] sets the clock to [ns], which must not lie in
+    the past. The scheduler's idle fast-forward uses it to commit the
+    exact value a run of skipped charges would have reached. *)
+
 val reset : t -> unit
 (** Rewind to time zero. *)
 

@@ -409,6 +409,16 @@ let poll t =
       t.pending <- No_gc;
       collect t ~full:true
 
+(* What [poll] does with no collection pending: charge one safepoint poll
+   and count it. A pending collection makes the next poll act. *)
+let idle_poll t =
+  {
+    Fiber.clock = t.env.Simtime.Env.clock;
+    charges = [| t.env.Simtime.Env.cost.gc_safepoint_poll_ns |];
+    count = (fun n -> Simtime.Env.count_n t.env Key.safepoint_polls n);
+    horizon = (fun () -> if gc_pending t then None else Some Float.infinity);
+  }
+
 let alloc t ~mt ~data_bytes =
   let h = t.heap in
   let cost = t.env.Simtime.Env.cost in

@@ -96,6 +96,12 @@ val gc_pending : t -> bool
 val poll : t -> unit
 (** Safepoint: charge the poll cost and run any pending collection. *)
 
+val idle_poll : t -> Fiber.idle
+(** What {!poll} does while no collection is pending — charge
+    [gc_safepoint_poll_ns] and count one [safepoint_polls] — for waits
+    that poll the collector ({!Fiber.wait_until}'s [idle]). Its horizon
+    is [Some infinity], or [None] while a collection is pending. *)
+
 val minor_count : t -> int
 val full_count : t -> int
 

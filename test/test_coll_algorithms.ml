@@ -699,6 +699,7 @@ let stub_channel () =
       (fun ~rank ->
         let q = box rank in
         if Queue.is_empty q then None else Some (Queue.pop q));
+    next_arrival = (fun ~rank:_ -> None);
     add_rank =
       (fun () ->
         let r = !next in

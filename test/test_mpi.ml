@@ -261,6 +261,80 @@ let test_no_progress_outside_scheduler () =
       ("Mpi.wait_some", fun () -> ignore (Mpi.wait_some p [ req ]));
     ]
 
+(* Plain code: a self-send merely in flight for longer than 10^6 polls
+   (~150 ms virtual at 150 ns a poll) is not a hang. Each wait flavour
+   fast-forwards to the arrival and ends on the very clock bits that
+   polling one by one reaches. *)
+let test_slow_wire_outside_scheduler () =
+  let cost = { Simtime.Cost.motor with sock_per_msg_ns = 200e6 } in
+  let self_send wait =
+    let w = Mpi.create_world ~cost ~n:1 () in
+    let p = Mpi.proc w 0 in
+    let comm = Mpi.comm_world w in
+    let buf = Bytes.create 16 in
+    let r = Mpi.irecv p ~comm ~src:0 ~tag:3 (Bv.of_bytes buf) in
+    ignore (Mpi.isend p ~comm ~dst:0 ~tag:3 (Bv.of_bytes (payload 16)));
+    wait p r;
+    Alcotest.(check bytes) "payload" (payload 16) buf;
+    Int64.bits_of_float (Simtime.Env.now_ns (Mpi.env w))
+  in
+  let polled =
+    self_send (fun p r ->
+        while not (Mpi_core.Request.is_complete r) do
+          ignore (Ch3.progress (Mpi.device p))
+        done)
+  in
+  Alcotest.(check bool) "in flight past 10^6 polls" true
+    (Int64.float_of_bits polled > 1e6 *. Simtime.Cost.motor.progress_poll_ns);
+  List.iter
+    (fun (op, wait) ->
+      Alcotest.(check int64) (op ^ ": clock bits") polled (self_send wait))
+    [
+      ("Mpi.wait", fun p r -> ignore (Mpi.wait p r));
+      ("Mpi.wait_any", fun p r -> ignore (Mpi.wait_any p [ r ]));
+      ("Mpi.wait_some", fun p r -> ignore (Mpi.wait_some p [ r ]));
+    ]
+
+(* A receive nobody matches still deadlocks after a fast-forward: the
+   unmatched message arrives (a finite horizon, so the clock jumps), then
+   every inbox is empty and the scan is reported exactly as a
+   descriptor-free wait reports it, at the same virtual time. *)
+let test_deadlock_after_fast_forward () =
+  let run wait =
+    let env = Simtime.Env.create () in
+    match
+      Mpi.run ~env ~n:2 (fun p ->
+          let comm = Mpi.comm_world (Mpi.world_of p) in
+          if Mpi.rank p = 0 then
+            Mpi.send p ~comm ~dst:1 ~tag:1 (Bv.of_bytes (payload 8))
+          else
+            wait p
+              (Mpi.irecv p ~comm ~src:0 ~tag:2 (Bv.of_bytes (Bytes.create 8))))
+    with
+    | _ -> Alcotest.fail "expected deadlock"
+    | exception Fiber.Deadlock { waiting; pending; _ } ->
+        (waiting, pending, Int64.bits_of_float (Simtime.Env.now_ns env))
+  in
+  let waiting, pending, clock = run (fun p r -> ignore (Mpi.wait p r)) in
+  let ref_waiting, ref_pending, ref_clock =
+    run (fun p r ->
+        Fiber.wait_until ~label:"mpi-wait" (fun () ->
+            ignore (Ch3.progress (Mpi.device p));
+            Mpi_core.Request.is_complete r))
+  in
+  Alcotest.(check (list string)) "wait labels" [ "rank1/mpi-wait" ] waiting;
+  Alcotest.(check (list string)) "same labels" ref_waiting waiting;
+  Alcotest.(check int64) "same clock" ref_clock clock;
+  let tail l = List.filteri (fun i _ -> i >= List.length l - 2) l in
+  Alcotest.(check (list string))
+    "pending dump"
+    [
+      "rank 1: recv req#2 src=0 tag=2 ctx=0 (posted)";
+      "rank 1: 1 unexpected message(s) never received";
+    ]
+    (tail pending);
+  Alcotest.(check (list string)) "same dump" (tail ref_pending) (tail pending)
+
 let test_virtual_time_advances () =
   let w =
     run2 (fun p ->
@@ -831,6 +905,10 @@ let () =
             test_deadlock_detected;
           Alcotest.test_case "no progress outside a scheduler" `Quick
             test_no_progress_outside_scheduler;
+          Alcotest.test_case "slow wire outside a scheduler" `Quick
+            test_slow_wire_outside_scheduler;
+          Alcotest.test_case "deadlock after fast-forward" `Quick
+            test_deadlock_after_fast_forward;
           Alcotest.test_case "virtual time advances" `Quick
             test_virtual_time_advances;
         ] );

@@ -995,6 +995,268 @@ let prop_cache_equals_naive_model =
                [ 0; 50; 100; 200; 300; 400 ])
         ops)
 
+(* ------------------------------------------------------------------ *)
+(* Idle fast-forward is exact                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Ch3 = Mpi_core.Ch3
+module Request = Mpi_core.Request
+module Bv = Mpi_core.Buffer_view
+module World = Motor.World
+module Fcall = Motor.Fcall
+
+(* A random point-to-point program: every rank charges some compute,
+   posts its sends and receives (message i has tag i) without blocking,
+   then completes them in one of three styles. Sizes straddle the 64 KiB
+   eager limit; self-sends are allowed. *)
+type ff_prog = {
+  ff_ranks : int;
+  ff_channel : [ `Sock | `Shm ];
+  ff_motor : bool;  (* a Motor world: waits poll the collector *)
+  ff_msgs : (int * int * int) list;  (* src, dst, bytes *)
+  ff_gaps : int array;  (* per-rank compute before posting, ns *)
+  ff_style : int;  (* 0: wait each; 1: wait_any / wait_all; 2: wait_some *)
+  ff_gc : bool;  (* Motor: a collection is pending when the waits start *)
+  ff_seed : int;  (* Seeded_random scheduling *)
+}
+
+let print_ff_prog p =
+  Printf.sprintf
+    "%d ranks, %s, %s, style %d, gc %b, seed %d, gaps [%s], msgs [%s]"
+    p.ff_ranks
+    (match p.ff_channel with `Sock -> "sock" | `Shm -> "shm")
+    (if p.ff_motor then "motor" else "mpi")
+    p.ff_style p.ff_gc p.ff_seed
+    (String.concat ";" (Array.to_list (Array.map string_of_int p.ff_gaps)))
+    (String.concat ";"
+       (List.map (fun (s, d, b) -> Printf.sprintf "%d->%d:%d" s d b) p.ff_msgs))
+
+let gen_ff_prog =
+  QCheck.Gen.(
+    let* ranks = int_range 2 4 in
+    let* channel = oneofl [ `Sock; `Shm ] in
+    let* motor = bool in
+    let size =
+      oneof
+        [
+          int_range 1 1024;
+          oneofl [ 65535; 65536; 65537 ];
+          int_range 65537 200_000;
+        ]
+    in
+    let msg = triple (int_bound (ranks - 1)) (int_bound (ranks - 1)) size in
+    let* msgs = list_size (int_range 1 8) msg in
+    let* gaps = array_repeat ranks (int_bound 50_000) in
+    let* style = int_bound 2 in
+    let* gc = bool in
+    let* seed = int_bound 1_000_000 in
+    return
+      {
+        ff_ranks = ranks;
+        ff_channel = channel;
+        ff_motor = motor;
+        ff_msgs = msgs;
+        ff_gaps = gaps;
+        ff_style = style;
+        ff_gc = gc;
+        ff_seed = seed;
+      })
+
+(* How a rank completes its requests. [gc] is the rank's collector in a
+   Motor world. *)
+type completer = ?gc:Gc.t -> Mpi.proc -> int -> Request.t list -> unit
+
+let rec drain pick p pending =
+  if pending <> [] then
+    let got = pick p pending in
+    drain pick p (List.filter (fun r -> not (List.memq r got)) pending)
+
+(* The public waits: the fast path. *)
+let fast_complete : completer =
+ fun ?gc p style reqs ->
+  match (gc, style) with
+  | Some gc, 0 ->
+      List.iter
+        (fun r -> ignore (Fcall.polling_wait gc p ~on_enter_wait:ignore r))
+        reqs
+  | Some gc, _ -> Fcall.polling_wait_all gc p ~on_enter_wait:ignore reqs
+  | None, 0 -> List.iter (fun r -> ignore (Mpi.wait p r)) reqs
+  | None, 1 -> drain (fun p rs -> [ Mpi.wait_any p rs ]) p reqs
+  | None, _ -> drain Mpi.wait_some p reqs
+
+(* The same waits built only from [Fiber.wait_until] and [Ch3.progress],
+   with no idle declaration: every poll runs. *)
+let ref_complete : completer =
+ fun ?gc p style reqs ->
+  let dev = Mpi.device p in
+  let pump () = ignore (Ch3.progress dev) in
+  let until ready =
+    Fiber.wait_until (fun () ->
+        Option.iter Gc.poll gc;
+        pump ();
+        ready ())
+  in
+  match (gc, style) with
+  | Some _, 0 ->
+      List.iter
+        (fun r ->
+          pump ();
+          if not (Request.is_complete r) then
+            until (fun () -> Request.is_complete r))
+        reqs
+  | Some _, _ ->
+      pump ();
+      if not (List.for_all Request.is_complete reqs) then
+        List.iter (fun r -> until (fun () -> Request.is_complete r)) reqs
+  | None, 0 -> List.iter (fun r -> until (fun () -> Request.is_complete r)) reqs
+  | None, 1 ->
+      drain
+        (fun _ rs ->
+          until (fun () -> List.exists Request.is_complete rs);
+          [ List.find Request.is_complete rs ])
+        p reqs
+  | None, _ ->
+      drain
+        (fun _ rs ->
+          pump ();
+          if not (List.exists Request.is_complete rs) then
+            until (fun () -> List.exists Request.is_complete rs);
+          List.filter Request.is_complete rs)
+        p reqs
+
+(* Returns the receive buffers, for digests. *)
+let ff_body prog (complete : completer) ?gc env p =
+  let rank = Mpi.rank p in
+  let comm = Mpi.comm_world (Mpi.world_of p) in
+  Simtime.Env.charge env (float_of_int prog.ff_gaps.(rank));
+  let posted =
+    List.concat
+      (List.mapi
+         (fun tag (src, dst, bytes) ->
+           (if src = rank then
+              [
+                ( Mpi.isend p ~comm ~dst ~tag
+                    (Bv.of_bytes (Bytes.make bytes (Char.chr (tag + 65)))),
+                  None );
+              ]
+            else [])
+           @
+           if dst = rank then
+             let buf = Bytes.create bytes in
+             [ (Mpi.irecv p ~comm ~src ~tag (Bv.of_bytes buf), Some buf) ]
+           else [])
+         prog.ff_msgs)
+  in
+  if prog.ff_gc then Option.iter Gc.request_gc gc;
+  complete ?gc p prog.ff_style (List.map fst posted);
+  List.filter_map snd posted
+
+(* Final clock bits, every counter and histogram, and the decision trace. *)
+let run_ff prog complete =
+  let trace = Fiber.new_trace () in
+  let env =
+    Fiber.with_policy ~record:trace (Fiber.Seeded_random prog.ff_seed)
+      (fun () ->
+        if prog.ff_motor then begin
+          let w =
+            World.create
+              ~channel:(prog.ff_channel :> [ `Sock | `Shm | `Rdma ])
+              ~config:{ World.default_config with arena_bytes = 1 lsl 21 }
+              ~n:prog.ff_ranks ()
+          in
+          World.run w (fun ctx ->
+              ignore
+                (ff_body prog complete ~gc:(World.gc ctx) (World.env w)
+                   ctx.World.proc));
+          World.env w
+        end
+        else begin
+          let env = Simtime.Env.create () in
+          ignore
+            (Mpi.run ~env
+               ~channel:(prog.ff_channel :> [ `Sock | `Shm | `Rdma ])
+               ~n:prog.ff_ranks
+               (fun p -> ignore (ff_body prog complete env p)));
+          env
+        end)
+  in
+  ( Int64.bits_of_float (Simtime.Env.now_ns env),
+    Simtime.Stats.(to_json (snapshot env.Simtime.Env.stats)),
+    Fiber.trace_to_list trace )
+
+let prop_fast_forward_exact =
+  QCheck.Test.make
+    ~name:"fast-forwarded waits match polling one by one, bit for bit"
+    ~count:200
+    (QCheck.make ~print:print_ff_prog gen_ff_prog)
+    (fun prog ->
+      let clock, stats, trace = run_ff prog fast_complete in
+      let ref_clock, ref_stats, ref_trace = run_ff prog ref_complete in
+      if clock <> ref_clock then
+        QCheck.Test.fail_reportf "clock %h <> %h" (Int64.float_of_bits clock)
+          (Int64.float_of_bits ref_clock);
+      if stats <> ref_stats then
+        QCheck.Test.fail_reportf "stats differ:\n%s\nvs\n%s" stats ref_stats;
+      trace = ref_trace)
+
+(* Worlds with a fault plan, reliable delivery or a failure detector keep
+   the slow path: no device declares a horizon, and the public waits end
+   on the same clock, counters (the reliable, fault and ft families) and
+   received bytes as descriptor-free waits. *)
+let test_wrapped_worlds_keep_slow_path () =
+  let prog =
+    {
+      ff_ranks = 3;
+      ff_channel = `Sock;
+      ff_motor = false;
+      ff_msgs =
+        [ (0, 1, 100); (1, 2, 70_000); (2, 0, 100); (0, 2, 65_537); (1, 0, 8) ];
+      ff_gaps = [| 0; 20_000; 5_000 |];
+      ff_style = 0;
+      ff_gc = false;
+      ff_seed = 0;
+    }
+  in
+  let run world complete =
+    let env = Simtime.Env.create () in
+    let got = Array.make prog.ff_ranks [] in
+    ignore
+      (world env (fun p ->
+           Alcotest.(check bool)
+             "no horizon" true
+             ((Ch3.idle_poll (Mpi.device p)).Fiber.horizon () = None);
+           got.(Mpi.rank p) <- ff_body prog complete env p));
+    ( Int64.bits_of_float (Simtime.Env.now_ns env),
+      Simtime.Stats.(to_json (snapshot env.Simtime.Env.stats)),
+      Digest.to_hex
+        (Digest.bytes
+           (Bytes.concat Bytes.empty (List.concat (Array.to_list got)))) )
+  in
+  List.iter
+    (fun (name, world) ->
+      let clock, stats, digest = run world fast_complete in
+      let ref_clock, ref_stats, ref_digest = run world ref_complete in
+      Alcotest.(check int64) (name ^ ": clock bits") ref_clock clock;
+      Alcotest.(check string) (name ^ ": counters") ref_stats stats;
+      Alcotest.(check string) (name ^ ": digest") ref_digest digest)
+    [
+      ( "fault plan",
+        fun env body ->
+          Mpi.run ~env
+            ~fault:
+              (Mpi_core.Fault.plan ~seed:3 ~drop:0.2 ~duplicate:0.1
+                 ~delay:0.2 ())
+            ~n:prog.ff_ranks body );
+      ( "reliable",
+        fun env body ->
+          Mpi.run ~env ~reliable:Mpi_core.Reliable.default_config
+            ~n:prog.ff_ranks body );
+      ( "detector",
+        fun env body ->
+          Mpi.run ~env ~detector:Mpi_core.Ft.default_detector ~n:prog.ff_ranks
+            body );
+    ]
+
 let () =
   Alcotest.run "properties"
     [
@@ -1030,6 +1292,12 @@ let () =
         ] );
       ( "checkpoint",
         [ QCheck_alcotest.to_alcotest prop_checkpoint_round_trip ] );
+      ( "idle fast-forward",
+        [
+          QCheck_alcotest.to_alcotest prop_fast_forward_exact;
+          Alcotest.test_case "wrapped worlds keep the slow path" `Quick
+            test_wrapped_worlds_keep_slow_path;
+        ] );
       ( "one-sided rma",
         [
           QCheck_alcotest.to_alcotest prop_rma_put_get_matches_model;

@@ -221,22 +221,25 @@ let test_csv_creates_missing_dirs () =
 (* DESIGN.md §6 module map                                            *)
 (* ------------------------------------------------------------------ *)
 
+let design_lines () =
+  In_channel.with_open_text "../DESIGN.md" In_channel.input_all
+  |> String.split_on_char '\n'
+
+let rec drop_to p = function
+  | [] -> Alcotest.fail "DESIGN.md lacks an expected line"
+  | l :: rest -> if p l then rest else drop_to p rest
+
+let rec take_to p = function
+  | [] -> []
+  | l :: rest -> if p l then [] else l :: take_to p rest
+
 (* The map's [lib/<dir>] entries — a line starting "lib/" plus its
    indented continuation lines — as (dir, sorted capitalised names
    outside parentheses). *)
 let module_map_entries () =
-  let rec drop_to p = function
-    | [] -> Alcotest.fail "DESIGN.md has no module map"
-    | l :: rest -> if p l then rest else drop_to p rest
-  in
-  let rec take_to p = function
-    | [] -> []
-    | l :: rest -> if p l then [] else l :: take_to p rest
-  in
   let fence = String.starts_with ~prefix:"```" in
   let block =
-    In_channel.with_open_text "../DESIGN.md" In_channel.input_all
-    |> String.split_on_char '\n'
+    design_lines ()
     |> drop_to (( = ) "## 6. Module map")
     |> drop_to fence |> take_to fence
   in
@@ -291,6 +294,67 @@ let test_module_map_matches_lib () =
     "DESIGN.md section 6 lists exactly lib/'s modules" actual
     (module_map_entries ())
 
+(* ------------------------------------------------------------------ *)
+(* DESIGN.md §3 experiment index                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* lib/'s libraries as (dune name, directory). *)
+let library_dirs () =
+  Sys.readdir "../lib" |> Array.to_list
+  |> List.filter_map (fun dir ->
+         let dune = Filename.concat (Filename.concat "../lib" dir) "dune" in
+         if not (Sys.file_exists dune) then None
+         else
+           In_channel.with_open_text dune In_channel.input_all
+           |> String.split_on_char '('
+           |> List.find_map (fun s ->
+                  match String.split_on_char ')' s with
+                  | field :: _ when String.starts_with ~prefix:"name " field ->
+                      let name = String.sub field 5 (String.length field - 5) in
+                      Some (String.trim name, dir)
+                  | _ -> None))
+
+(* Every backticked [lib.Module...] (or wrapped [Lib.Module...]) in §3
+   whose first segment names a library of lib/, as (library, Module). *)
+let experiment_index_refs libs =
+  let ident = function
+    | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  design_lines ()
+  |> drop_to (String.starts_with ~prefix:"## 3. ")
+  |> take_to (String.starts_with ~prefix:"## 4. ")
+  |> String.concat "\n" |> String.split_on_char '`'
+  |> List.filteri (fun i _ -> i mod 2 = 1)
+  |> List.filter_map (fun span ->
+         match String.split_on_char '.' span with
+         | lib :: m :: _
+           when String.for_all ident lib && String.for_all ident m
+                && m <> "" && m.[0] >= 'A' && m.[0] <= 'Z'
+                && List.mem_assoc (String.lowercase_ascii lib) libs ->
+             Some (String.lowercase_ascii lib, m)
+         | _ -> None)
+
+let test_experiment_index_modules_exist () =
+  let libs = library_dirs () in
+  let refs = experiment_index_refs libs in
+  Alcotest.(check bool)
+    "section 3 names lib modules" true
+    (List.length refs >= 10);
+  let missing =
+    List.filter
+      (fun (lib, m) ->
+        let dir = List.assoc lib libs in
+        not
+          (Sys.file_exists
+             (Filename.concat (Filename.concat "../lib" dir)
+                (String.uncapitalize_ascii m ^ ".ml"))))
+      refs
+  in
+  Alcotest.(check (list string))
+    "every module DESIGN.md section 3 names exists" []
+    (List.map (fun (lib, m) -> lib ^ "." ^ m) missing)
+
 let () =
   Alcotest.run "tools"
     [
@@ -312,6 +376,8 @@ let () =
         [
           Alcotest.test_case "module map matches lib" `Quick
             test_module_map_matches_lib;
+          Alcotest.test_case "experiment index names real modules" `Quick
+            test_experiment_index_modules_exist;
         ] );
       ( "trace",
         [
