@@ -44,7 +44,7 @@ type t = {
      [tick] runs at the head of every progress pump (heartbeat + sweep);
      [revoked] says whether a context id was revoked; [dead] whether a
      world rank was declared dead. None of them may raise. *)
-  mutable tick : (unit -> unit) option;
+  mutable tick : tick option;
   mutable revoked : (int -> bool) option;
   mutable dead : (int -> bool) option;
   (* Collective-failure flood: when one rank's in-flight schedule fails
@@ -59,8 +59,15 @@ type t = {
 and hook = {
   h_id : int;
   h_fn : unit -> bool;
+  h_quiet : unit -> bool;
   h_ctx : int option;
   h_abort : (Request.reason -> unit) option;
+}
+
+and tick = {
+  run : unit -> unit;
+  horizon : busy:bool -> float;
+  beat : float -> unit;
 }
 
 let create env chan ~rank ~fresh_id =
@@ -102,10 +109,12 @@ let track t req =
 
 let track_request t req = ignore (track t req)
 
-let add_progress_hook ?ctx ?on_abort t fn =
+let add_progress_hook ?ctx ?on_abort ~quiet t fn =
   let id = t.next_hook in
   t.next_hook <- id + 1;
-  t.hooks <- { h_id = id; h_fn = fn; h_ctx = ctx; h_abort = on_abort } :: t.hooks;
+  t.hooks <-
+    { h_id = id; h_fn = fn; h_quiet = quiet; h_ctx = ctx; h_abort = on_abort }
+    :: t.hooks;
   id
 
 let remove_progress_hook t id =
@@ -363,7 +372,7 @@ let progress t =
   Simtime.Env.charge t.env t.env.Simtime.Env.cost.progress_poll_ns;
   (* Failure detector first: beat this rank, sweep the others. Pending
      declarations may fail requests, which the hooks below observe. *)
-  (match t.tick with Some f -> f () | None -> ());
+  (match t.tick with Some tk -> tk.run () | None -> ());
   let did = ref false in
   let rec drain () =
     match t.chan.Channel.poll ~rank:t.rank with
@@ -381,19 +390,26 @@ let progress t =
   List.iter (fun h -> if h.h_fn () then did := true) hooks;
   !did
 
-(* What [progress] does while nothing can happen: charge one poll. Only
-   an arrival can change that, so the horizon is the inbox head's; a tick
-   or a hook may act on any pump, so either leaves the horizon unknown. *)
+(* What [progress] does while nothing can happen: charge one poll, and
+   let the tick beat. The channel stack's horizon covers arrivals and its
+   own timers; the tick's covers detections and kills. A finite channel
+   horizon means this poll keeps the scheduler busy, and the tick's
+   deadlines count only while something does. A hook that may act leaves
+   the horizon unknown. *)
 let idle_poll t =
   {
     Fiber.clock = t.env.Simtime.Env.clock;
     charges = [| t.env.Simtime.Env.cost.progress_poll_ns |];
-    count = ignore;
+    count =
+      (fun _ ~at -> match t.tick with Some tk -> tk.beat at | None -> ());
     horizon =
       (fun () ->
-        match (t.tick, t.hooks) with
-        | None, [] -> t.chan.Channel.next_arrival ~rank:t.rank
-        | _ -> None);
+        if List.for_all (fun h -> h.h_quiet ()) t.hooks then
+          match (t.chan.Channel.next_arrival ~rank:t.rank, t.tick) with
+          | Some a, Some tk ->
+              Some (Float.min a (tk.horizon ~busy:(a < Float.infinity)))
+          | h, _ -> h
+        else None);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -59,16 +59,28 @@ val progress : t -> bool
 
 val idle_poll : t -> Fiber.idle
 (** What one {!progress} call does while nothing can happen: charge
-    [progress_poll_ns]. The horizon is the channel's
-    [next_arrival] for this rank; it is unknown while the device has a
-    failure tick or a progress hook, which may act on any pump. *)
+    [progress_poll_ns] and let the tick beat ([count]'s [at] is the
+    beat's time). The horizon is the channel's [next_arrival] for this
+    rank, lowered to the tick's horizon; it is unknown while a progress
+    hook is not quiet, or when the channel cannot tell. With nothing in
+    flight on the channel, the tick's horizon counts only if the tick
+    itself keeps the scheduler busy ({!tick}'s [busy]). *)
 
 val add_progress_hook :
-  ?ctx:int -> ?on_abort:(Request.reason -> unit) -> t -> (unit -> bool) -> int
+  ?ctx:int ->
+  ?on_abort:(Request.reason -> unit) ->
+  quiet:(unit -> bool) ->
+  t ->
+  (unit -> bool) ->
+  int
 (** Register a closure invoked by every {!progress} call after the
     channel drain (MPICH's progress-hook slot, used by {!Coll_sched} to
     advance in-flight collective schedules). The closure returns true if
     it made progress. Returns a handle for {!remove_progress_hook}.
+    [quiet ()] says the closure would do nothing, with no charge and no
+    state change, until a packet arrives on this device or the tick
+    acts; while every hook is quiet the device's waits may fast-forward
+    ({!idle_poll}). A hook that cannot tell answers [false].
     [ctx] tags the hook with its schedule's context id and [on_abort] is
     invoked (after the hook is dropped) when that context is revoked or
     the device is purged, so the schedule can fail its generalized
@@ -109,9 +121,24 @@ val pending_rendezvous : t -> int
     All installed by {!Mpi.create_world} when the world has a failure
     service ({!Ft}); absent (and free) otherwise. *)
 
-val set_tick : t -> (unit -> unit) option -> unit
-(** Closure run at the head of every {!progress} pump — the failure
-    detector's beat + sweep. Must never raise. *)
+type tick = {
+  run : unit -> unit;
+      (** run at the head of every {!progress} pump: the failure
+          detector's beat + sweep. Must never raise. *)
+  horizon : busy:bool -> float;
+      (** the earliest virtual time at which [run] can do more than beat
+          (declare a rank dead, let a kill fall due), given that polling
+          goes on until then. [busy]: something else keeps the scheduler
+          polling (packets in flight, timers). When neither it nor the
+          tick's own pending work does, the answer is [infinity]. Must
+          not change state. *)
+  beat : float -> unit;
+      (** leave what a quiet [run] at the given time leaves (the
+          heartbeat stamp) *)
+}
+
+val set_tick : t -> tick option -> unit
+(** Install (or clear) the tick. *)
 
 val set_revoked_check : t -> (int -> bool) option -> unit
 (** Predicate consulted on every operation start and packet arrival:

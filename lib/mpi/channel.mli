@@ -21,12 +21,16 @@ type t = {
           {!Fiber.note_activity} so waiting on the clock is not mistaken
           for deadlock. *)
   next_arrival : rank:int -> float option;
-      (** The earliest virtual time at which [poll ~rank] can return a
-          packet unless someone sends first: the head arrival of the
-          inbox, [Some infinity] when it is empty. [None] when the channel
-          cannot promise that (layers with their own timers — {!Fault},
-          {!Reliable}, the {!Ft} silencer — and real-time transports).
-          Idle fast-forward uses it as a wait's horizon. *)
+      (** The earliest virtual time at which [poll ~rank] can do more
+          than find nothing, unless someone sends first: for a modelled
+          wire the head arrival of the inbox, [Some infinity] when it is
+          empty. A layer with timers lowers its inner channel's answer to
+          its own next deadline ({!Fault}'s next release, {!Reliable}'s
+          next retransmission timeout); the {!Ft} silencer passes it
+          through. A finite answer also promises that such a poll calls
+          {!Fiber.note_activity}. [None] when the channel cannot tell
+          (the real-time parallel shm rings). Idle fast-forward uses it
+          as a wait's horizon. *)
   add_rank : unit -> int;  (** returns the new rank id *)
   n_ranks : unit -> int;
 }

@@ -238,6 +238,20 @@ let advance sc =
   done;
   !progressed
 
+(* [advance] does nothing but retire the Done prefix while the first step
+   past it waits on its device request: only an arrival or a failure
+   completes that step, and the steps after it cannot start before it
+   does. *)
+let quiet sc =
+  let n = Array.length sc.sc_steps in
+  let i = ref sc.sc_cursor in
+  while !i < n && sc.sc_steps.(!i).s_state = Done do
+    incr i
+  done;
+  (not (Request.is_complete sc.sc_req))
+  && !i < n
+  && sc.sc_steps.(!i).s_state = Started
+
 (* Shape registry: (rounds, steps) per started schedule, keyed by its
    request id, so tests and the scaling harness can compare a measured
    schedule against an analytic round model. Bounded by periodic reset —
@@ -308,6 +322,7 @@ let start b =
                sc.sc_hook <- None;
                Request.fail_reason sc.sc_req reason;
                finish sc)
+             ~quiet:(fun () -> quiet sc)
              b.b_dev
              (fun () -> advance sc));
     req

@@ -154,20 +154,24 @@ let corrupt_packet ~bit p =
   in
   go p
 
+(* Release the held packets whose time has come. A first pass finds
+   whether any has, so a pump with none due allocates nothing. *)
 let flush_due t =
-  match t.held with
-  | [] -> ()
-  | _ ->
-      let horizon = now t in
-      let due, rest =
-        List.partition (fun d -> d.d_release <= horizon) t.held
-      in
-      t.held <- rest;
-      List.iter
-        (fun d -> t.chan.Channel.send ~src:d.d_src ~dst:d.d_dst d.d_packet)
-        (List.sort
-           (fun a b -> compare (a.d_release, a.d_id) (b.d_release, b.d_id))
-           due)
+  let horizon = now t in
+  let is_due d = d.d_release <= horizon in
+  if List.exists is_due t.held then begin
+    let due, rest = List.partition is_due t.held in
+    t.held <- rest;
+    List.iter
+      (fun d -> t.chan.Channel.send ~src:d.d_src ~dst:d.d_dst d.d_packet)
+      (List.sort
+         (fun a b -> compare (a.d_release, a.d_id) (b.d_release, b.d_id))
+         due)
+  end
+
+(* The earliest release among held packets. *)
+let next_release t =
+  List.fold_left (fun acc d -> Float.min acc d.d_release) Float.infinity t.held
 
 let send t ~src ~dst packet =
   flush_due t;
@@ -236,7 +240,9 @@ let wrap ~env fplan chan =
     Channel.name = chan.Channel.name ^ "+fault";
     send = (fun ~src ~dst p -> send t ~src ~dst p);
     poll = (fun ~rank -> poll t ~rank);
-    next_arrival = (fun ~rank:_ -> None);
+    next_arrival =
+      (fun ~rank ->
+        Option.map (Float.min (next_release t)) (chan.Channel.next_arrival ~rank));
     add_rank = chan.Channel.add_rank;
     n_ranks = chan.Channel.n_ranks;
   }

@@ -73,7 +73,8 @@ val wrap : env:Simtime.Env.t -> plan -> Channel.t -> Channel.t
     the environment's stats and records [drop] trace events. Held
     (delayed) packets re-enter the underlying channel once the clock
     passes their release time — after later traffic, which is exactly the
-    reordering the delay models. *)
+    reordering the delay models. Its [next_arrival] is the inner
+    channel's, lowered to the earliest held release. *)
 
 val draw : seed:int -> packet:int -> salt:int -> float
 (** The underlying deterministic uniform draw in [0, 1) (exposed for

@@ -194,11 +194,63 @@ let sweep t ~observer =
       | _ -> ())
     t.states
 
-let tick t ~rank =
+let beat t ~rank at =
   ensure t rank;
-  if t.states.(rank) = Alive then t.last_beat.(rank) <- now t;
+  if t.states.(rank) = Alive then t.last_beat.(rank) <- at
+
+let tick t ~rank =
+  beat t ~rank (now t);
   if pending_detection t then Fiber.note_activity ();
   sweep t ~observer:rank
+
+(* The least clock reading at which [sweep] declares a rank that last
+   beat at [b]. The sweep's subtraction rounds, so step from the rounded
+   sum an ulp at a time to the exact threshold. An infinite timeout
+   declares nobody. *)
+let declared_from t b =
+  let timeout = t.det.hb_timeout_ns in
+  let x = ref (b +. timeout) in
+  if Float.is_finite !x then begin
+    while !x -. b > timeout do
+      x := Float.pred !x
+    done;
+    while !x -. b <= timeout do
+      x := Float.succ !x
+    done
+  end;
+  !x
+
+(* The earliest virtual time at which [tick] does more than beat, as long
+   as polling goes on until then: a sweep declaring the rank that beat
+   least recently (conservative: a polling rank beats again), or a kill
+   falling due. Polling goes on only while a detection is pending or
+   something else keeps the scheduler [busy]; otherwise the next scan is
+   the deadlock detector's, and the tick never acts. *)
+let horizon t ~busy =
+  if not (busy || pending_detection t) then Float.infinity
+  else begin
+    let oldest = ref Float.infinity in
+    Array.iteri
+      (fun r s ->
+        match s with
+        | Alive | Torn_down -> oldest := Float.min !oldest t.last_beat.(r)
+        | Finished | Dead -> ())
+      t.states;
+    let h =
+      ref
+        (if !oldest < Float.infinity then declared_from t !oldest
+         else Float.infinity)
+    in
+    List.iter
+      (fun k ->
+        let r = k.Fault.k_rank in
+        if
+          r >= Array.length t.states
+          || (t.states.(r) = Alive && not t.consumed.(r))
+        then h := Float.min !h k.Fault.k_at_ns)
+      t.kills;
+    !h
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Revocation registry                                                  *)
@@ -226,7 +278,10 @@ let wrap_channel t chan =
         else chan.Channel.send ~src ~dst p);
     poll =
       (fun ~rank -> if is_out t rank then None else chan.Channel.poll ~rank);
-    next_arrival = (fun ~rank:_ -> None);
+    next_arrival =
+      (fun ~rank ->
+        if is_out t rank then Some Float.infinity
+        else chan.Channel.next_arrival ~rank);
     add_rank = chan.Channel.add_rank;
     n_ranks = chan.Channel.n_ranks;
   }

@@ -105,6 +105,19 @@ val tick : t -> rank:int -> unit
     report pending detections as scheduler activity, sweep the other
     ranks' timeouts. Never raises. *)
 
+val beat : t -> rank:int -> float -> unit
+(** What a [tick] that declares nobody leaves behind when it runs at the
+    given time: [rank]'s heartbeat stamp, if it is alive. *)
+
+val horizon : t -> busy:bool -> float
+(** The earliest virtual time at which a [tick] can do more than beat —
+    the sweep declares the least recently beating alive or torn-down
+    rank, or an unfired kill falls due — given that polling goes on
+    until then. [busy]: something other than the detector keeps the
+    scheduler polling. [infinity] when neither that nor a pending
+    detection does. The idle fast-forward's bound for worlds with a
+    failure service ({!Ch3.tick}). *)
+
 val revoke : t -> int -> unit
 (** Mark a context id revoked (idempotent). *)
 
@@ -113,4 +126,6 @@ val is_revoked : t -> int -> bool
 val wrap_channel : t -> Channel.t -> Channel.t
 (** The silencer: discard packets to or from dead/torn-down ranks. Stack
     it {e above} reliable delivery so nothing keeps retransmitting on a
-    dead rank's behalf. Counts [ft_silenced]. *)
+    dead rank's behalf. Counts [ft_silenced]. [next_arrival] is the
+    inner channel's, and infinite for a rank that is out (its polls
+    never reach the inner channel). *)

@@ -188,7 +188,14 @@ let create_world ?(channel = `Sock) ?cost ?env ?fault ?reliable ?detector
   | Some ft ->
       Array.iter
         (fun dev ->
-          Ch3.set_tick dev (Some (fun () -> Ft.tick ft ~rank:(Ch3.rank dev)));
+          let rank = Ch3.rank dev in
+          Ch3.set_tick dev
+            (Some
+               {
+                 Ch3.run = (fun () -> Ft.tick ft ~rank);
+                 horizon = Ft.horizon ft;
+                 beat = Ft.beat ft ~rank;
+               });
           Ch3.set_revoked_check dev (Some (Ft.is_revoked ft));
           Ch3.set_dead_check dev (Some (Ft.is_down ft));
           Ch3.set_coll_failed dev
@@ -308,6 +315,14 @@ let alloc_context w ~key =
 let add_rank w =
   let rank = w.chan.Channel.add_rank () in
   let dev = Ch3.create w.env w.chan ~rank ~fresh_id:(fresh_id w) in
+  (* A spawned rank neither beats nor sweeps, but its quiet waits still
+     answer for the detector's deadlines: the original ranks' sweeps keep
+     running while it waits, and no skip may jump over a declaration. *)
+  Option.iter
+    (fun ft ->
+      Ch3.set_tick dev
+        (Some { Ch3.run = ignore; horizon = Ft.horizon ft; beat = ignore }))
+    w.ft;
   w.devices <- Array.append w.devices [| dev |];
   { world = w; prank = rank; dev }
 
@@ -359,6 +374,16 @@ let poll_in_place p ~op ?idle pump ready =
   in
   go ()
 
+(* Another rank's poll can complete this wait's requests partway through
+   a scan (a detection failing them, a collective abort flood). A wait
+   that is [ready] wakes on its next poll, so no scan may be skipped past
+   it: its horizon becomes unknown. *)
+let until_ready ready (idle : Fiber.idle) =
+  {
+    idle with
+    Fiber.horizon = (fun () -> if ready () then None else idle.horizon ());
+  }
+
 (* Polling wait. Inside a fiber scheduler we suspend, declaring [idle]
    so quiet scans can be skipped; in plain code we poll in place. The
    predicate stays one closure: it runs on every scan. A doomed rank (its
@@ -368,19 +393,19 @@ let poll_in_place p ~op ?idle pump ready =
    run). *)
 let wait_with p ?idle ~poll req =
   check_self p;
+  let ready () = Request.is_complete req || self_doomed p in
+  let idle = Option.map (until_ready ready) idle in
   (if Fiber.in_scheduler () then
      Fiber.wait_until ~label:"mpi-wait" ?idle (fun () ->
          poll ();
          ignore (Ch3.progress p.dev);
          Request.is_complete req || self_doomed p)
-   else
-     let ready () = Request.is_complete req || self_doomed p in
-     if not (ready ()) then
-       poll_in_place p ~op:"Mpi.wait" ?idle
-         (fun () ->
-           poll ();
-           Ch3.progress p.dev)
-         ready);
+   else if not (ready ()) then
+     poll_in_place p ~op:"Mpi.wait" ?idle
+       (fun () ->
+         poll ();
+         Ch3.progress p.dev)
+       ready);
   check_self p;
   match Request.reason req with
   | Some reason -> raise_reason reason
@@ -411,7 +436,11 @@ let wait_any p reqs =
             true
         | None -> self_doomed p
       in
-      let idle = Ch3.idle_poll p.dev in
+      let idle =
+        until_ready
+          (fun () -> List.exists Request.is_complete reqs || self_doomed p)
+          (Ch3.idle_poll p.dev)
+      in
       if Fiber.in_scheduler () then
         Fiber.wait_until ~label:"mpi-waitany" ~idle (fun () ->
             ignore (Ch3.progress p.dev);
@@ -438,8 +467,8 @@ let wait_some p reqs =
       check_self p;
       let done_ () = List.filter Request.is_complete reqs in
       let pump () = Ch3.progress p.dev in
-      let ready () = done_ () <> [] || self_doomed p in
-      let idle = Ch3.idle_poll p.dev in
+      let ready () = List.exists Request.is_complete reqs || self_doomed p in
+      let idle = until_ready ready (Ch3.idle_poll p.dev) in
       ignore (pump ());
       if not (ready ()) then
         if Fiber.in_scheduler () then

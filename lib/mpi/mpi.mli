@@ -134,7 +134,10 @@ val alloc_context : world -> key:string -> int
     on the new context. *)
 
 val add_rank : world -> proc
-(** Extend the world by one process (dynamic process management). *)
+(** Extend the world by one process (dynamic process management). In a
+    world with a failure service the new rank neither beats nor sweeps,
+    but its quiet waits carry the detector's horizon, so no skip jumps
+    over a declaration (DESIGN.md §17). *)
 
 val quiescence_report : world -> (int * string) list
 (** Leftover communication state per rank — outstanding requests, posted
@@ -215,7 +218,9 @@ val wait : proc -> Request.t -> Status.t option
     complete outside a scheduler. The wait declares its idle poll
     ({!Ch3.idle_poll}), so the clock jumps over polls that provably find
     nothing — with the same virtual time and counters as polling them
-    (DESIGN.md §17). *)
+    (DESIGN.md §17). Once another rank's poll has completed the request
+    (a failure detection, a collective abort), the wait's horizon is
+    unknown until it wakes. *)
 
 val wait_poll :
   idle:Fiber.idle ->

@@ -70,50 +70,64 @@ let send t ~src ~dst packet =
   Queue.add (seq, framed) st.unacked;
   t.chan.Channel.send ~src ~dst framed
 
+(* A window whose timer runs: frames in flight, not given up on. *)
+let live st = not (Queue.is_empty st.unacked || st.gave_up)
+
+(* The earliest retransmission timeout among live windows. *)
+let next_deadline t =
+  Hashtbl.fold
+    (fun _ st acc -> if live st then Float.min acc st.deadline else acc)
+    t.txs Float.infinity
+
 (* Retransmission is pumped from every rank's poll: all devices of a
    world share the address space and the clock, so any progress pump can
    service every sender's timers. This keeps fire-and-forget senders
    honest — their frames are retransmitted even after their fiber has
    finished its program, as long as anyone still polls. Go-back-N: on
-   timeout the whole unacked window is resent with doubled backoff. *)
+   timeout the whole unacked window is resent with doubled backoff.
+   A first pass reports the live windows as activity and looks for a
+   passed deadline; a pump with none due stops there. Nothing fires
+   before a timeout, so one that is not due at the pump's start cannot
+   fall due during it. *)
 let pump_retransmits t =
-  let states =
-    Hashtbl.fold (fun k st acc -> (k, st) :: acc) t.txs []
-    |> List.filter (fun (_, st) -> not (Queue.is_empty st.unacked))
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun ((src, dst), st) ->
-      if not st.gave_up then begin
+  let due = ref false in
+  Hashtbl.iter
+    (fun _ st ->
+      if live st then begin
         (* Pending frames mean progress is a matter of time, not deadlock. *)
         Fiber.note_activity ();
-        if now t >= st.deadline then
-          if st.retries >= t.cfg.max_retries then begin
-            st.gave_up <- true;
-            Simtime.Env.count t.env Key.retx_giveups;
-            Trace.record t.env ~rank:src ~op:"retx"
-              ~detail:
-                (Printf.sprintf "giving up on dst=%d after %d timeouts (%d \
-                                 frames stranded)"
-                   dst st.retries (Queue.length st.unacked))
-          end
-          else begin
-            (* The backoff that had to elapse before this timeout fired:
-               the per-retransmission latency toll paid by the workload. *)
-            Simtime.Env.observe t.env Key.h_ch3_retransmit st.rto_ns;
-            Queue.iter
-              (fun (_, framed) ->
-                Simtime.Env.count t.env Key.retransmits;
-                Trace.record t.env ~rank:src ~op:"retx"
-                  ~detail:(Packet.describe framed);
-                t.chan.Channel.send ~src ~dst framed)
-              st.unacked;
-            st.retries <- st.retries + 1;
-            st.rto_ns <- Float.min (st.rto_ns *. 2.0) t.cfg.rto_max_ns;
-            st.deadline <- now t +. st.rto_ns
-          end
+        if now t >= st.deadline then due := true
       end)
-    states
+    t.txs;
+  if !due then
+    Hashtbl.fold (fun k st acc -> if live st then (k, st) :: acc else acc) t.txs []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.iter (fun ((src, dst), st) ->
+           if now t >= st.deadline then
+             if st.retries >= t.cfg.max_retries then begin
+               st.gave_up <- true;
+               Simtime.Env.count t.env Key.retx_giveups;
+               Trace.record t.env ~rank:src ~op:"retx"
+                 ~detail:
+                   (Printf.sprintf "giving up on dst=%d after %d timeouts (%d \
+                                    frames stranded)"
+                      dst st.retries (Queue.length st.unacked))
+             end
+             else begin
+               (* The backoff that had to elapse before this timeout fired:
+                  the per-retransmission latency toll paid by the workload. *)
+               Simtime.Env.observe t.env Key.h_ch3_retransmit st.rto_ns;
+               Queue.iter
+                 (fun (_, framed) ->
+                   Simtime.Env.count t.env Key.retransmits;
+                   Trace.record t.env ~rank:src ~op:"retx"
+                     ~detail:(Packet.describe framed);
+                   t.chan.Channel.send ~src ~dst framed)
+                 st.unacked;
+               st.retries <- st.retries + 1;
+               st.rto_ns <- Float.min (st.rto_ns *. 2.0) t.cfg.rto_max_ns;
+               st.deadline <- now t +. st.rto_ns
+             end)
 
 let send_ack t ~src ~dst ~cum =
   Simtime.Env.count t.env Key.acks;
@@ -224,7 +238,11 @@ let wrap ?(config = default_config) ~env chan =
       Channel.name = chan.Channel.name ^ "+reliable";
       send = (fun ~src ~dst p -> send t ~src ~dst p);
       poll = (fun ~rank -> poll t ~rank);
-      next_arrival = (fun ~rank:_ -> None);
+      next_arrival =
+        (fun ~rank ->
+          Option.map
+            (Float.min (next_deadline t))
+            (chan.Channel.next_arrival ~rank));
       add_rank = chan.Channel.add_rank;
       n_ranks = chan.Channel.n_ranks;
     },

@@ -40,7 +40,8 @@ val wrap : ?config:config -> env:Simtime.Env.t -> Channel.t -> Channel.t * t
 (** Decorate a channel with reliable delivery. Counts [retransmits],
     [acks], [dup_drops], [ooo_drops], [corrupt_drops] and [retx_giveups]
     in the environment's stats; records [retx], [ack] and [drop] trace
-    events. *)
+    events. Its [next_arrival] is the inner channel's, lowered to the
+    earliest retransmission timeout of any live window. *)
 
 val wrap_channel : ?config:config -> env:Simtime.Env.t -> Channel.t -> Channel.t
 (** {!wrap} without the handle. *)

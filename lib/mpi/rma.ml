@@ -475,7 +475,8 @@ let win_create ?(eager_apply = false) ?sub p ~comm buf =
     }
   in
   post_service win;
-  win.w_hook <- Ch3.add_progress_hook ~ctx d (fun () -> handle win);
+  win.w_hook <-
+    Ch3.add_progress_hook ~ctx ~quiet:(fun () -> false) d (fun () -> handle win);
   win
 
 (* ------------------------------------------------------------------ *)

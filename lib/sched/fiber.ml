@@ -3,13 +3,13 @@ open Effect.Deep
 
 (* What one poll of a blocked wait does while nothing can happen: the
    clock charges it makes, in order; its counters, bumped for [n] polls at
-   once; and its horizon, the earliest virtual time at which the poll's
-   outcome can change ([None]: the wait cannot tell, so it is never
-   skipped). DESIGN.md §17. *)
+   once and told when the last of them ended; and its horizon, the
+   earliest virtual time at which the poll's outcome can change ([None]:
+   the wait cannot tell, so it is never skipped). DESIGN.md §17. *)
 type idle = {
   clock : Simtime.Clock.t;
   charges : float array;
-  count : int -> unit;
+  count : int -> at:float -> unit;
   horizon : unit -> float option;
 }
 
@@ -334,9 +334,9 @@ let idle_seq a b =
         clock = a.clock;
         charges = Array.append a.charges b.charges;
         count =
-          (fun n ->
-            a.count n;
-            b.count n);
+          (fun n ~at ->
+            a.count n ~at;
+            b.count n ~at);
         horizon =
           (fun () ->
             match a.horizon () with
@@ -360,10 +360,13 @@ let rec least_horizon clock h = function
    additions on a local copy gives the clock's exact bits after k scans.
    Commit the most scans whose end stays strictly before the horizon [h],
    so no skipped poll could have seen an arrival. A scan that would not
-   move the clock skips nothing. Returns the number of scans skipped. *)
+   move the clock skips nothing. Each wait's counters learn when its poll
+   in the last skipped scan ended, by replaying that scan once more.
+   Returns the number of scans skipped. *)
 let skip_scans clock h idles =
   let per_scan = Array.concat (List.map (fun i -> i.charges) idles) in
   let now = ref (Simtime.Clock.now_ns clock) and k = ref 0 in
+  let last = ref !now in
   let go = ref true in
   while !go do
     let c = ref !now in
@@ -371,6 +374,7 @@ let skip_scans clock h idles =
       c := !c +. per_scan.(j)
     done;
     if !c < h && !c > !now then begin
+      last := !now;
       now := !c;
       incr k
     end
@@ -378,7 +382,12 @@ let skip_scans clock h idles =
   done;
   if !k > 0 then begin
     Simtime.Clock.advance_to clock !now;
-    List.iter (fun i -> i.count !k) idles
+    let at = ref !last in
+    List.iter
+      (fun i ->
+        Array.iter (fun c -> at := !at +. c) i.charges;
+        i.count !k ~at:!at)
+      idles
   end;
   !k
 

@@ -150,26 +150,36 @@ type idle = {
   clock : Simtime.Clock.t;  (** the clock the poll charges *)
   charges : float array;
       (** what one idle poll adds to [clock], in the order it adds them *)
-  count : int -> unit;  (** bump the counters of [n] idle polls *)
+  count : int -> at:float -> unit;
+      (** [count n ~at] leaves behind what [n] idle polls would have: it
+          bumps their counters, and [at] is the clock right after the
+          last one's charges, for state a poll stamps with the time (a
+          failure detector's heartbeat) *)
   horizon : unit -> float option;
       (** the earliest virtual time at which a poll could do more than
           [charges] and [count]: [Some infinity] when nothing is pending
-          (the wait alone never moves), [None] when the wait cannot tell
-          right now (timers, hooks, a pending collection) — then the
-          scheduler polls one by one. Must not charge or change state. *)
+          (the wait alone never moves, and a scan of such waits is the
+          deadlock detector's to judge), [None] when the wait cannot tell
+          right now (a progress hook that may act, a pending collection)
+          — then the scheduler polls one by one. A finite horizon
+          promises that every poll before it calls {!note_activity}, as
+          one with packets in flight or timers pending does. Must not
+          charge or change state. *)
 }
 
 val idle_seq : idle -> idle -> idle option
 (** [idle_seq a b] describes a poll that does [a]'s idle poll and then
     [b]'s: charges concatenated, counters both, the lesser horizon.
-    [None] when the two charge different clocks. *)
+    Both counters see the combined poll's end as [at], so only [b]'s may
+    read it. [None] when the two charge different clocks. *)
 
 val fast_forward : idle list -> int
 (** [fast_forward idles] skips whole quiet scans over [idles], polled in
     list order: it replays each scan's charges as the same float
     additions on a local copy of the clock, commits the most scans whose
     end stays strictly before the least horizon, and bumps each wait's
-    counters by that number, which it returns. It skips nothing when a
+    counters by that number, which it returns; [at] replays the last
+    skipped scan. It skips nothing when a
     horizon is [None], when the least one is infinite, or when the waits
     charge different clocks. Polling loops outside a scheduler call it
     after every failed poll; the cooperative scheduler applies the same

@@ -415,7 +415,7 @@ let idle_poll t =
   {
     Fiber.clock = t.env.Simtime.Env.clock;
     charges = [| t.env.Simtime.Env.cost.gc_safepoint_poll_ns |];
-    count = (fun n -> Simtime.Env.count_n t.env Key.safepoint_polls n);
+    count = (fun n ~at:_ -> Simtime.Env.count_n t.env Key.safepoint_polls n);
     horizon = (fun () -> if gc_pending t then None else Some Float.infinity);
   }
 

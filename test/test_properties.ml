@@ -1004,29 +1004,57 @@ module Request = Mpi_core.Request
 module Bv = Mpi_core.Buffer_view
 module World = Motor.World
 module Fcall = Motor.Fcall
+module Coll = Mpi_core.Collectives
+module Fault = Mpi_core.Fault
+module Ft = Mpi_core.Ft
+
+(* What sits under the devices: the bare channel, a seeded lossy wire
+   (with reliable delivery on top), reliable delivery alone, or a
+   heartbeat detector with the given timeout. Each brings its own
+   progress source: arrivals, held packets, retransmission deadlines,
+   heartbeats. *)
+type ff_stack = Bare | Lossy of int | Reliable | Detector of float
 
 (* A random point-to-point program: every rank charges some compute,
+   optionally starts a nonblocking allreduce (a live schedule hook),
    posts its sends and receives (message i has tag i) without blocking,
-   then completes them in one of three styles. Sizes straddle the 64 KiB
-   eager limit; self-sends are allowed. *)
+   then completes them all in one of three styles. Sizes straddle the
+   64 KiB eager limit; self-sends are allowed. A plain MPI world may also
+   kill one rank (fail-stop at a virtual time), or spawn one child that
+   rank 0 then sends a message to. *)
 type ff_prog = {
   ff_ranks : int;
   ff_channel : [ `Sock | `Shm ];
   ff_motor : bool;  (* a Motor world: waits poll the collector *)
+  ff_stack : ff_stack;
+  ff_coll : bool;
   ff_msgs : (int * int * int) list;  (* src, dst, bytes *)
   ff_gaps : int array;  (* per-rank compute before posting, ns *)
   ff_style : int;  (* 0: wait each; 1: wait_any / wait_all; 2: wait_some *)
   ff_gc : bool;  (* Motor: a collection is pending when the waits start *)
+  ff_kill : (int * int) option;  (* rank, at ns *)
+  ff_spawn : int option;  (* bytes rank 0 sends its spawned child *)
   ff_seed : int;  (* Seeded_random scheduling *)
 }
 
 let print_ff_prog p =
   Printf.sprintf
-    "%d ranks, %s, %s, style %d, gc %b, seed %d, gaps [%s], msgs [%s]"
+    "%d ranks, %s, %s, %s, coll %b, style %d, gc %b, kill %s, spawn %s, \
+     seed %d, gaps [%s], msgs [%s]"
     p.ff_ranks
     (match p.ff_channel with `Sock -> "sock" | `Shm -> "shm")
     (if p.ff_motor then "motor" else "mpi")
-    p.ff_style p.ff_gc p.ff_seed
+    (match p.ff_stack with
+    | Bare -> "bare"
+    | Lossy seed -> Printf.sprintf "lossy(seed=%d)" seed
+    | Reliable -> "reliable"
+    | Detector timeout -> Printf.sprintf "detector(timeout=%.0f)" timeout)
+    p.ff_coll p.ff_style p.ff_gc
+    (match p.ff_kill with
+    | Some (r, at) -> Printf.sprintf "%d@%d" r at
+    | None -> "none")
+    (match p.ff_spawn with Some b -> string_of_int b | None -> "none")
+    p.ff_seed
     (String.concat ";" (Array.to_list (Array.map string_of_int p.ff_gaps)))
     (String.concat ";"
        (List.map (fun (s, d, b) -> Printf.sprintf "%d->%d:%d" s d b) p.ff_msgs))
@@ -1036,6 +1064,25 @@ let gen_ff_prog =
     let* ranks = int_range 2 4 in
     let* channel = oneofl [ `Sock; `Shm ] in
     let* motor = bool in
+    (* A Motor world has no reliable-only option, and keeps the default
+       timeout: a shorter one declares live ranks dead, which only a plain
+       MPI body tolerates. *)
+    let* stack =
+      oneof
+        ([
+           return Bare;
+           map (fun s -> Lossy s) (int_bound 1000);
+           return (Detector Ft.default_detector.hb_timeout_ns);
+         ]
+        @
+        if motor then []
+        else
+          [
+            return Reliable;
+            map (fun t -> Detector t) (oneofl [ 5_000.0; 200_000.0 ]);
+          ])
+    in
+    let* coll = bool in
     let size =
       oneof
         [
@@ -1049,16 +1096,36 @@ let gen_ff_prog =
     let* gaps = array_repeat ranks (int_bound 50_000) in
     let* style = int_bound 2 in
     let* gc = bool in
+    let* kill =
+      if motor || stack = Reliable then return None
+      else
+        frequency
+          [
+            (3, return None);
+            (1, map2 (fun r at -> Some (r, at)) (int_bound (ranks - 1))
+                  (int_bound 60_000));
+          ]
+    in
+    let* spawn =
+      if motor || kill <> None then return None
+      else
+        frequency
+          [ (3, return None); (1, map Option.some (oneofl [ 64; 100_000 ])) ]
+    in
     let* seed = int_bound 1_000_000 in
     return
       {
         ff_ranks = ranks;
         ff_channel = channel;
         ff_motor = motor;
+        ff_stack = stack;
+        ff_coll = coll;
         ff_msgs = msgs;
         ff_gaps = gaps;
         ff_style = style;
         ff_gc = gc;
+        ff_kill = kill;
+        ff_spawn = spawn;
         ff_seed = seed;
       })
 
@@ -1071,7 +1138,8 @@ let rec drain pick p pending =
     let got = pick p pending in
     drain pick p (List.filter (fun r -> not (List.memq r got)) pending)
 
-(* The public waits: the fast path. *)
+(* The public waits: the fast path. A request failed by a detection
+   completes the wait like any other. *)
 let fast_complete : completer =
  fun ?gc p style reqs ->
   match (gc, style) with
@@ -1080,21 +1148,32 @@ let fast_complete : completer =
         (fun r -> ignore (Fcall.polling_wait gc p ~on_enter_wait:ignore r))
         reqs
   | Some gc, _ -> Fcall.polling_wait_all gc p ~on_enter_wait:ignore reqs
-  | None, 0 -> List.iter (fun r -> ignore (Mpi.wait p r)) reqs
+  | None, 0 ->
+      List.iter
+        (fun r -> try ignore (Mpi.wait p r) with Ft.Proc_failed _ -> ())
+        reqs
   | None, 1 -> drain (fun p rs -> [ Mpi.wait_any p rs ]) p reqs
   | None, _ -> drain Mpi.wait_some p reqs
 
 (* The same waits built only from [Fiber.wait_until] and [Ch3.progress],
-   with no idle declaration: every poll runs. *)
+   with no idle declaration: every poll runs. A doomed rank wakes and dies
+   where the public waits check. *)
 let ref_complete : completer =
  fun ?gc p style reqs ->
   let dev = Mpi.device p in
   let pump () = ignore (Ch3.progress dev) in
+  let ft = Mpi.ft_handle (Mpi.world_of p) in
+  let doomed () =
+    match ft with
+    | Some ft -> Ft.self_doomed ft ~rank:(Mpi.rank p)
+    | None -> false
+  in
+  let check () = Option.iter (fun ft -> Ft.check_self ft ~rank:(Mpi.rank p)) ft in
   let until ready =
     Fiber.wait_until (fun () ->
         Option.iter Gc.poll gc;
         pump ();
-        ready ())
+        ready () || doomed ())
   in
   match (gc, style) with
   | Some _, 0 ->
@@ -1108,29 +1187,97 @@ let ref_complete : completer =
       pump ();
       if not (List.for_all Request.is_complete reqs) then
         List.iter (fun r -> until (fun () -> Request.is_complete r)) reqs
-  | None, 0 -> List.iter (fun r -> until (fun () -> Request.is_complete r)) reqs
+  | None, 0 ->
+      List.iter
+        (fun r ->
+          check ();
+          until (fun () -> Request.is_complete r);
+          check ())
+        reqs
   | None, 1 ->
       drain
         (fun _ rs ->
+          check ();
           until (fun () -> List.exists Request.is_complete rs);
+          check ();
           [ List.find Request.is_complete rs ])
         p reqs
   | None, _ ->
       drain
         (fun _ rs ->
+          check ();
           pump ();
-          if not (List.exists Request.is_complete rs) then
+          if not (List.exists Request.is_complete rs || doomed ()) then
             until (fun () -> List.exists Request.is_complete rs);
+          check ();
           List.filter Request.is_complete rs)
         p reqs
+
+let ff_fault prog =
+  let kills =
+    match prog.ff_kill with
+    | Some (rank, at) -> [ Fault.kill ~rank ~at_ns:(float_of_int at) () ]
+    | None -> []
+  in
+  match (prog.ff_stack, kills) with
+  | Lossy seed, _ ->
+      Some (Fault.plan ~seed ~drop:0.1 ~duplicate:0.05 ~delay:0.1 ~kills ())
+  | _, [] -> None
+  | _, kills -> Some (Fault.plan ~kills ())
+
+let ff_reliable prog =
+  match prog.ff_stack with
+  | Reliable -> Some Mpi_core.Reliable.default_config
+  | Bare | Lossy _ | Detector _ -> None
+
+let ff_detector prog =
+  match prog.ff_stack with
+  | Detector timeout ->
+      Some { Ft.default_detector with hb_timeout_ns = timeout }
+  | Bare | Lossy _ | Reliable -> None
+
+(* Every rank joins the spawn; rank 0 sends [bytes] to the child and
+   waits for an 8-byte reply. The child completes its requests with the
+   same waits as its parents. The child never beats, so a short detector
+   timeout declares it dead while the message is on the wire. *)
+let ff_spawn_child prog (complete : completer) p bytes =
+  let comm = Mpi.comm_world (Mpi.world_of p) in
+  let post p (ic : Mpi_core.Dynamic.intercomm) op =
+    op (Mpi.device p)
+      ~peer:(Mpi_core.Comm.world_rank_of ic.ic_remote 0)
+      ~context:ic.ic_remote.Mpi_core.Comm.ctx
+  in
+  let send bytes dev ~peer ~context =
+    Ch3.isend dev ~dst:peer ~tag:0 ~context (Bv.of_bytes (Bytes.make bytes 's'))
+  in
+  let recv bytes dev ~peer ~context =
+    Ch3.irecv dev ~src:peer ~tag:0 ~context (Bv.of_bytes (Bytes.create bytes))
+  in
+  let ic =
+    Mpi_core.Dynamic.spawn p ~comm ~n:1 (fun cp ic ->
+        complete cp prog.ff_style [ post cp ic (recv bytes) ];
+        complete cp prog.ff_style [ post cp ic (send 8) ])
+  in
+  if Mpi.rank p = 0 then
+    complete p prog.ff_style [ post p ic (send bytes); post p ic (recv 8) ]
 
 (* Returns the receive buffers, for digests. *)
 let ff_body prog (complete : completer) ?gc env p =
   let rank = Mpi.rank p in
   let comm = Mpi.comm_world (Mpi.world_of p) in
   Simtime.Env.charge env (float_of_int prog.ff_gaps.(rank));
+  let coll =
+    if prog.ff_coll then
+      let req, out =
+        Coll.iallreduce p comm ~op:Coll.sum_i64
+          (Bytes.make 8 (Char.chr (rank + 1)))
+      in
+      [ (req, Some out) ]
+    else []
+  in
   let posted =
-    List.concat
+    coll
+    @ List.concat
       (List.mapi
          (fun tag (src, dst, bytes) ->
            (if src = rank then
@@ -1149,11 +1296,16 @@ let ff_body prog (complete : completer) ?gc env p =
   in
   if prog.ff_gc then Option.iter Gc.request_gc gc;
   complete ?gc p prog.ff_style (List.map fst posted);
+  Option.iter (ff_spawn_child prog complete p) prog.ff_spawn;
   List.filter_map snd posted
 
-(* Final clock bits, every counter and histogram, and the decision trace. *)
+(* Final clock bits, every counter and histogram, the decision trace,
+   and whether the run deadlocked: a short detector timeout can declare a
+   live rank dead and strand its peers, at a clock both waits must agree
+   on. *)
 let run_ff prog complete =
   let trace = Fiber.new_trace () in
+  let deadlocked = ref false in
   let env =
     Fiber.with_policy ~record:trace (Fiber.Seeded_random prog.ff_seed)
       (fun () ->
@@ -1162,6 +1314,7 @@ let run_ff prog complete =
             World.create
               ~channel:(prog.ff_channel :> [ `Sock | `Shm | `Rdma ])
               ~config:{ World.default_config with arena_bytes = 1 lsl 21 }
+              ?fault:(ff_fault prog) ?detector:(ff_detector prog)
               ~n:prog.ff_ranks ()
           in
           World.run w (fun ctx ->
@@ -1172,17 +1325,21 @@ let run_ff prog complete =
         end
         else begin
           let env = Simtime.Env.create () in
-          ignore
-            (Mpi.run ~env
-               ~channel:(prog.ff_channel :> [ `Sock | `Shm | `Rdma ])
-               ~n:prog.ff_ranks
-               (fun p -> ignore (ff_body prog complete env p)));
+          (try
+             ignore
+               (Mpi.run ~env
+                  ~channel:(prog.ff_channel :> [ `Sock | `Shm | `Rdma ])
+                  ?fault:(ff_fault prog) ?reliable:(ff_reliable prog)
+                  ?detector:(ff_detector prog) ~n:prog.ff_ranks
+                  (fun p -> ignore (ff_body prog complete env p)))
+           with Fiber.Deadlock _ -> deadlocked := true);
           env
         end)
   in
   ( Int64.bits_of_float (Simtime.Env.now_ns env),
     Simtime.Stats.(to_json (snapshot env.Simtime.Env.stats)),
-    Fiber.trace_to_list trace )
+    Fiber.trace_to_list trace,
+    !deadlocked )
 
 let prop_fast_forward_exact =
   QCheck.Test.make
@@ -1190,8 +1347,13 @@ let prop_fast_forward_exact =
     ~count:200
     (QCheck.make ~print:print_ff_prog gen_ff_prog)
     (fun prog ->
-      let clock, stats, trace = run_ff prog fast_complete in
-      let ref_clock, ref_stats, ref_trace = run_ff prog ref_complete in
+      let clock, stats, trace, deadlocked = run_ff prog fast_complete in
+      let ref_clock, ref_stats, ref_trace, ref_deadlocked =
+        run_ff prog ref_complete
+      in
+      if deadlocked <> ref_deadlocked then
+        QCheck.Test.fail_reportf "deadlocked %b <> %b" deadlocked
+          ref_deadlocked;
       if clock <> ref_clock then
         QCheck.Test.fail_reportf "clock %h <> %h" (Int64.float_of_bits clock)
           (Int64.float_of_bits ref_clock);
@@ -1199,21 +1361,52 @@ let prop_fast_forward_exact =
         QCheck.Test.fail_reportf "stats differ:\n%s\nvs\n%s" stats ref_stats;
       trace = ref_trace)
 
-(* Worlds with a fault plan, reliable delivery or a failure detector keep
-   the slow path: no device declares a horizon, and the public waits end
-   on the same clock, counters (the reliable, fault and ft families) and
-   received bytes as descriptor-free waits. *)
-let test_wrapped_worlds_keep_slow_path () =
+(* A spawned rank never beats. While it waits for a message that takes
+   longer than the detector timeout to arrive, its parents' sweeps
+   declare it dead; the skip must stop at that declaration even though
+   the parents' own channels are quiet. *)
+let test_spawned_rank_detected_in_place () =
+  let prog =
+    {
+      ff_ranks = 1;
+      ff_channel = `Sock;
+      ff_motor = false;
+      ff_stack = Detector 5_000.0;
+      ff_coll = false;
+      ff_msgs = [ (0, 0, 8) ];
+      ff_gaps = [| 0 |];
+      ff_style = 0;
+      ff_gc = false;
+      ff_kill = None;
+      ff_spawn = Some 64;
+      ff_seed = 0;
+    }
+  in
+  let clock, stats, _, deadlocked = run_ff prog fast_complete in
+  let ref_clock, ref_stats, _, ref_deadlocked = run_ff prog ref_complete in
+  Alcotest.(check bool) "deadlocked" ref_deadlocked deadlocked;
+  Alcotest.(check int64) "clock bits" ref_clock clock;
+  Alcotest.(check string) "counters" ref_stats stats
+
+(* Worlds with a fault plan, reliable delivery or a failure detector
+   declare a horizon too, and the public waits end on the same clock,
+   counters (the reliable, fault and ft families) and received bytes as
+   descriptor-free waits. *)
+let test_wrapped_worlds_fast_forward () =
   let prog =
     {
       ff_ranks = 3;
       ff_channel = `Sock;
       ff_motor = false;
+      ff_stack = Bare;
+      ff_coll = false;
       ff_msgs =
         [ (0, 1, 100); (1, 2, 70_000); (2, 0, 100); (0, 2, 65_537); (1, 0, 8) ];
       ff_gaps = [| 0; 20_000; 5_000 |];
       ff_style = 0;
       ff_gc = false;
+      ff_kill = None;
+      ff_spawn = None;
       ff_seed = 0;
     }
   in
@@ -1223,8 +1416,8 @@ let test_wrapped_worlds_keep_slow_path () =
     ignore
       (world env (fun p ->
            Alcotest.(check bool)
-             "no horizon" true
-             ((Ch3.idle_poll (Mpi.device p)).Fiber.horizon () = None);
+             "quiet world has a horizon" true
+             (Option.is_some ((Ch3.idle_poll (Mpi.device p)).Fiber.horizon ()));
            got.(Mpi.rank p) <- ff_body prog complete env p));
     ( Int64.bits_of_float (Simtime.Env.now_ns env),
       Simtime.Stats.(to_json (snapshot env.Simtime.Env.stats)),
@@ -1243,9 +1436,7 @@ let test_wrapped_worlds_keep_slow_path () =
       ( "fault plan",
         fun env body ->
           Mpi.run ~env
-            ~fault:
-              (Mpi_core.Fault.plan ~seed:3 ~drop:0.2 ~duplicate:0.1
-                 ~delay:0.2 ())
+            ~fault:(Fault.plan ~seed:3 ~drop:0.2 ~duplicate:0.1 ~delay:0.2 ())
             ~n:prog.ff_ranks body );
       ( "reliable",
         fun env body ->
@@ -1253,9 +1444,135 @@ let test_wrapped_worlds_keep_slow_path () =
             ~n:prog.ff_ranks body );
       ( "detector",
         fun env body ->
-          Mpi.run ~env ~detector:Mpi_core.Ft.default_detector ~n:prog.ff_ranks
-            body );
+          Mpi.run ~env ~detector:Ft.default_detector ~n:prog.ff_ranks body );
     ]
+
+(* Every rank of a 3-rank ring blocks behind a 10 ms partition, ten
+   heartbeat timeouts long. Retransmission deadlines (at most 2 ms apart)
+   leave skips longer than the 1 ms timeout. Rank 0 blocks first, so it
+   polls first in every scan. With rank 0 doing 200 us of work before
+   each pump, the first sweep after a skip, rank 0's, reads the others'
+   stamps before they beat again, and only the stamps the skip leaves
+   behind keep it from declaring a polling rank dead. The fast waits must
+   declare exactly what polling one by one declares: nobody, or with a
+   kill plan the victim at the same instant. When rank 1 does the work
+   instead, its sweep declares the victim after rank 0, which waits on
+   the victim, has polled in the same scan: rank 0 must still wake on the
+   next scan, not after a skip. *)
+let test_heartbeats_exact_across_long_skips () =
+  let n = 3 in
+  let detector = { Ft.hb_period_ns = 20_000.0; hb_timeout_ns = 1_000_000.0 } in
+  let partition =
+    {
+      Fault.pt_src = -1;
+      pt_dst = -1;
+      pt_from_ns = 0.0;
+      pt_until_ns = 10_000_000.0;
+    }
+  in
+  let work = 200_000.0 in
+  let env_of p = Mpi.env (Mpi.world_of p) in
+  let fast_wait worker p req =
+    let env = env_of p in
+    try
+      if Mpi.rank p = worker then
+        let idle =
+          {
+            Fiber.clock = env.Simtime.Env.clock;
+            charges = [| work |];
+            count = (fun _ ~at:_ -> ());
+            horizon = (fun () -> Some Float.infinity);
+          }
+        in
+        ignore
+          (Mpi.wait_poll ~idle p
+             ~poll:(fun () -> Simtime.Env.charge env work)
+             req)
+      else ignore (Mpi.wait p req)
+    with Ft.Proc_failed _ -> ()
+  in
+  (* The same waits from Fiber.wait_until and Ch3.progress alone. *)
+  let ref_wait worker p req =
+    let ft = Option.get (Mpi.ft_handle (Mpi.world_of p)) in
+    let rank = Mpi.rank p in
+    Ft.check_self ft ~rank;
+    Fiber.wait_until (fun () ->
+        if rank = worker then Simtime.Env.charge (env_of p) work;
+        ignore (Ch3.progress (Mpi.device p));
+        Request.is_complete req || Ft.self_doomed ft ~rank);
+    Ft.check_self ft ~rank
+  in
+  let run kills wait =
+    let env = Simtime.Env.create () in
+    let w =
+      Mpi.run ~env ~detector
+        ~fault:(Fault.plan ~partitions:[ partition ] ~kills ())
+        ~n
+        (fun p ->
+          let rank = Mpi.rank p in
+          let comm = Mpi.comm_world (Mpi.world_of p) in
+          let send =
+            Mpi.isend p ~comm ~dst:((rank + 1) mod n) ~tag:0
+              (Bv.of_bytes (Bytes.make 64 'x'))
+          in
+          let recv =
+            Mpi.irecv p ~comm ~src:((rank + n - 1) mod n) ~tag:0
+              (Bv.of_bytes (Bytes.create 64))
+          in
+          List.iter (wait p) [ send; recv ])
+    in
+    ( Int64.bits_of_float (Simtime.Env.now_ns env),
+      List.map
+        (fun (r, at) -> (r, Int64.bits_of_float at))
+        (Ft.detections (Option.get (Mpi.ft_handle w))) )
+  in
+  List.iter
+    (fun (name, worker, kills, victims) ->
+      let clock, detections = run kills (fast_wait worker) in
+      let ref_clock, ref_detections = run kills (ref_wait worker) in
+      Alcotest.(check (list int))
+        (name ^ ": declared dead") victims (List.map fst ref_detections);
+      Alcotest.(check (list (pair int int64)))
+        (name ^ ": detections") ref_detections detections;
+      Alcotest.(check int64) (name ^ ": clock bits") ref_clock clock)
+    [
+      ("no kill", 0, [], []);
+      ("kill", 0, [ Fault.kill ~rank:2 ~at_ns:3_000_000.0 () ], [ 2 ]);
+      ( "kill seen by a later poller",
+        1,
+        [ Fault.kill ~rank:2 ~at_ns:3_000_000.0 () ],
+        [ 2 ] );
+    ]
+
+(* A detector world that is stuck: rank 1 waits for a tag nobody sends,
+   rank 0 for a reply. Once the stray message lands nothing is in flight
+   and no detection is pending, so the heartbeat deadlines must not let
+   the clock jump: the deadlock is declared where polling one by one
+   declares it. *)
+let test_stuck_detector_world_deadlocks_in_place () =
+  let run wait =
+    let env = Simtime.Env.create () in
+    (match
+       Mpi.run ~env ~detector:Ft.default_detector ~n:2 (fun p ->
+           let comm = Mpi.comm_world (Mpi.world_of p) in
+           let buf () = Bv.of_bytes (Bytes.create 8) in
+           if Mpi.rank p = 0 then begin
+             wait p (Mpi.isend p ~comm ~dst:1 ~tag:1 (buf ()));
+             wait p (Mpi.irecv p ~comm ~src:1 ~tag:2 (buf ()))
+           end
+           else wait p (Mpi.irecv p ~comm ~src:0 ~tag:0 (buf ())))
+     with
+    | _ -> Alcotest.fail "the world should deadlock"
+    | exception Fiber.Deadlock _ -> ());
+    Int64.bits_of_float (Simtime.Env.now_ns env)
+  in
+  let fast p req = ignore (Mpi.wait p req) in
+  let reference p req =
+    Fiber.wait_until (fun () ->
+        ignore (Ch3.progress (Mpi.device p));
+        Request.is_complete req)
+  in
+  Alcotest.(check int64) "clock bits at the deadlock" (run reference) (run fast)
 
 let () =
   Alcotest.run "properties"
@@ -1295,8 +1612,14 @@ let () =
       ( "idle fast-forward",
         [
           QCheck_alcotest.to_alcotest prop_fast_forward_exact;
-          Alcotest.test_case "wrapped worlds keep the slow path" `Quick
-            test_wrapped_worlds_keep_slow_path;
+          Alcotest.test_case "wrapped worlds fast-forward exactly" `Quick
+            test_wrapped_worlds_fast_forward;
+          Alcotest.test_case "heartbeats stay exact across long skips" `Quick
+            test_heartbeats_exact_across_long_skips;
+          Alcotest.test_case "stuck detector worlds deadlock in place" `Quick
+            test_stuck_detector_world_deadlocks_in_place;
+          Alcotest.test_case "spawned ranks are declared in place" `Quick
+            test_spawned_rank_detected_in_place;
         ] );
       ( "one-sided rma",
         [
