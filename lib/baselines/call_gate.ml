@@ -21,5 +21,3 @@ let enter mech env ~args =
   in
   Env.charge env crossing;
   Env.observe env hist_key crossing
-
-let mechanism_name = function Pinvoke -> "P/Invoke" | Jni -> "JNI"

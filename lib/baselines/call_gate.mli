@@ -11,4 +11,3 @@ val enter : mechanism -> Simtime.Env.t -> args:int -> unit
 (** Charge the base cost plus per-argument marshalling; bump the
     corresponding counter. Performs no GC poll, by design. *)
 
-val mechanism_name : mechanism -> string

@@ -389,7 +389,6 @@ let owin_create ?eager_apply ctx ~comm obj =
       { ow_win = win; ow_gc = gc; ow_obj = obj; ow_pinned = pinned })
 
 let owin_win ow = ow.ow_win
-let owin_obj ow = ow.ow_obj
 
 let owin_free ow =
   Fcall.call ow.ow_gc (fun () ->

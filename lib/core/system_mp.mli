@@ -164,8 +164,6 @@ val owin_win : owin -> Mpi_core.Rma.win
     [accumulate] / [win_fence] / [win_lock] against it. Window offset 0
     is the first payload byte of the exposed object. *)
 
-val owin_obj : owin -> Vm.Object_model.obj
-
 val owin_free : owin -> unit
 (** Collective. Frees the window ({!Mpi_core.Rma.win_free} epoch checks
     included) and releases any sticky pin the policy took. *)

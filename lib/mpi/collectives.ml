@@ -8,116 +8,16 @@
    incrementally by the device progress engine. The [i*] entry points
    return the schedule's generalized request; the blocking entry points
    are start + wait shims over them, so selection policy, [?algo]
-   oracles and the tag table carry over unchanged. The naive reference
+   oracles and the tag ranges carry over unchanged. The naive reference
    versions are kept as [*_linear] (and the ring allgather) for
    correctness oracles and ablations. *)
 
-(* ------------------------------------------------------------------ *)
-(* Tag table                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Every collective owns a disjoint range [base, base + width) of the
-   internal tag space on the communicator's collective context.
-   Multi-round algorithms derive per-round tags inside their range
-   ([rtag] wraps modulo the width, so a round tag can never escape into a
-   neighbour's range). Disjointness is checked by {!tag_overlap} and
-   asserted by a test — a duplicate base (scan once shared scatter's
-   0x5343) lets one collective cross-match another's stale messages. *)
-
-type tag_range = { tr_name : string; tr_base : int; tr_width : int }
-
-let r_barrier = { tr_name = "barrier"; tr_base = 0x4200; tr_width = 64 }
-let r_bcast = { tr_name = "bcast"; tr_base = 0x4300; tr_width = 1 }
-
-let r_bcast_scag =
-  { tr_name = "bcast_scag"; tr_base = 0x4310; tr_width = 0x140 }
-
-let r_scatter = { tr_name = "scatter"; tr_base = 0x4500; tr_width = 1 }
-
-let r_scatter_binomial =
-  { tr_name = "scatter_binomial"; tr_base = 0x4510; tr_width = 1 }
-
-let r_gather = { tr_name = "gather"; tr_base = 0x4520; tr_width = 1 }
-
-let r_gather_binomial =
-  { tr_name = "gather_binomial"; tr_base = 0x4530; tr_width = 1 }
-
-let r_allgather_ring =
-  { tr_name = "allgather_ring"; tr_base = 0x4600; tr_width = 0x100 }
-
-let r_allgather_rd =
-  { tr_name = "allgather_rd"; tr_base = 0x4700; tr_width = 64 }
-
-let r_reduce = { tr_name = "reduce"; tr_base = 0x4800; tr_width = 1 }
-
-let r_allreduce_rd =
-  { tr_name = "allreduce_rd"; tr_base = 0x4810; tr_width = 64 }
-
-let r_rabenseifner =
-  { tr_name = "rabenseifner"; tr_base = 0x4900; tr_width = 128 }
-
-let r_alltoall = { tr_name = "alltoall"; tr_base = 0x4a00; tr_width = 1 }
-let r_scan = { tr_name = "scan"; tr_base = 0x4a10; tr_width = 1 }
-
-(* Hierarchical (two-level) collectives: each phase gets its own range so
-   an in-flight hier collective can never cross-match a concurrent flat
-   collective reusing the same algorithm (e.g. hier allreduce's shard
-   reduce vs. a user ireduce). *)
-let r_hier_reduce =
-  { tr_name = "hier_reduce"; tr_base = 0x4b00; tr_width = 1 }
-
-let r_hier_rd = { tr_name = "hier_rd"; tr_base = 0x4b10; tr_width = 64 }
-let r_hier_rs = { tr_name = "hier_rs"; tr_base = 0x4b50; tr_width = 128 }
-
-let r_hier_bcast =
-  { tr_name = "hier_bcast"; tr_base = 0x4bd0; tr_width = 1 }
-
-let r_hier_xbcast =
-  { tr_name = "hier_xbcast"; tr_base = 0x4be0; tr_width = 1 }
-
-let r_hier_root = { tr_name = "hier_root"; tr_base = 0x4bf0; tr_width = 1 }
-
-let r_hier_barrier =
-  { tr_name = "hier_barrier"; tr_base = 0x4c00; tr_width = 64 }
-
-let r_hier_fan = { tr_name = "hier_fan"; tr_base = 0x4c40; tr_width = 2 }
-
-let r_hier_gather =
-  { tr_name = "hier_gather"; tr_base = 0x4c50; tr_width = 1 }
-
-let r_hier_ring =
-  { tr_name = "hier_ring"; tr_base = 0x4d00; tr_width = 0x100 }
-
-let ranges =
-  [
-    r_barrier; r_bcast; r_bcast_scag; r_scatter; r_scatter_binomial;
-    r_gather; r_gather_binomial; r_allgather_ring; r_allgather_rd;
-    r_reduce; r_allreduce_rd; r_rabenseifner; r_alltoall; r_scan;
-    r_hier_reduce; r_hier_rd; r_hier_rs; r_hier_bcast; r_hier_xbcast;
-    r_hier_root; r_hier_barrier; r_hier_fan; r_hier_gather; r_hier_ring;
-  ]
-
-let tag_table =
-  List.map (fun r -> (r.tr_name, r.tr_base, r.tr_width)) ranges
-
-let tag_overlap () =
-  let rec go = function
-    | [] -> None
-    | a :: rest -> (
-        match
-          List.find_opt
-            (fun b ->
-              a.tr_base < b.tr_base + b.tr_width
-              && b.tr_base < a.tr_base + a.tr_width)
-            rest
-        with
-        | Some b -> Some (a.tr_name, b.tr_name)
-        | None -> go rest)
-  in
-  go ranges
-
-let tag r = r.tr_base
-let rtag r i = r.tr_base + (i mod r.tr_width)
+(* Every schedule tags its messages from its phase's range on the
+   collective context (Comm.tag_ranges). Multi-round algorithms derive
+   per-round tags with [rtag], which wraps modulo the range's width, so
+   a round tag can never escape into a neighbour's range. *)
+let tag phase = Comm.coll_tag phase 0
+let rtag = Comm.coll_tag
 
 (* ------------------------------------------------------------------ *)
 (* Schedule plumbing                                                   *)
@@ -210,7 +110,7 @@ let fan_algo_for (c : Simtime.Cost.t) ~n ~block : [ `Linear | `Binomial ] =
    member). Everything here is an O(1) descriptor computed locally: no
    communication, no O(world) membership arrays. The derived comms only
    serve rank translation — all hier traffic is scheduled on the
-   {e parent}'s collective context under the dedicated [r_hier_*] tag
+   {e parent}'s collective context under the dedicated [Comm.Hier_*] tag
    ranges, so their own ctx fields are inert (the parent's is reused). *)
 type hier = {
   hp_shard : Comm.t;  (* my node's slice of the parent, in rank order *)
@@ -285,13 +185,13 @@ let hier_parts p comm =
 (* Barrier (dissemination)                                             *)
 (* ------------------------------------------------------------------ *)
 
-let sched_barrier ?(trange = r_barrier) b comm ~me =
+let sched_barrier ?(phase = Comm.Barrier) b comm ~me =
   let n = Comm.size comm in
   let round = ref 0 and step = ref 1 in
   while !step < n do
     let dst = (me + !step) mod n in
     let src = (me - !step + n) mod n in
-    let t = rtag trange !round in
+    let t = rtag phase !round in
     ssend b comm ~dst ~tag:t empty;
     srecv b comm ~src ~tag:t empty;
     Coll_sched.fence b;
@@ -308,20 +208,20 @@ let sched_barrier_hier b p comm =
   if s > 1 then begin
     if h.hp_sme = 0 then
       for j = 1 to s - 1 do
-        srecv b h.hp_shard ~src:j ~tag:(rtag r_hier_fan 0) empty
+        srecv b h.hp_shard ~src:j ~tag:(rtag Comm.Hier_fan 0) empty
       done
-    else ssend b h.hp_shard ~dst:0 ~tag:(rtag r_hier_fan 0) empty;
+    else ssend b h.hp_shard ~dst:0 ~tag:(rtag Comm.Hier_fan 0) empty;
     Coll_sched.fence b
   end;
   if h.hp_lme >= 0 && Comm.size h.hp_leaders > 1 then
-    sched_barrier ~trange:r_hier_barrier b h.hp_leaders ~me:h.hp_lme;
+    sched_barrier ~phase:Comm.Hier_barrier b h.hp_leaders ~me:h.hp_lme;
   Coll_sched.fence b;
   if s > 1 then
     if h.hp_sme = 0 then
       for j = 1 to s - 1 do
-        ssend b h.hp_shard ~dst:j ~tag:(rtag r_hier_fan 1) empty
+        ssend b h.hp_shard ~dst:j ~tag:(rtag Comm.Hier_fan 1) empty
       done
-    else srecv b h.hp_shard ~src:0 ~tag:(rtag r_hier_fan 1) empty
+    else srecv b h.hp_shard ~src:0 ~tag:(rtag Comm.Hier_fan 1) empty
 
 let ibarrier ?(algo : barrier_algo = `Auto) p comm =
   let b = builder p comm ~name:"barrier" in
@@ -346,7 +246,7 @@ let barrier ?algo p comm = wait_sched p (ibarrier ?algo p comm)
 (* Broadcast                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let sched_bcast_binomial ?(trange = r_bcast) b comm ~root ~me buf =
+let sched_bcast_binomial ?(phase = Comm.Bcast) b comm ~root ~me buf =
   let n = Comm.size comm in
   let rel = (me - root + n) mod n in
   let abs r = (r + root) mod n in
@@ -355,7 +255,7 @@ let sched_bcast_binomial ?(trange = r_bcast) b comm ~root ~me buf =
   let recv_mask = ref 0 in
   while !mask < n && !recv_mask = 0 do
     if rel land !mask <> 0 then begin
-      srecv b comm ~src:(abs (rel - !mask)) ~tag:(tag trange) buf;
+      srecv b comm ~src:(abs (rel - !mask)) ~tag:(tag phase) buf;
       Coll_sched.fence b;
       recv_mask := !mask
     end
@@ -367,7 +267,7 @@ let sched_bcast_binomial ?(trange = r_bcast) b comm ~root ~me buf =
   let m = ref (top lsr 1) in
   while !m > 0 do
     if rel + !m < n then
-      ssend b comm ~dst:(abs (rel + !m)) ~tag:(tag trange) buf;
+      ssend b comm ~dst:(abs (rel + !m)) ~tag:(tag phase) buf;
     m := !m lsr 1
   done
 
@@ -394,7 +294,7 @@ let sched_bcast_scag b comm ~root ~me buf =
     let lo = off rel and hi = off (rel + extent rel) in
     srecv b comm
       ~src:(abs (rel - lsb rel))
-      ~tag:(rtag r_bcast_scag 0)
+      ~tag:(rtag Comm.Bcast_scag 0)
       (window lo hi);
     Coll_sched.fence b
   end;
@@ -405,7 +305,7 @@ let sched_bcast_scag b comm ~root ~me buf =
     if child < n then begin
       let lo = off child and hi = off (child + extent child) in
       ssend b comm ~dst:(abs child)
-        ~tag:(rtag r_bcast_scag 0)
+        ~tag:(rtag Comm.Bcast_scag 0)
         (window lo hi)
     end;
     m := !m lsr 1
@@ -417,7 +317,7 @@ let sched_bcast_scag b comm ~root ~me buf =
   for step = 0 to n - 2 do
     let sidx = (rel - step + n) mod n in
     let ridx = (rel - step - 1 + n) mod n in
-    let t = rtag r_bcast_scag (step + 1) in
+    let t = rtag Comm.Bcast_scag (step + 1) in
     ssend b comm ~dst:right ~tag:t (window (off sidx) (off sidx + size sidx));
     srecv b comm ~src:left ~tag:t
       (window (off ridx) (off ridx + size ridx));
@@ -446,15 +346,15 @@ let sched_bcast_hier b p comm ~root buf =
     if my_w = root_w then
       ssend b comm
         ~dst:(Option.get (Comm.comm_rank_of comm root_leader_w))
-        ~tag:(tag r_hier_root) buf
+        ~tag:(tag Comm.Hier_root) buf
     else if my_w = root_leader_w then begin
-      srecv b comm ~src:root ~tag:(tag r_hier_root) buf;
+      srecv b comm ~src:root ~tag:(tag Comm.Hier_root) buf;
       Coll_sched.fence b
     end;
   (* Phase 1: across the leaders, rooted at the root's node. *)
   if h.hp_lme >= 0 && Comm.size h.hp_leaders > 1 then begin
     let lroot = Option.get (Comm.comm_rank_of h.hp_leaders root_leader_w) in
-    sched_bcast_binomial ~trange:r_hier_xbcast b h.hp_leaders ~root:lroot
+    sched_bcast_binomial ~phase:Comm.Hier_xbcast b h.hp_leaders ~root:lroot
       ~me:h.hp_lme buf
   end;
   Coll_sched.fence b;
@@ -462,7 +362,7 @@ let sched_bcast_hier b p comm ~root buf =
      one redundant shared-memory message buys a root-oblivious shard
      phase. *)
   if s > 1 then
-    sched_bcast_binomial ~trange:r_hier_bcast b h.hp_shard ~root:0
+    sched_bcast_binomial ~phase:Comm.Hier_bcast b h.hp_shard ~root:0
       ~me:h.hp_sme buf
 
 let ibcast ?(algo : bcast_algo = `Auto) p comm ~root buf =
@@ -510,12 +410,12 @@ let sched_scatter_linear b comm ~root ~me ~parts ~recv =
   if me = root then begin
     let parts = root_parts ~what:"scatter" ~n parts in
     for r = 0 to n - 1 do
-      if r <> root then ssend b comm ~dst:r ~tag:(tag r_scatter) parts.(r)
+      if r <> root then ssend b comm ~dst:r ~tag:(tag Comm.Scatter) parts.(r)
     done;
     (* Root's own part: local copy. *)
     Coll_sched.copy b ~src:parts.(root) ~dst:recv
   end
-  else srecv b comm ~src:root ~tag:(tag r_scatter) recv
+  else srecv b comm ~src:root ~tag:(tag Comm.Scatter) recv
 
 (* Binomial scatter of equal [block]-byte parts: each internal node
    forwards its children's contiguous sub-ranges, so the root sends log n
@@ -550,7 +450,7 @@ let sched_scatter_binomial b comm ~root ~me ~parts ~recv ~block =
           Buffer_view.concat
             (List.init cnt (fun j -> parts.(abs (child + j))))
         in
-        ssend b comm ~dst:(abs child) ~tag:(tag r_scatter_binomial) sub
+        ssend b comm ~dst:(abs child) ~tag:(tag Comm.Scatter_binomial) sub
       end;
       m := !m lsr 1
     done;
@@ -561,7 +461,7 @@ let sched_scatter_binomial b comm ~root ~me ~parts ~recv ~block =
     if cnt = 1 then
       srecv b comm
         ~src:(abs (rel - lsb rel))
-        ~tag:(tag r_scatter_binomial) recv
+        ~tag:(tag Comm.Scatter_binomial) recv
     else begin
       (* Internal node: my own block lands in [recv]; descendants' blocks
          land in a scratch that exists only for store-and-forward (they
@@ -569,7 +469,7 @@ let sched_scatter_binomial b comm ~root ~me ~parts ~recv ~block =
       let staging = Bytes.create ((cnt - 1) * block) in
       srecv b comm
         ~src:(abs (rel - lsb rel))
-        ~tag:(tag r_scatter_binomial)
+        ~tag:(tag Comm.Scatter_binomial)
         (Buffer_view.concat [ recv; Buffer_view.of_bytes staging ]);
       Coll_sched.fence b;
       let m = ref (lsb rel lsr 1) in
@@ -578,7 +478,7 @@ let sched_scatter_binomial b comm ~root ~me ~parts ~recv ~block =
         if child < n then begin
           let ccnt = extent child in
           ssend b comm ~dst:(abs child)
-            ~tag:(tag r_scatter_binomial)
+            ~tag:(tag Comm.Scatter_binomial)
             (Buffer_view.of_bytes_sub staging
                ~off:((!m - 1) * block)
                ~len:(ccnt * block))
@@ -617,11 +517,11 @@ let sched_gather_linear b comm ~root ~me ~send ~parts =
   if me = root then begin
     let parts = root_parts ~what:"gather" ~n parts in
     for r = 0 to n - 1 do
-      if r <> root then srecv b comm ~src:r ~tag:(tag r_gather) parts.(r)
+      if r <> root then srecv b comm ~src:r ~tag:(tag Comm.Gather) parts.(r)
     done;
     Coll_sched.copy b ~src:send ~dst:parts.(root)
   end
-  else ssend b comm ~dst:root ~tag:(tag r_gather) send
+  else ssend b comm ~dst:root ~tag:(tag Comm.Gather) send
 
 (* Mirror of {!sched_scatter_binomial}: leaves send their block up;
    internal nodes receive their subtree and forward it (own block +
@@ -653,13 +553,13 @@ let sched_gather_binomial b comm ~root ~me ~send ~parts ~block =
           Buffer_view.concat
             (List.init ccnt (fun j -> parts.(abs (child + j))))
         in
-        srecv b comm ~src:(abs child) ~tag:(tag r_gather_binomial) sub
+        srecv b comm ~src:(abs child) ~tag:(tag Comm.Gather_binomial) sub
       end;
       m := !m lsl 1
     done
   end
   else if cnt = 1 then
-    ssend b comm ~dst:(abs (rel - lsb rel)) ~tag:(tag r_gather_binomial) send
+    ssend b comm ~dst:(abs (rel - lsb rel)) ~tag:(tag Comm.Gather_binomial) send
   else begin
     let staging = Bytes.create ((cnt - 1) * block) in
     let m = ref 1 in
@@ -668,7 +568,7 @@ let sched_gather_binomial b comm ~root ~me ~send ~parts ~block =
       if child < n then begin
         let ccnt = extent child in
         srecv b comm ~src:(abs child)
-          ~tag:(tag r_gather_binomial)
+          ~tag:(tag Comm.Gather_binomial)
           (Buffer_view.of_bytes_sub staging
              ~off:((!m - 1) * block)
              ~len:(ccnt * block))
@@ -678,7 +578,7 @@ let sched_gather_binomial b comm ~root ~me ~send ~parts ~block =
     Coll_sched.fence b;
     ssend b comm
       ~dst:(abs (rel - lsb rel))
-      ~tag:(tag r_gather_binomial)
+      ~tag:(tag Comm.Gather_binomial)
       (Buffer_view.concat [ send; Buffer_view.of_bytes staging ])
   end
 
@@ -719,7 +619,7 @@ let sched_allgather_ring b comm ~me ~send =
   for step = 0 to n - 2 do
     let send_idx = (me - step + n) mod n in
     let recv_idx = (me - step - 1 + n) mod n in
-    let t = rtag r_allgather_ring step in
+    let t = rtag Comm.Allgather_ring step in
     ssend b comm ~dst:right ~tag:t (Buffer_view.of_bytes blocks.(send_idx));
     srecv b comm ~src:left ~tag:t (Buffer_view.of_bytes blocks.(recv_idx));
     Coll_sched.fence b
@@ -753,7 +653,7 @@ let sched_allgather_rd b comm ~me ~send =
     let partner = me lxor !mask in
     let lo = me land lnot (!mask - 1) in
     let plo = lo lxor !mask in
-    let t = rtag r_allgather_rd !round in
+    let t = rtag Comm.Allgather_rd !round in
     ssend b comm ~dst:partner ~tag:t (range lo !mask);
     srecv b comm ~src:partner ~tag:t (range plo !mask);
     Coll_sched.fence b;
@@ -787,11 +687,11 @@ let sched_allgather_hier b p comm ~me ~send =
   if s > 1 then begin
     if h.hp_sme = 0 then
       for j = 1 to s - 1 do
-        srecv b h.hp_shard ~src:j ~tag:(tag r_hier_gather)
+        srecv b h.hp_shard ~src:j ~tag:(tag Comm.Hier_gather)
           (view (shard_base + j))
       done
     else
-      ssend b h.hp_shard ~dst:0 ~tag:(tag r_hier_gather)
+      ssend b h.hp_shard ~dst:0 ~tag:(tag Comm.Hier_gather)
         (Buffer_view.of_bytes send);
     Coll_sched.fence b
   end;
@@ -802,7 +702,7 @@ let sched_allgather_hier b p comm ~me ~send =
     for step = 0 to nl - 2 do
       let sidx = (lme - step + nl) mod nl in
       let ridx = (lme - step - 1 + nl) mod nl in
-      let t = rtag r_hier_ring step in
+      let t = rtag Comm.Hier_ring step in
       ssend b h.hp_leaders ~dst:right ~tag:t (range (sidx * s) s);
       srecv b h.hp_leaders ~src:left ~tag:t (range (ridx * s) s);
       Coll_sched.fence b
@@ -811,7 +711,7 @@ let sched_allgather_hier b p comm ~me ~send =
   Coll_sched.fence b;
   (* Phase 3: each leader broadcasts the full table down its shard. *)
   if s > 1 then
-    sched_bcast_binomial ~trange:r_hier_bcast b h.hp_shard ~root:0
+    sched_bcast_binomial ~phase:Comm.Hier_bcast b h.hp_shard ~root:0
       ~me:h.hp_sme (range 0 n);
   blocks
 
@@ -869,9 +769,9 @@ let ialltoall p comm ~send =
   (* Everything in one round: no ordering deadlocks. *)
   for r = 0 to n - 1 do
     if r <> me then begin
-      srecv b comm ~src:r ~tag:(tag r_alltoall)
+      srecv b comm ~src:r ~tag:(tag Comm.Alltoall)
         (Buffer_view.of_bytes recv.(r));
-      ssend b comm ~dst:r ~tag:(tag r_alltoall)
+      ssend b comm ~dst:r ~tag:(tag Comm.Alltoall)
         (Buffer_view.of_bytes send.(r))
     end
   done;
@@ -892,7 +792,7 @@ let alltoall p comm ~send =
    fold in absolute rank order; one extra message relocates the result
    when another root was asked for. (Rank 0 never sends inside the tree,
    so the relocation cannot be confused with a tree message.) *)
-let sched_reduce ?(trange = r_reduce) b comm ~root ~me ~op send =
+let sched_reduce ?(phase = Comm.Reduce) b comm ~root ~me ~op send =
   let n = Comm.size comm in
   let len = Bytes.length send in
   let acc = Bytes.copy send in
@@ -903,14 +803,14 @@ let sched_reduce ?(trange = r_reduce) b comm ~root ~me ~op send =
     if me land !mask = 0 then begin
       let src = me lor !mask in
       if src < n then begin
-        srecv b comm ~src ~tag:(tag trange) (Buffer_view.of_bytes tmp);
+        srecv b comm ~src ~tag:(tag phase) (Buffer_view.of_bytes tmp);
         Coll_sched.fence b;
         Coll_sched.reduce b ~label:"fold" (fun () -> op acc tmp);
         Coll_sched.fence b
       end
     end
     else begin
-      ssend b comm ~dst:(me land lnot !mask) ~tag:(tag trange)
+      ssend b comm ~dst:(me land lnot !mask) ~tag:(tag phase)
         (Buffer_view.of_bytes acc);
       sent := true
     end;
@@ -919,11 +819,11 @@ let sched_reduce ?(trange = r_reduce) b comm ~root ~me ~op send =
   Coll_sched.fence b;
   if root = 0 then if me = 0 then Some acc else None
   else if me = 0 then begin
-    ssend b comm ~dst:root ~tag:(tag trange) (Buffer_view.of_bytes acc);
+    ssend b comm ~dst:root ~tag:(tag phase) (Buffer_view.of_bytes acc);
     None
   end
   else if me = root then begin
-    srecv b comm ~src:0 ~tag:(tag trange) (Buffer_view.of_bytes acc);
+    srecv b comm ~src:0 ~tag:(tag phase) (Buffer_view.of_bytes acc);
     Some acc
   end
   else None
@@ -966,17 +866,17 @@ let sched_allreduce_linear b comm ~me ~op send =
    tracks which physical buffer holds the accumulator at every round and
    captures it in the step closures — the schedule never re-reads the
    refs at run time. *)
-let sched_fold_pairs b comm ~trange ~op ~acc ~tmp ~me ~rem =
+let sched_fold_pairs b comm ~phase ~op ~acc ~tmp ~me ~rem =
   if me < 2 * rem then
     if me land 1 = 0 then begin
-      ssend b comm ~dst:(me + 1) ~tag:(rtag trange 0)
+      ssend b comm ~dst:(me + 1) ~tag:(rtag phase 0)
         (Buffer_view.of_bytes !acc);
       Coll_sched.fence b;
       -1
     end
     else begin
       let a = !acc and t = !tmp in
-      srecv b comm ~src:(me - 1) ~tag:(rtag trange 0)
+      srecv b comm ~src:(me - 1) ~tag:(rtag phase 0)
         (Buffer_view.of_bytes t);
       Coll_sched.fence b;
       (* The lower rank's data folds first: acc := recv (+) acc. *)
@@ -990,13 +890,13 @@ let sched_fold_pairs b comm ~trange ~op ~acc ~tmp ~me ~rem =
 
 (* Send the finished result back to the members dropped in the
    pre-phase. *)
-let sched_unfold_pairs b comm ~trange ~round ~acc ~me ~rem =
+let sched_unfold_pairs b comm ~phase ~round ~acc ~me ~rem =
   if me < 2 * rem then
     if me land 1 = 1 then
-      ssend b comm ~dst:(me - 1) ~tag:(rtag trange round)
+      ssend b comm ~dst:(me - 1) ~tag:(rtag phase round)
         (Buffer_view.of_bytes !acc)
     else
-      srecv b comm ~src:(me + 1) ~tag:(rtag trange round)
+      srecv b comm ~src:(me + 1) ~tag:(rtag phase round)
         (Buffer_view.of_bytes !acc)
 
 let old_rank_of ~rem pn = if pn < rem then (2 * pn) + 1 else pn + rem
@@ -1005,7 +905,7 @@ let old_rank_of ~rem pn = if pn < rem then (2 * pn) + 1 else pn + rem
    At every step the two sides hold folds of adjacent contiguous rank
    blocks, and the fold direction follows block order, so the operator
    need not commute. *)
-let sched_allreduce_rd ?(trange = r_allreduce_rd) ?acc:acc0 b comm ~me ~op
+let sched_allreduce_rd ?(phase = Comm.Allreduce_rd) ?acc:acc0 b comm ~me ~op
     send =
   let n = Comm.size comm in
   let len = Bytes.length send in
@@ -1016,13 +916,13 @@ let sched_allreduce_rd ?(trange = r_allreduce_rd) ?acc:acc0 b comm ~me ~op
   let tmp = ref (Bytes.create len) in
   let pof2 = floor_pow2 n in
   let rem = n - pof2 in
-  let newrank = sched_fold_pairs b comm ~trange ~op ~acc ~tmp ~me ~rem in
+  let newrank = sched_fold_pairs b comm ~phase ~op ~acc ~tmp ~me ~rem in
   if newrank >= 0 then begin
     let mask = ref 1 and round = ref 1 in
     while !mask < pof2 do
       let pn = newrank lxor !mask in
       let po = old_rank_of ~rem pn in
-      let t = rtag trange !round in
+      let t = rtag phase !round in
       let a = !acc and tm = !tmp in
       ssend b comm ~dst:po ~tag:t (Buffer_view.of_bytes a);
       srecv b comm ~src:po ~tag:t (Buffer_view.of_bytes tm);
@@ -1039,8 +939,9 @@ let sched_allreduce_rd ?(trange = r_allreduce_rd) ?acc:acc0 b comm ~me ~op
       incr round
     done
   end;
-  sched_unfold_pairs b comm ~trange ~round:(trange.tr_width - 1) ~acc ~me
-    ~rem;
+  sched_unfold_pairs b comm ~phase
+    ~round:((Comm.coll_range phase).width - 1)
+    ~acc ~me ~rem;
   !acc
 
 (* Rabenseifner: reduce-scatter by recursive halving, then allgather by
@@ -1051,7 +952,7 @@ let sched_allreduce_rd ?(trange = r_allreduce_rd) ?acc:acc0 b comm ~me ~op
    MPICH2); {!allreduce_algo_for} only selects it when [commutative].
    [granule] is the element size in bytes: segment boundaries are aligned
    to it so the opaque byte-wise operator never sees a torn element. *)
-let sched_allreduce_rabenseifner ?(trange = r_rabenseifner) ?acc:acc0 b comm
+let sched_allreduce_rabenseifner ?(phase = Comm.Rabenseifner) ?acc:acc0 b comm
     ~me ~op ~granule send =
   let n = Comm.size comm in
   let len = Bytes.length send in
@@ -1069,7 +970,7 @@ let sched_allreduce_rabenseifner ?(trange = r_rabenseifner) ?acc:acc0 b comm
   let boff b = granule * ((b * bbase) + min b bextra) in
   let acc = ref (match acc0 with Some a -> a | None -> Bytes.copy send) in
   let tmp = ref (Bytes.create len) in
-  let newrank = sched_fold_pairs b comm ~trange ~op ~acc ~tmp ~me ~rem in
+  let newrank = sched_fold_pairs b comm ~phase ~op ~acc ~tmp ~me ~rem in
   if newrank >= 0 then begin
     (* The buffer roles are fixed from here on. *)
     let a = !acc in
@@ -1087,7 +988,7 @@ let sched_allreduce_rabenseifner ?(trange = r_rabenseifner) ?acc:acc0 b comm
       in
       let sb = boff slo and se = boff shi in
       let kb = boff klo and ke = boff khi in
-      let t = rtag trange !round in
+      let t = rtag phase !round in
       let seg = Bytes.create (ke - kb) in
       ssend b comm ~dst:po ~tag:t
         (Buffer_view.of_bytes_sub a ~off:sb ~len:(se - sb));
@@ -1116,7 +1017,7 @@ let sched_allreduce_rabenseifner ?(trange = r_rabenseifner) ?acc:acc0 b comm
       let plo = rlo lxor !mask in
       let sb = boff rlo and se = boff (rlo + !mask) in
       let rb = boff plo and re = boff (plo + !mask) in
-      let t = rtag trange !round in
+      let t = rtag phase !round in
       ssend b comm ~dst:po ~tag:t
         (Buffer_view.of_bytes_sub a ~off:sb ~len:(se - sb));
       srecv b comm ~src:po ~tag:t
@@ -1126,8 +1027,9 @@ let sched_allreduce_rabenseifner ?(trange = r_rabenseifner) ?acc:acc0 b comm
       incr round
     done
   end;
-  sched_unfold_pairs b comm ~trange ~round:(trange.tr_width - 1) ~acc ~me
-    ~rem;
+  sched_unfold_pairs b comm ~phase
+    ~round:((Comm.coll_range phase).width - 1)
+    ~acc ~me ~rem;
   !acc
 
 (* Two-level allreduce: binomial reduce within each shard (rank order,
@@ -1147,7 +1049,7 @@ let sched_allreduce_hier b p comm ~op ~granule ~commutative send =
   let acc =
     if s > 1 then
       match
-        sched_reduce ~trange:r_hier_reduce b h.hp_shard ~root:0 ~me:h.hp_sme
+        sched_reduce ~phase:Comm.Hier_reduce b h.hp_shard ~root:0 ~me:h.hp_sme
           ~op send
       with
       | Some acc -> acc
@@ -1164,10 +1066,10 @@ let sched_allreduce_hier b p comm ~op ~granule ~commutative send =
         allreduce_algo_for (cost_of p) ~n:nl ~bytes:len ~granule ~commutative
       with
       | `Rabenseifner ->
-          sched_allreduce_rabenseifner ~trange:r_hier_rs ~acc b h.hp_leaders
+          sched_allreduce_rabenseifner ~phase:Comm.Hier_rs ~acc b h.hp_leaders
             ~me:h.hp_lme ~op ~granule acc
       | `Rd | `Linear ->
-          sched_allreduce_rd ~trange:r_hier_rd ~acc b h.hp_leaders
+          sched_allreduce_rd ~phase:Comm.Hier_rd ~acc b h.hp_leaders
             ~me:h.hp_lme ~op acc
     end
     else acc
@@ -1176,7 +1078,7 @@ let sched_allreduce_hier b p comm ~op ~granule ~commutative send =
   (* Phase 3: each leader broadcasts the finished result down its
      shard. *)
   if s > 1 then
-    sched_bcast_binomial ~trange:r_hier_bcast b h.hp_shard ~root:0
+    sched_bcast_binomial ~phase:Comm.Hier_bcast b h.hp_shard ~root:0
       ~me:h.hp_sme
       (Buffer_view.of_bytes result);
   result
@@ -1218,8 +1120,6 @@ let allreduce ?algo ?granule ?commutative p comm ~op send =
   wait_sched p req;
   out
 
-let allreduce_linear p comm ~op send = allreduce ~algo:`Linear p comm ~op send
-
 (* ------------------------------------------------------------------ *)
 (* Scan                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1237,7 +1137,7 @@ let iscan p comm ~op send =
   let result =
     if me > 0 then begin
       let prefix = Bytes.create (Bytes.length send) in
-      srecv b comm ~src:(me - 1) ~tag:(tag r_scan)
+      srecv b comm ~src:(me - 1) ~tag:(tag Comm.Scan)
         (Buffer_view.of_bytes prefix);
       Coll_sched.fence b;
       (* prefix := prefix op mine, keeping rank order. *)
@@ -1248,7 +1148,7 @@ let iscan p comm ~op send =
     else mine
   in
   if me < n - 1 then
-    ssend b comm ~dst:(me + 1) ~tag:(tag r_scan)
+    ssend b comm ~dst:(me + 1) ~tag:(tag Comm.Scan)
       (Buffer_view.of_bytes result);
   (Coll_sched.start b, result)
 
@@ -1317,6 +1217,3 @@ let fold_i64 f acc x =
 let sum_f64 acc x = fold_f64 ( +. ) acc x
 let sum_i32 acc x = fold_i32 ( + ) acc x
 let sum_i64 acc x = fold_i64 Int64.add acc x
-let max_f64 acc x = fold_f64 Float.max acc x
-let min_f64 acc x = fold_f64 Float.min acc x
-let max_i32 acc x = fold_i32 max acc x

@@ -97,20 +97,12 @@ val hier_allgather_applicable : Mpi.proc -> Comm.t -> bool
 (** {!hier_applicable} plus node alignment (equal shards), which the
     hier allgather's block layout requires. *)
 
-(** {1 Tag table}
+(** {1 Tags}
 
-    Every collective owns a disjoint range of the internal tag space on
-    the collective context; {!tag_overlap} is the static uniqueness check
-    (asserted by a test — a shared base once let scan cross-match stale
-    scatter messages). *)
-
-val tag_table : (string * int * int) list
-(** [(name, base, width)] per collective; the range is
-    [base, base + width). *)
-
-val tag_overlap : unit -> (string * string) option
-(** [None] iff all ranges in {!tag_table} are pairwise disjoint; otherwise
-    the first offending pair. *)
+    Every schedule sends on the communicator's collective context with
+    tags from its phase's range in {!Comm.tag_ranges}; the ranges are
+    allocated from one list, so they are disjoint by construction (a
+    shared base once let scan cross-match stale scatter messages). *)
 
 (** {1 Nonblocking collectives}
 
@@ -276,10 +268,6 @@ val allreduce :
     order-sensitive operators — [`Auto] then stays on recursive doubling,
     which folds in rank order. *)
 
-val allreduce_linear :
-  Mpi.proc -> Comm.t -> op:(Bytes.t -> Bytes.t -> unit) -> Bytes.t -> Bytes.t
-(** The reference oracle: binomial reduce to rank 0 + binomial bcast. *)
-
 val scan :
   Mpi.proc -> Comm.t -> op:(Bytes.t -> Bytes.t -> unit) -> Bytes.t -> Bytes.t
 (** Inclusive prefix reduction ([MPI_Scan]): member [r] receives the fold
@@ -295,6 +283,3 @@ val reduce_scatter_block :
 val sum_f64 : Bytes.t -> Bytes.t -> unit
 val sum_i32 : Bytes.t -> Bytes.t -> unit
 val sum_i64 : Bytes.t -> Bytes.t -> unit
-val max_f64 : Bytes.t -> Bytes.t -> unit
-val min_f64 : Bytes.t -> Bytes.t -> unit
-val max_i32 : Bytes.t -> Bytes.t -> unit

@@ -12,6 +12,44 @@ type membership =
 
 type t = { ctx : int; ctx_coll : int; membership : membership }
 
+(* Every tag sent on a collective context belongs to one phase's range.
+   Only the widths are chosen here: bases are allocated in list order
+   from 0x4200, each rounded up to a multiple of 16, so two ranges can
+   never overlap and a flipped low tag bit stays inside its own range or
+   lands in the gap after it. *)
+type phase =
+  | Barrier | Bcast | Bcast_scag | Scatter | Scatter_binomial | Gather
+  | Gather_binomial | Allgather_ring | Allgather_rd | Reduce | Allreduce_rd
+  | Rabenseifner | Alltoall | Scan
+  | Hier_reduce | Hier_rd | Hier_rs | Hier_bcast | Hier_xbcast | Hier_root
+  | Hier_barrier | Hier_fan | Hier_gather | Hier_ring
+  | Split
+
+type tag_range = { phase : phase; base : int; width : int }
+
+let tag_ranges =
+  let widths =
+    [
+      (Barrier, 64); (Bcast, 1); (Bcast_scag, 0x140); (Scatter, 1);
+      (Scatter_binomial, 1); (Gather, 1); (Gather_binomial, 1);
+      (Allgather_ring, 0x100); (Allgather_rd, 64); (Reduce, 1);
+      (Allreduce_rd, 64); (Rabenseifner, 128); (Alltoall, 1); (Scan, 1);
+      (Hier_reduce, 1); (Hier_rd, 64); (Hier_rs, 128); (Hier_bcast, 1);
+      (Hier_xbcast, 1); (Hier_root, 1); (Hier_barrier, 64); (Hier_fan, 2);
+      (Hier_gather, 1); (Hier_ring, 0x100); (Split, 2);
+    ]
+  in
+  let alloc (base, acc) (phase, width) =
+    ((base + width + 15) land lnot 15, { phase; base; width } :: acc)
+  in
+  List.rev (snd (List.fold_left alloc (0x4200, []) widths))
+
+let coll_range phase = List.find (fun r -> r.phase = phase) tag_ranges
+
+let coll_tag phase i =
+  let r = coll_range phase in
+  r.base + (i mod r.width)
+
 let index_of ranks =
   lazy
     (let h = Hashtbl.create (Array.length ranks) in

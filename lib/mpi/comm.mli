@@ -22,6 +22,33 @@ and membership = private
   | Range of { start : int; step : int; count : int }
   | Enum of { ranks : int array; index : (int, int) Hashtbl.t Lazy.t }
 
+(** {1 Collective-context tags} *)
+
+(** The phases that send on [ctx_coll]: one per collective algorithm
+    round structure (hierarchical phases apart from their flat
+    counterparts, so an in-flight two-level collective never matches a
+    concurrent flat one), plus {!Mpi.comm_split}'s table exchange. *)
+type phase =
+  | Barrier | Bcast | Bcast_scag | Scatter | Scatter_binomial | Gather
+  | Gather_binomial | Allgather_ring | Allgather_rd | Reduce | Allreduce_rd
+  | Rabenseifner | Alltoall | Scan
+  | Hier_reduce | Hier_rd | Hier_rs | Hier_bcast | Hier_xbcast | Hier_root
+  | Hier_barrier | Hier_fan | Hier_gather | Hier_ring
+  | Split
+
+type tag_range = { phase : phase; base : int; width : int }
+
+val tag_ranges : tag_range list
+(** Every phase's range [\[base, base + width)], in allocation order.
+    Only the widths are declared; the bases follow from the order, so
+    the ranges are disjoint by construction. *)
+
+val coll_range : phase -> tag_range
+
+val coll_tag : phase -> int -> int
+(** [coll_tag phase i] is round [i]'s tag: [base + i mod width], so a
+    round tag never leaves its phase's range. *)
+
 val make : ctx:int -> members:int array -> t
 (** [ctx_coll] is [ctx + 1]; allocate contexts in steps of two. The
     membership is normalized: an arithmetic progression with positive

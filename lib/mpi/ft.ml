@@ -165,11 +165,6 @@ let revive t ~rank =
     ~detail:(Printf.sprintf "rank %d restarted at t=%.0fns" rank (now t));
   List.iter (fun f -> f rank) (List.rev t.on_revive)
 
-let restart_after t ~rank =
-  match kill_of t rank with
-  | Some k -> k.Fault.k_restart_ns
-  | None -> None
-
 (* Kills not yet declared (or not yet fired) mean progress is a matter of
    virtual time — the detector will resolve them — so the scheduler must
    not call a blocked configuration a deadlock yet. *)

@@ -89,9 +89,6 @@ val revive : t -> rank:int -> unit
     subscribers fired. Raises [Invalid_argument] if the rank is not
     down. *)
 
-val restart_after : t -> rank:int -> float option
-(** The kill plan's restart delay for the rank, if any. *)
-
 val on_death : t -> (int -> unit) -> unit
 val on_revive : t -> (int -> unit) -> unit
 

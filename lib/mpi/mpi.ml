@@ -351,61 +351,57 @@ let irecv p ~comm ~src ~tag buf =
 
 exception No_progress of { op : string; rank : int }
 
-(* Plain code (unit tests, self-sends) has no scheduler to suspend into,
-   so it polls in place: [pump], then test [ready]. A failed poll with
-   packets in flight fast-forwards to the next arrival by the scheduler's
-   own rule. The safety bound counts only polls that neither handled a
-   packet nor skipped any time. *)
-let poll_in_place p ~op ?idle pump ready =
-  let spins = ref 0 in
-  let rec go () =
-    let did = pump () in
-    if not (ready ()) then begin
-      let skipped =
-        match idle with Some i -> Fiber.fast_forward [ i ] | None -> 0
-      in
-      if did || skipped > 0 then spins := 0
-      else begin
-        incr spins;
-        if !spins > 1_000_000 then raise (No_progress { op; rank = p.prank })
-      end;
-      go ()
-    end
-  in
-  go ()
+(* The one polling wait: each poll runs [poll], pumps the device's
+   progress engine, then tests [ready]. Inside a fiber scheduler it
+   suspends, declaring [idle] so quiet scans can be skipped. Plain code
+   (unit tests, self-sends) has no scheduler to suspend into, so it polls
+   in place: a failed poll with packets in flight fast-forwards to the
+   next arrival by the scheduler's own rule, and the safety bound counts
+   only polls that neither handled a packet nor skipped any time.
 
-(* Another rank's poll can complete this wait's requests partway through
-   a scan (a detection failing them, a collective abort flood). A wait
+   Another rank's poll can complete this wait partway through a scan (a
+   detection failing its requests, a collective abort flood). A wait
    that is [ready] wakes on its next poll, so no scan may be skipped past
-   it: its horizon becomes unknown. *)
-let until_ready ready (idle : Fiber.idle) =
-  {
-    idle with
-    Fiber.horizon = (fun () -> if ready () then None else idle.horizon ());
-  }
+   it: its horizon becomes unknown. [ready] runs in scheduler context,
+   where an exception would abort the whole run, so it must not raise. *)
+let poll_until p ~label ~op ?idle ?(poll = ignore) ready =
+  let idle =
+    Option.map
+      (fun (i : Fiber.idle) ->
+        {
+          i with
+          Fiber.horizon = (fun () -> if ready () then None else i.horizon ());
+        })
+      idle
+  in
+  if Fiber.in_scheduler () then
+    Fiber.wait_until ~label ?idle (fun () ->
+        poll ();
+        ignore (Ch3.progress p.dev);
+        ready ())
+  else
+    let rec go spins =
+      poll ();
+      let did = Ch3.progress p.dev in
+      if not (ready ()) then begin
+        let skipped =
+          match idle with Some i -> Fiber.fast_forward [ i ] | None -> 0
+        in
+        let spins = if did || skipped > 0 then 0 else spins + 1 in
+        if spins > 1_000_000 then raise (No_progress { op; rank = p.prank });
+        go spins
+      end
+    in
+    go 0
 
-(* Polling wait. Inside a fiber scheduler we suspend, declaring [idle]
-   so quiet scans can be skipped; in plain code we poll in place. The
-   predicate stays one closure: it runs on every scan. A doomed rank (its
-   kill time passed) wakes from the wait and dies via [check_self] — the
-   raise happens in fiber context, never inside the predicate (predicates
-   run in scheduler context, where an exception would abort the whole
-   run). *)
-let wait_with p ?idle ~poll req =
+(* A doomed rank (its kill time passed) wakes from the wait and dies via
+   [check_self], in fiber context. In plain code a wait on a request
+   that is already complete returns without polling. *)
+let wait_with p ?idle ?poll req =
   check_self p;
   let ready () = Request.is_complete req || self_doomed p in
-  let idle = Option.map (until_ready ready) idle in
-  (if Fiber.in_scheduler () then
-     Fiber.wait_until ~label:"mpi-wait" ?idle (fun () ->
-         poll ();
-         ignore (Ch3.progress p.dev);
-         Request.is_complete req || self_doomed p)
-   else if not (ready ()) then
-     poll_in_place p ~op:"Mpi.wait" ?idle
-       (fun () ->
-         poll ();
-         Ch3.progress p.dev)
-       ready);
+  if Fiber.in_scheduler () || not (ready ()) then
+    poll_until p ~label:"mpi-wait" ~op:"Mpi.wait" ?idle ?poll ready;
   check_self p;
   match Request.reason req with
   | Some reason -> raise_reason reason
@@ -414,8 +410,7 @@ let wait_with p ?idle ~poll req =
 let wait_poll ~idle p ~poll req =
   wait_with p ?idle:(Fiber.idle_seq idle (Ch3.idle_poll p.dev)) ~poll req
 
-let wait p req =
-  wait_with p ~idle:(Ch3.idle_poll p.dev) ~poll:(fun () -> ()) req
+let wait p req = wait_with p ~idle:(Ch3.idle_poll p.dev) req
 
 let test p req =
   ignore (Ch3.progress p.dev);
@@ -424,33 +419,15 @@ let test p req =
 let wait_all p reqs = List.iter (fun r -> ignore (wait p r)) reqs
 
 let wait_any p reqs =
-  match reqs with
-  | [] -> invalid_arg "Mpi.wait_any: empty request list"
-  | _ ->
-      check_self p;
-      let found = ref None in
-      let ready () =
-        match List.find_opt Request.is_complete reqs with
-        | Some r ->
-            found := Some r;
-            true
-        | None -> self_doomed p
-      in
-      let idle =
-        until_ready
-          (fun () -> List.exists Request.is_complete reqs || self_doomed p)
-          (Ch3.idle_poll p.dev)
-      in
-      if Fiber.in_scheduler () then
-        Fiber.wait_until ~label:"mpi-waitany" ~idle (fun () ->
-            ignore (Ch3.progress p.dev);
-            ready ())
-      else
-        poll_in_place p ~op:"Mpi.wait_any" ~idle
-          (fun () -> Ch3.progress p.dev)
-          ready;
-      check_self p;
-      Option.get !found
+  if reqs = [] then invalid_arg "Mpi.wait_any: empty request list";
+  check_self p;
+  let found = ref None in
+  poll_until p ~label:"mpi-waitany" ~op:"Mpi.wait_any"
+    ~idle:(Ch3.idle_poll p.dev) (fun () ->
+      found := List.find_opt Request.is_complete reqs;
+      Option.is_some !found || self_doomed p);
+  check_self p;
+  Option.get !found
 
 let test_all p reqs =
   ignore (Ch3.progress p.dev);
@@ -461,23 +438,15 @@ let test_any p reqs =
   List.find_opt Request.is_complete reqs
 
 let wait_some p reqs =
-  match reqs with
-  | [] -> invalid_arg "Mpi.wait_some: empty request list"
-  | _ ->
-      check_self p;
-      let done_ () = List.filter Request.is_complete reqs in
-      let pump () = Ch3.progress p.dev in
-      let ready () = List.exists Request.is_complete reqs || self_doomed p in
-      let idle = until_ready ready (Ch3.idle_poll p.dev) in
-      ignore (pump ());
-      if not (ready ()) then
-        if Fiber.in_scheduler () then
-          Fiber.wait_until ~label:"mpi-waitsome" ~idle (fun () ->
-              ignore (pump ());
-              ready ())
-        else poll_in_place p ~op:"Mpi.wait_some" ~idle pump ready;
-      check_self p;
-      done_ ()
+  if reqs = [] then invalid_arg "Mpi.wait_some: empty request list";
+  check_self p;
+  let ready () = List.exists Request.is_complete reqs || self_doomed p in
+  ignore (Ch3.progress p.dev);
+  if not (ready ()) then
+    poll_until p ~label:"mpi-waitsome" ~op:"Mpi.wait_some"
+      ~idle:(Ch3.idle_poll p.dev) ready;
+  check_self p;
+  List.filter Request.is_complete reqs
 
 let comm_status comm (st : Status.t) =
   match Comm.comm_rank_of comm st.Status.source with
@@ -541,7 +510,7 @@ let comm_split p comm ~color ~key =
   let size = Comm.size comm in
   let me = comm_rank p comm in
   let ctx = comm.Comm.ctx_coll in
-  let tag = 0x5350 (* "SP" *) in
+  let tag = Comm.coll_tag Comm.Split in
   (* Gather (color, key) triples at comm rank 0, then broadcast the table:
      a linear allgather with real messages. *)
   let record me_rank =
@@ -557,7 +526,7 @@ let comm_split p comm ~color ~key =
     for _ = 1 to size - 1 do
       let slot = Bytes.create 12 in
       let st =
-        Ch3.irecv p.dev ~src:Tag_match.any_source ~tag ~context:ctx
+        Ch3.irecv p.dev ~src:Tag_match.any_source ~tag:(tag 0) ~context:ctx
           (Buffer_view.of_bytes slot)
         |> wait p
       in
@@ -571,7 +540,7 @@ let comm_split p comm ~color ~key =
     for r = 1 to size - 1 do
       Ch3.isend p.dev
         ~dst:(Comm.world_rank_of comm r)
-        ~tag:(tag + 1) ~context:ctx
+        ~tag:(tag 1) ~context:ctx
         (Buffer_view.of_bytes table)
       |> wait p |> ignore
     done
@@ -579,12 +548,12 @@ let comm_split p comm ~color ~key =
   else begin
     Ch3.isend p.dev
       ~dst:(Comm.world_rank_of comm 0)
-      ~tag ~context:ctx
+      ~tag:(tag 0) ~context:ctx
       (Buffer_view.of_bytes (record me))
     |> wait p |> ignore;
     Ch3.irecv p.dev
       ~src:(Comm.world_rank_of comm 0)
-      ~tag:(tag + 1) ~context:ctx
+      ~tag:(tag 1) ~context:ctx
       (Buffer_view.of_bytes table)
     |> wait p |> ignore
   end;

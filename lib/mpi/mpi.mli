@@ -210,6 +210,23 @@ exception No_progress of { op : string; rank : int }
     calling world rank. Inside a scheduler the same situation is a
     {!Fiber.Deadlock} instead. *)
 
+val poll_until :
+  proc ->
+  label:string ->
+  op:string ->
+  ?idle:Fiber.idle ->
+  ?poll:(unit -> unit) ->
+  (unit -> bool) ->
+  unit
+(** [poll_until p ~label ~op ?idle ?poll ready] is the polling wait every
+    blocking call is built on: each poll runs [poll ()] (default: nothing)
+    and one progress pump, then tests [ready ()]. Inside a fiber
+    scheduler it suspends under [label], declaring [idle] (with its
+    horizon unknown once [ready ()] holds); in plain code it polls in
+    place, fast-forwarding over quiet polls, and raises {!No_progress}
+    with [op] after 10^6 polls that did nothing. [ready] must not
+    raise. *)
+
 val wait : proc -> Request.t -> Status.t option
 (** Polling wait: pumps progress until the request completes. The optional
     [poll] hook of {!wait_poll} is how Motor injects GC yields. Raises

@@ -117,7 +117,3 @@ let remove_unexpected t ~pred = fifo_extract t.unexpected ~pred
 let iter_posted t f =
   fifo_norm t.posted;
   List.iter f t.posted.front
-
-let iter_unexpected t f =
-  fifo_norm t.unexpected;
-  List.iter f t.unexpected.front

@@ -48,4 +48,3 @@ val remove_unexpected : t -> pred:(unexpected -> bool) -> unexpected list
 val iter_posted : t -> (posted -> unit) -> unit
 (** Visit every posted receive in arrival order (diagnostics). *)
 
-val iter_unexpected : t -> (unexpected -> unit) -> unit

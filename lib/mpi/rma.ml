@@ -354,25 +354,10 @@ and dispatch win =
     post_service win
   end
 
-(* ------------------------------------------------------------------ *)
-(* Progress pumping                                                    *)
-(* ------------------------------------------------------------------ *)
-
+(* The window's service hook is never quiet, so these waits declare the
+   device's idle poll but still poll one by one. *)
 let pump_until p ~label pred =
-  let d = Mpi.device p in
-  let step () =
-    ignore (Ch3.progress d);
-    pred ()
-  in
-  if Fiber.in_scheduler () then Fiber.wait_until ~label step
-  else begin
-    let spins = ref 0 in
-    while not (step ()) do
-      incr spins;
-      if !spins > 1_000_000 then
-        raise (Mpi.No_progress { op = "Rma"; rank = Mpi.rank p })
-    done
-  end
+  Mpi.poll_until p ~label ~op:"Rma" ~idle:(Ch3.idle_poll (Mpi.device p)) pred
 
 (* ------------------------------------------------------------------ *)
 (* RDMA cost modelling (only on worlds built with the [`Rdma] channel)  *)

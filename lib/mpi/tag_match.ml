@@ -11,6 +11,3 @@ let matches p (e : Packet.envelope) =
   p.m_context = e.Packet.e_context
   && (p.m_src = any_source || p.m_src = e.Packet.e_src)
   && (p.m_tag = any_tag || p.m_tag = e.Packet.e_tag)
-
-let pp_pattern ppf p =
-  Format.fprintf ppf "{src=%d; tag=%d; ctx=%d}" p.m_src p.m_tag p.m_context

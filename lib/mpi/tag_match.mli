@@ -10,4 +10,3 @@ type pattern = {
 }
 
 val matches : pattern -> Packet.envelope -> bool
-val pp_pattern : Format.formatter -> pattern -> unit

@@ -238,7 +238,6 @@ let diff later earlier =
   in
   { snap_counters = counters; snap_hists = hists }
 
-let snapshot_counters s = s.snap_counters
 let snapshot_hists s = List.map (fun (k, h) -> (k, summarize h)) s.snap_hists
 
 let counter_value s key =

@@ -82,7 +82,6 @@ val diff : snapshot -> snapshot -> snapshot
     Histogram min/max are carried from [later] — interval extrema are not
     recoverable from two endpoint summaries. *)
 
-val snapshot_counters : snapshot -> (string * int) list
 val snapshot_hists : snapshot -> (string * summary) list
 val counter_value : snapshot -> string -> int
 val hist_summary : snapshot -> string -> summary option

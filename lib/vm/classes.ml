@@ -3,7 +3,7 @@ type field_desc = {
   f_type : Types.field_type;
   f_offset : int;
   f_index : int;
-  mutable f_transportable : bool;
+  f_transportable : bool;
 }
 
 type kind =
@@ -221,6 +221,4 @@ let field_by_index mt i =
     invalid_arg "Classes.field_by_index";
   mt.c_fields.(i)
 
-let set_transportable mt name v = (field mt name).f_transportable <- v
-let class_count t = Array.length t.tables
 let iter t f = Array.iter f t.tables

@@ -12,7 +12,7 @@ type field_desc = {
   f_type : Types.field_type;
   f_offset : int;  (** byte offset within instance data *)
   f_index : int;
-  mutable f_transportable : bool;
+  f_transportable : bool;
       (** the Transportable bit on the FieldDesc *)
 }
 
@@ -85,7 +85,5 @@ val field : method_table -> string -> field_desc
 (** Raises [Not_found]. *)
 
 val field_by_index : method_table -> int -> field_desc
-val set_transportable : method_table -> string -> bool -> unit
-val class_count : t -> int
 val elem_name : t -> Types.elem -> string
 val iter : t -> (method_table -> unit) -> unit

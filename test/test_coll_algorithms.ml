@@ -1,7 +1,7 @@
 (* The algorithm-selection layer of lib/mpi/collectives.ml: every
    algorithm against its linear/reference oracle across power-of-two and
    non-power-of-two communicators, rank-order preservation for
-   non-commutative operators, the tag-table uniqueness check, the
+   non-commutative operators, the collective-context tag ranges, the
    trace-verified O(log n) round count, and the hot-path data structures
    the collectives lean on (matching queues, go-back-N window, buffer
    pool). *)
@@ -30,27 +30,135 @@ let run_quiescent ?fault ~n label body =
   assert_quiescent label (Mpi.run ?fault ~n body)
 
 (* ------------------------------------------------------------------ *)
-(* Tag table                                                           *)
+(* Collective-context tags                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_tag_table_disjoint () =
-  (match Coll.tag_overlap () with
-  | None -> ()
-  | Some (a, b) -> Alcotest.failf "tag ranges overlap: %s and %s" a b);
-  let names = List.map (fun (name, _, _) -> name) Coll.tag_table in
-  Alcotest.(check int)
-    "names unique"
-    (List.length names)
-    (List.length (List.sort_uniq compare names));
-  let bases = List.map (fun (_, base, _) -> base) Coll.tag_table in
-  Alcotest.(check int)
-    "bases unique"
-    (List.length bases)
-    (List.length (List.sort_uniq compare bases));
+(* Each case runs one algorithm (or comm_split) and names the phases
+   whose ranges its messages may use. Every (context, tag) matched during
+   the run must lie on the collective context, inside exactly one
+   declared range, and that range must belong to one of the case's
+   phases: a phase never emits another phase's tag. Together the cases
+   exercise every declared range. *)
+let test_coll_tags () =
+  let module Topology = Simtime.Topology in
+  let cost = { Simtime.Cost.motor with coll_rabenseifner_min_bytes = 64 } in
+  let hier = Topology.make ~nodes:2 ~cores:4 in
+  let world p = Mpi.comm_world (Mpi.world_of p) in
+  let fan ~algo ~n f p =
+    let comm = world p and me = Mpi.rank p in
+    let parts = Array.init n (fun i -> Bv.of_bytes (payload i 16)) in
+    f ~algo ~block:16 p comm ~root:1 ~me ~parts
+  in
+  let scatter ~algo ~block p comm ~root ~me ~parts =
+    Coll.scatter ~algo ~block p comm ~root
+      ~parts:(if me = root then Some parts else None)
+      ~recv:(Bv.of_bytes (Bytes.create block))
+  in
+  let gather ~algo ~block p comm ~root ~me ~parts =
+    Coll.gather ~algo ~block p comm ~root ~send:parts.(me)
+      ~parts:(if me = root then Some parts else None)
+  in
+  let allreduce ?(bytes = 64) algo p =
+    ignore
+      (Coll.allreduce ~algo p (world p) ~op:Coll.sum_i64
+         (payload (Mpi.rank p) bytes))
+  in
+  let bcast algo p =
+    Coll.bcast ~algo p (world p) ~root:5 (Bv.of_bytes (Bytes.create 1024))
+  in
+  let allgather algo p =
+    ignore (Coll.allgather ~algo p (world p) ~send:(payload (Mpi.rank p) 8))
+  in
+  let cases =
+    let open Comm in
+    [
+      ("barrier", 6, None, [ Barrier ], fun p -> Coll.barrier p (world p));
+      ("bcast binomial", 6, None, [ Bcast ], bcast `Binomial);
+      ("bcast scag", 6, None, [ Bcast_scag ], bcast `Scatter_allgather);
+      ("scatter", 8, None, [ Scatter ], fan ~algo:`Linear ~n:8 scatter);
+      ( "scatter binomial", 8, None, [ Scatter_binomial ],
+        fan ~algo:`Binomial ~n:8 scatter );
+      ("gather", 8, None, [ Gather ], fan ~algo:`Linear ~n:8 gather);
+      ( "gather binomial", 8, None, [ Gather_binomial ],
+        fan ~algo:`Binomial ~n:8 gather );
+      ("allgather ring", 6, None, [ Allgather_ring ], allgather `Ring);
+      ("allgather rd", 8, None, [ Allgather_rd ], allgather `Rd);
+      ( "reduce", 6, None, [ Reduce ],
+        fun p ->
+          ignore
+            (Coll.reduce p (world p) ~root:2 ~op:Coll.sum_i64 (payload 0 64))
+      );
+      ("allreduce linear", 6, None, [ Reduce; Bcast ], allreduce `Linear);
+      ("allreduce rd", 6, None, [ Allreduce_rd ], allreduce `Rd);
+      ( "allreduce rabenseifner", 6, None, [ Rabenseifner ],
+        allreduce `Rabenseifner );
+      ( "alltoall", 6, None, [ Alltoall ],
+        fun p ->
+          ignore
+            (Coll.alltoall p (world p)
+               ~send:(Array.init 6 (fun i -> payload i 8))) );
+      ( "scan", 6, None, [ Scan ],
+        fun p ->
+          ignore (Coll.scan p (world p) ~op:Coll.sum_i64 (payload 0 16)) );
+      ( "hier allreduce rd", 8, Some hier,
+        [ Hier_reduce; Hier_rd; Hier_bcast ], allreduce ~bytes:8 `Hier );
+      ( "hier allreduce rabenseifner", 8, Some hier,
+        [ Hier_reduce; Hier_rs; Hier_bcast ], allreduce `Hier );
+      ( "hier bcast", 8, Some hier, [ Hier_root; Hier_xbcast; Hier_bcast ],
+        bcast `Hier );
+      ( "hier allgather", 8, Some hier,
+        [ Hier_gather; Hier_ring; Hier_bcast ], allgather `Hier );
+      ( "hier barrier", 8, Some hier, [ Hier_fan; Hier_barrier ],
+        fun p -> Coll.barrier ~algo:`Hier p (world p) );
+      ( "comm_split", 6, None, [ Split ],
+        fun p ->
+          ignore (Mpi.comm_split p (world p) ~color:(Mpi.rank p mod 2) ~key:0)
+      );
+    ]
+  in
+  let hit = Hashtbl.create 32 in
   List.iter
-    (fun (name, _, width) ->
-      if width < 1 then Alcotest.failf "%s has empty tag range" name)
-    Coll.tag_table
+    (fun (name, n, topology, phases, body) ->
+      let seen = ref [] in
+      let w =
+        Mpi.run ~cost ?topology ~n (fun p ->
+            Mpi_core.Ch3.set_match_observer (Mpi.device p)
+              (Some
+                 (fun e ->
+                   seen :=
+                     (e.Mpi_core.Packet.e_context, e.e_tag) :: !seen));
+            body p)
+      in
+      assert_quiescent name w;
+      let ctx_coll = (Mpi.comm_world w).Comm.ctx_coll in
+      if !seen = [] then Alcotest.failf "%s sent nothing" name;
+      List.iter
+        (fun (ctx, tag) ->
+          if ctx <> ctx_coll then
+            Alcotest.failf "%s: tag %#x on context %d, not %d" name tag ctx
+              ctx_coll;
+          match
+            List.filter
+              (fun r -> r.Comm.base <= tag && tag < r.base + r.width)
+              Comm.tag_ranges
+          with
+          | [ r ] ->
+              if not (List.mem r.phase phases) then
+                Alcotest.failf "%s: tag %#x is in another phase's range \
+                                [%#x, %#x)"
+                  name tag r.base (r.base + r.width);
+              Hashtbl.replace hit r.phase ()
+          | rs ->
+              Alcotest.failf "%s: tag %#x lies in %d declared ranges" name tag
+                (List.length rs))
+        !seen)
+    cases;
+  List.iter
+    (fun r ->
+      if not (Hashtbl.mem hit r.Comm.phase) then
+        Alcotest.failf "range [%#x, %#x) never exercised" r.base
+          (r.base + r.width))
+    Comm.tag_ranges
 
 (* ------------------------------------------------------------------ *)
 (* Oracle tests: each algorithm vs its linear reference                *)
@@ -774,7 +882,10 @@ let () =
   Alcotest.run "coll_algorithms"
     [
       ( "tags",
-        [ Alcotest.test_case "ranges disjoint" `Quick test_tag_table_disjoint ]
+        [
+          Alcotest.test_case "every tag in its phase's range" `Quick
+            test_coll_tags;
+        ]
       );
       ( "oracles",
         [

@@ -486,50 +486,6 @@ let test_unterminated_string () =
   expect_parse_error
     ".method void main() {\n  ldstr \"oops\n  ret\n}" "unterminated"
 
-
-let test_debug_heap_inspector () =
-  let rt = Runtime.create () in
-  let gc = rt.Runtime.gc in
-  let mt =
-    Classes.define rt.Runtime.registry ~name:"Probe"
-      ~fields:[ ("v", Types.Prim Types.I8, false) ]
-      ()
-  in
-  let young = Om.alloc_instance gc mt in
-  let elder = Om.alloc_array gc (Types.Eprim Types.I4) 8 in
-  Gc.collect gc ~full:false;
-  (* elder promoted; allocate a fresh young one *)
-  let young2 = Om.alloc_instance gc mt in
-  ignore young;
-  ignore young2;
-  ignore elder;
-  let objs = Vm.Debug.objects gc in
-  let by_gen g =
-    List.length (List.filter (fun o -> o.Vm.Debug.generation = g) objs)
-  in
-  Alcotest.(check bool) "has young objects" true (by_gen `Young > 0);
-  Alcotest.(check bool) "has elder objects" true (by_gen `Elder > 0);
-  let hist = Vm.Debug.class_histogram gc in
-  Alcotest.(check bool) "histogram names Probe" true
-    (List.exists (fun (n, _, _) -> n = "Probe") hist);
-  let buf = Buffer.create 256 in
-  let fmt = Format.formatter_of_buffer buf in
-  Vm.Debug.pp_heap fmt gc;
-  Format.pp_print_flush fmt ();
-  Alcotest.(check bool) "printable" true (Buffer.length buf > 0)
-
-let test_debug_flags_shown () =
-  let rt = Runtime.create () in
-  let gc = rt.Runtime.gc in
-  let o = Om.alloc_instance gc (Classes.object_class rt.Runtime.registry) in
-  Gc.pin gc o;
-  Gc.collect gc ~full:false;
-  let objs = Vm.Debug.objects gc in
-  Alcotest.(check bool) "pinned flag surfaced" true
-    (List.exists (fun i -> i.Vm.Debug.pinned) objs);
-  Gc.unpin gc o
-
-
 let test_isinst () =
   let rt = Runtime.create () in
   let src =
@@ -643,12 +599,6 @@ let () =
             test_heap_elder_accounting;
           Alcotest.test_case "repeated pin promotions stay consistent"
             `Quick test_heap_many_pins_consistency;
-        ] );
-      ( "debug",
-        [
-          Alcotest.test_case "heap inspector" `Quick
-            test_debug_heap_inspector;
-          Alcotest.test_case "flags surfaced" `Quick test_debug_flags_shown;
         ] );
       ( "gc pins",
         [
