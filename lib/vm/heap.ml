@@ -5,6 +5,7 @@ let header_bytes = 16
 let alignment = 16
 
 exception Out_of_memory
+exception Corrupt of string
 
 type block_state = Free | Young | Elder
 
@@ -19,15 +20,24 @@ type t = {
   mutable young_limit : int;
   mutable regions : (int * int) list;  (* elder regions: (base, bytes) *)
   mutable free_list : (int * int) list;  (* elder free chunks: (addr, bytes) *)
+  mutable poison : bool;  (* see [poison_free] *)
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
+
+(* Addresses, sizes and forwarding addresses are stored as int32: past
+   2^31 they would wrap negative. *)
+let max_arena_bytes = 1 lsl 31
 
 let create ?(arena_bytes = 32 * 1024 * 1024) ?(block_bytes = 256 * 1024) env =
   if not (is_power_of_two block_bytes) || block_bytes < 4096 then
     invalid_arg "Heap.create: block_bytes must be a power of two >= 4096";
   if arena_bytes mod block_bytes <> 0 || arena_bytes < 2 * block_bytes then
-    invalid_arg "Heap.create: arena_bytes must be a multiple of block_bytes";
+    invalid_arg
+      "Heap.create: arena_bytes must be a multiple of block_bytes, at least \
+       two blocks";
+  if arena_bytes > max_arena_bytes then
+    invalid_arg "Heap.create: arena_bytes must be at most 2^31";
   let n_blocks = arena_bytes / block_bytes in
   let states = Array.make n_blocks Free in
   (* Block 0 is wasted so that address 0 can serve as null: the young block
@@ -36,7 +46,9 @@ let create ?(arena_bytes = 32 * 1024 * 1024) ?(block_bytes = 256 * 1024) env =
   states.(1) <- Young;
   {
     env;
-    mem = Bytes.make arena_bytes '\000';
+    (* Uninitialised: every reader stays inside a live object (zeroed by
+       [install_header]) or a free-chunk header. *)
+    mem = Bytes.create arena_bytes;
     block = block_bytes;
     arena = arena_bytes;
     states;
@@ -45,6 +57,7 @@ let create ?(arena_bytes = 32 * 1024 * 1024) ?(block_bytes = 256 * 1024) env =
     young_limit = 2 * block_bytes;
     regions = [];
     free_list = [];
+    poison = false;
   }
 
 let env t = t.env
@@ -136,6 +149,14 @@ let try_alloc_young t ~mt ~data_bytes =
     Some a
   end
 
+let poison_fill t a len = Bytes.fill t.mem a len '\xAA'
+
+(* Hand Free block [i] out as [state]; under [poison_free] it is poisoned
+   first. *)
+let take_block t i state =
+  t.states.(i) <- state;
+  if t.poison then poison_fill t (i * t.block) t.block
+
 let write_free_chunk t a size =
   set_mt_id t a 0;
   set_flags t a 0;
@@ -156,7 +177,7 @@ let acquire_region t n_blocks =
   | None -> false
   | Some first ->
       for i = first to first + n_blocks - 1 do
-        t.states.(i) <- Elder
+        take_block t i Elder
       done;
       let base = first * t.block in
       let len = n_blocks * t.block in
@@ -213,7 +234,7 @@ let promote_young_block t =
   match find 0 with
   | None -> raise Out_of_memory
   | Some i ->
-      t.states.(i) <- Young;
+      take_block t i Young;
       t.young_base <- i * t.block;
       t.young_ptr <- t.young_base;
       t.young_limit <- t.young_base + t.block
@@ -283,22 +304,32 @@ let sweep_elder t ~keep =
   !freed
 
 let check_consistency t =
+  let corrupt fmt =
+    Printf.ksprintf (fun msg -> raise (Corrupt msg))
+      ("Heap.check_consistency: " ^^ fmt)
+  in
   let check_span what base stop =
     let p = ref base in
     while !p < stop do
       let size = size_of t !p in
       if size < header_bytes || size mod alignment <> 0 then
-        failwith
-          (Printf.sprintf "Heap.check_consistency: bad size %d at %d in %s"
-             size !p what);
+        corrupt "bad size %d at %d in %s" size !p what;
       p := !p + size
     done;
-    if !p <> stop then
-      failwith
-        (Printf.sprintf "Heap.check_consistency: overrun in %s (%d <> %d)"
-           what !p stop)
+    if !p <> stop then corrupt "overrun in %s (%d <> %d)" what !p stop
   in
   check_span "young" t.young_base t.young_ptr;
   List.iter
     (fun (base, len) -> check_span "elder" base (base + len))
     (sorted_regions t)
+
+let poison_free t =
+  if not t.poison then begin
+    t.poison <- true;
+    (* Block 0 only backs the null address: nothing ever writes it. *)
+    poison_fill t 0 t.block
+  end;
+  poison_fill t t.young_ptr (t.young_limit - t.young_ptr);
+  List.iter
+    (fun (a, size) -> poison_fill t (a + header_bytes) (size - header_bytes))
+    t.free_list

@@ -14,8 +14,10 @@
     v}
 
     Addresses are byte offsets into the arena; 0 is the null reference. The
-    heap is purely mechanical — all policy (when to collect, what to pin)
-    lives in {!Gc}. *)
+    arena is uninitialised memory: only live objects (zeroed when allocated)
+    and free-chunk headers have specified contents, and nothing reads any
+    other byte. The heap is purely mechanical — all policy (when to collect,
+    what to pin) lives in {!Gc}. *)
 
 type addr = int
 
@@ -25,14 +27,25 @@ val header_bytes : int
 
 exception Out_of_memory
 
+exception Corrupt of string
+(** Raised by {!check_consistency}: a header does not parse to its region's
+    boundary. *)
+
 type t
 
 val create : ?arena_bytes:int -> ?block_bytes:int -> Simtime.Env.t -> t
 (** Defaults: 32 MiB arena, 256 KiB blocks. [block_bytes] must divide
-    [arena_bytes] and be a power of two >= 4 KiB. *)
+    [arena_bytes] and be a power of two >= 4 KiB; [arena_bytes] must hold at
+    least two blocks and at most 2^31 bytes (addresses and sizes are stored
+    as int32). Raises [Invalid_argument] otherwise. The arena is allocated
+    uninitialised, without a zero fill: allocation zeroes each object. *)
 
 val env : t -> Simtime.Env.t
+
 val mem : t -> Bytes.t
+(** The arena itself. Only the bytes of live objects are specified; callers
+    must not read outside the objects they address. *)
+
 val block_bytes : t -> int
 val arena_bytes : t -> int
 
@@ -125,4 +138,13 @@ val sweep_elder : t -> keep:(addr -> bool) -> int
 
 val check_consistency : t -> unit
 (** Walk both generations and verify headers parse exactly to the region
-    boundaries; raises [Failure] otherwise. For tests. *)
+    boundaries; raises {!Corrupt} otherwise. For tests. *)
+
+val poison_free : t -> unit
+(** Fill every unallocated byte with [0xAA]: the young block above the bump
+    pointer, free-chunk bodies past their header and block 0 (which only
+    backs the null address). From then on each Free block is filled as it
+    leaves Free, which is the first moment an address in it can be handed
+    out. Call it at any point between heap operations, and again after a
+    collection; a read of memory no allocation wrote then sees the poison
+    instead of zeroes. For tests. *)

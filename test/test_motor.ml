@@ -4,7 +4,8 @@
    the OO operations, the buffer pool, and managed MIL programs doing
    message passing — the paper's full stack. *)
 
-module World = Motor.World
+module World = Poison.World
+module Runtime = Poison.Runtime
 module Ot = Motor.Object_transport
 module Smp = Motor.System_mp
 module Ser = Motor.Serializer
@@ -455,7 +456,7 @@ let test_boundary_check_nonblocking_unpins_on_completion () =
 (* ------------------------------------------------------------------ *)
 
 let with_runtime f =
-  let rt = Vm.Runtime.create () in
+  let rt = Runtime.create () in
   f rt.Vm.Runtime.gc rt.Vm.Runtime.registry
 
 let test_serializer_roundtrip_list () =
@@ -716,7 +717,7 @@ let test_oscatter_ogather () =
 (* ------------------------------------------------------------------ *)
 
 let test_buffer_pool_reuse () =
-  let rt = Vm.Runtime.create () in
+  let rt = Runtime.create () in
   let pool = Pool.create rt.Vm.Runtime.gc in
   let b1 = Pool.acquire pool 1000 in
   Pool.release pool b1;
@@ -730,7 +731,7 @@ let test_buffer_pool_reuse () =
     (Simtime.Stats.get env.Simtime.Env.stats Key.buffers_reused)
 
 let test_buffer_pool_reaped_at_gc () =
-  let rt = Vm.Runtime.create () in
+  let rt = Runtime.create () in
   let gc = rt.Vm.Runtime.gc in
   let pool = Pool.create gc in
   let b = Pool.acquire pool 256 in
@@ -951,7 +952,7 @@ let prop_buffer_pool_always_adequate =
   QCheck.Test.make ~name:"pool buffers always satisfy the request" ~count:80
     QCheck.(list (int_range 1 4096))
     (fun sizes ->
-      let rt = Vm.Runtime.create () in
+      let rt = Runtime.create () in
       let pool = Pool.create rt.Vm.Runtime.gc in
       List.for_all
         (fun size ->

@@ -7,7 +7,7 @@ module Om = Vm.Object_model
 module Gc = Vm.Gc
 module Classes = Vm.Classes
 module Types = Vm.Types
-module Runtime = Vm.Runtime
+module Runtime = Poison.Runtime
 module Ser = Motor.Serializer
 module Corpus = Check.Corpus
 module Ckpt = Motor.Checkpoint
@@ -651,7 +651,7 @@ let prop_checkpoint_round_trip =
     ~name:"checkpoint restore rebuilds a digest-identical heap" ~count:30
     QCheck.(pair (int_range 1 25) (int_range 0 40))
     (fun (n, seed) ->
-      let w = Motor.World.create ~n:1 () in
+      let w = Poison.World.create ~n:1 () in
       let ok = ref false in
       Motor.World.run w (fun ctx ->
           let gc = Motor.World.gc ctx in
@@ -667,6 +667,113 @@ let prop_checkpoint_round_trip =
           Om.free gc copy;
           Om.free gc root);
       !ok)
+
+(* --- Uninitialised arena ------------------------------------------- *)
+
+(* The arena is never zero-filled, so every byte an object exposes must
+   come from its allocation. A random run of young and elder allocations,
+   handle releases, pins and collections on a small poisoned heap (free
+   space refilled with 0xAA after every collection) must keep three
+   facts: a fresh array's body past its length word reads all zeroes,
+   every live array reads back its model, and the heap parses. *)
+type heap_op =
+  | Alloc of int  (* I4 elements *)
+  | Release of int  (* index into the live list, modulo its length *)
+  | Pin of int
+  | Unpin of int
+  | Collect of bool  (* full? *)
+
+let print_heap_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Release i -> Printf.sprintf "release %d" i
+  | Pin i -> Printf.sprintf "pin %d" i
+  | Unpin i -> Printf.sprintf "unpin %d" i
+  | Collect full -> if full then "full gc" else "young gc"
+
+(* 4 KiB blocks: arrays of more than 2 KiB go straight to the elder
+   generation, and the young block fills every few allocations. 512
+   blocks (2 MiB) outlast 80 operations even if each takes three blocks
+   (a promoted young block, a fresh elder region, an evacuation). *)
+let poison_block = 4096
+let poison_arena = 512 * poison_block
+
+let gen_heap_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun n -> Alloc n) (int_range 0 200));
+        (2, map (fun n -> Alloc n) (int_range 520 700));
+        (2, map (fun i -> Release i) nat);
+        (1, map (fun i -> Pin i) nat);
+        (1, map (fun i -> Unpin i) nat);
+        (2, map (fun full -> Collect full) bool);
+      ])
+
+type live = { h : Om.obj; model : Bytes.t; mutable pins : int }
+
+let prop_poisoned_heap_reads_only_written_bytes =
+  QCheck.Test.make
+    ~name:"poisoned heap: fresh objects read zero, live ones their model"
+    ~count:200
+    QCheck.(
+      make ~shrink:Shrink.list
+        ~print:(fun ops -> String.concat "; " (List.map print_heap_op ops))
+        Gen.(list_size (int_range 1 80) gen_heap_op))
+    (fun ops ->
+      let rt =
+        Runtime.create ~arena_bytes:poison_arena ~block_bytes:poison_block ()
+      in
+      let gc = rt.Runtime.gc and heap = rt.Runtime.heap in
+      let mem = Vm.Heap.mem heap in
+      let i4 = Types.Eprim Types.I4 in
+      let live = ref [] in
+      let nth i = List.nth !live (i mod List.length !live) in
+      let alloc step n =
+        let h = Om.alloc_array gc i4 n in
+        let a = Om.addr_of gc h in
+        let data, len = Om.payload_region gc h in
+        for p = data to a + Vm.Heap.size_of heap a - 1 do
+          if Bytes.get mem p <> '\000' then
+            QCheck.Test.fail_reportf "op %d: fresh %d-element array: byte %d \
+                                      is %C"
+              step n (p - data) (Bytes.get mem p)
+        done;
+        let model =
+          Bytes.init len (fun k -> Char.chr (((step * 31) + k) land 0xff))
+        in
+        Vm.Heap.blit_in heap ~src:model ~src_off:0 ~dst:data ~len;
+        live := { h; model; pins = 0 } :: !live
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Alloc n -> alloc step n
+          | Release i when !live <> [] ->
+              let l = nth i in
+              Om.free gc l.h;
+              live := List.filter (fun l' -> l' != l) !live
+          | Pin i when !live <> [] ->
+              let l = nth i in
+              Gc.pin gc l.h;
+              l.pins <- l.pins + 1
+          | Unpin i when !live <> [] ->
+              let l = nth i in
+              if l.pins > 0 then begin
+                Gc.unpin gc l.h;
+                l.pins <- l.pins - 1
+              end
+          | Release _ | Pin _ | Unpin _ -> ()
+          | Collect full -> Gc.collect gc ~full);
+          List.iter
+            (fun l ->
+              let data, len = Om.payload_region gc l.h in
+              if not (Bytes.equal (Bytes.sub mem data len) l.model) then
+                QCheck.Test.fail_reportf "op %d: a %d-byte array changed" step
+                  len)
+            !live;
+          Vm.Heap.check_consistency heap)
+        ops;
+      true)
 
 (* --- One-sided RMA ------------------------------------------------- *)
 
@@ -1002,7 +1109,7 @@ let prop_cache_equals_naive_model =
 module Ch3 = Mpi_core.Ch3
 module Request = Mpi_core.Request
 module Bv = Mpi_core.Buffer_view
-module World = Motor.World
+module World = Poison.World
 module Fcall = Motor.Fcall
 module Coll = Mpi_core.Collectives
 module Fault = Mpi_core.Fault
@@ -1609,6 +1716,11 @@ let () =
         ] );
       ( "checkpoint",
         [ QCheck_alcotest.to_alcotest prop_checkpoint_round_trip ] );
+      ( "uninitialised arena",
+        [
+          QCheck_alcotest.to_alcotest
+            prop_poisoned_heap_reads_only_written_bytes;
+        ] );
       ( "idle fast-forward",
         [
           QCheck_alcotest.to_alcotest prop_fast_forward_exact;

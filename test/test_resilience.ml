@@ -12,7 +12,7 @@ module Comm = Mpi_core.Comm
 module Bv = Mpi_core.Buffer_view
 module Env = Simtime.Env
 module Key = Simtime.Stats.Key
-module World = Motor.World
+module World = Poison.World
 module Smp = Motor.System_mp
 module Checkpoint = Motor.Checkpoint
 module Ot = Motor.Object_transport

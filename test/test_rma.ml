@@ -464,7 +464,7 @@ let test_rma_under_faults () =
 (* Managed windows under the GC pinning policy                         *)
 (* ------------------------------------------------------------------ *)
 
-module World = Motor.World
+module World = Poison.World
 module Smp = Motor.System_mp
 module Pin = Motor.Pinning
 module Om = Vm.Object_model

@@ -8,7 +8,7 @@ module Gc = Vm.Gc
 module Heap = Vm.Heap
 module Classes = Vm.Classes
 module Types = Vm.Types
-module Runtime = Vm.Runtime
+module Runtime = Poison.Runtime
 
 let node_class registry =
   match Classes.find_by_name registry "FuzzNode" with

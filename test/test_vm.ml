@@ -13,7 +13,7 @@ module Gc = Vm.Gc
 module Heap = Vm.Heap
 module Classes = Vm.Classes
 module Types = Vm.Types
-module Runtime = Vm.Runtime
+module Runtime = Poison.Runtime
 
 let make_runtime () = Runtime.create ()
 
@@ -384,6 +384,50 @@ let test_out_of_memory () =
       for _ = 1 to 10_000 do
         keep := Om.alloc_array gc (Types.Eprim Types.I8) 1024 :: !keep
       done)
+
+(* Every argument check of Heap.create, including the int32 address
+   limit: addresses, sizes and forwarding addresses are stored as int32,
+   so an arena past 2^31 bytes would wrap them negative. The checks run
+   before the arena is allocated. *)
+let test_create_rejects_bad_geometry () =
+  let env = Simtime.Env.create () in
+  let rejects label ~arena_bytes ~block_bytes =
+    match Heap.create ~arena_bytes ~block_bytes env with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  let mib = 1024 * 1024 in
+  rejects "block not a power of two" ~arena_bytes:mib ~block_bytes:12288;
+  rejects "block below 4 KiB" ~arena_bytes:mib ~block_bytes:2048;
+  rejects "arena not a multiple of the block" ~arena_bytes:(mib + 4096)
+    ~block_bytes:8192;
+  rejects "arena below two blocks" ~arena_bytes:4096 ~block_bytes:4096;
+  rejects "arena one block past 2^31" ~arena_bytes:((1 lsl 31) + (256 * 1024))
+    ~block_bytes:(256 * 1024);
+  rejects "arena of 2^32" ~arena_bytes:(1 lsl 32) ~block_bytes:(256 * 1024);
+  let h = Heap.create ~arena_bytes:8192 ~block_bytes:4096 env in
+  Alcotest.(check int) "two-block arena accepted" 8192 (Heap.arena_bytes h)
+
+(* A header that does not parse to its region's boundary raises the
+   typed Heap.Corrupt, both for a malformed size and for an overrun. *)
+let test_corrupt_header_detected () =
+  let rt = make_runtime () in
+  let heap = rt.Runtime.heap in
+  let o = Om.alloc_instance rt.Runtime.gc (point_class rt) in
+  let a = Om.addr_of rt.Runtime.gc o in
+  let size = Heap.size_of heap a in
+  Heap.check_consistency heap;
+  let corrupt label bad =
+    Heap.set_i32 heap (a + 8) bad;
+    (match Heap.check_consistency heap with
+    | () -> Alcotest.failf "%s: accepted" label
+    | exception Heap.Corrupt _ -> ());
+    Heap.set_i32 heap (a + 8) size
+  in
+  corrupt "unaligned size" (size + 8);
+  corrupt "size below a header" 0;
+  corrupt "overrun past the bump pointer" (size + 16);
+  Heap.check_consistency heap
 
 (* ------------------------------------------------------------------ *)
 (* MIL toolchain                                                       *)
@@ -762,6 +806,10 @@ let () =
           Alcotest.test_case "large objects go to elder" `Quick
             test_large_object_goes_to_elder;
           Alcotest.test_case "out of memory" `Quick test_out_of_memory;
+          Alcotest.test_case "create rejects bad geometry" `Quick
+            test_create_rejects_bad_geometry;
+          Alcotest.test_case "corrupt headers raise Corrupt" `Quick
+            test_corrupt_header_detected;
         ] );
       ( "mil",
         [

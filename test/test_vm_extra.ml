@@ -7,7 +7,7 @@ module Gc = Vm.Gc
 module Heap = Vm.Heap
 module Classes = Vm.Classes
 module Types = Vm.Types
-module Runtime = Vm.Runtime
+module Runtime = Poison.Runtime
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
