@@ -9,12 +9,6 @@ let result_cell = function
   | Workloads.Crashed msg -> Table.Text ("CRASH: " ^ msg)
 
 let series_table ~title ~xlabel series ~csv =
-  (* simpler layout: first column is x *)
-  let headers =
-    xlabel
-    :: List.map (fun (s : Experiments.series) -> s.Experiments.system) series
-  in
-  ignore headers;
   let headers =
     List.map (fun (s : Experiments.series) -> s.Experiments.system) series
   in

@@ -78,7 +78,8 @@ let ring_run ~fault ~quick =
     mix 0;
     finals.(r) <- Bytes.copy buf
   in
-  Fiber.run (List.init n (fun r -> (Printf.sprintf "ring%d" r, body r)));
+  Fiber.run ~pending:(Mpi.describe_pending w)
+    (List.init n (fun r -> (Printf.sprintf "ring%d" r, body r)));
   let digest =
     Digest.to_hex
       (Digest.bytes (Bytes.concat Bytes.empty (Array.to_list finals)))
@@ -135,7 +136,8 @@ let allreduce_chain_run ~fault ~quick =
     | Some res -> reduced.(r) <- Bytes.copy res
     | None -> ()
   in
-  Fiber.run (List.init n (fun r -> (Printf.sprintf "chain%d" r, body r)));
+  Fiber.run ~pending:(Mpi.describe_pending w)
+    (List.init n (fun r -> (Printf.sprintf "chain%d" r, body r)));
   let semantic = ref [] in
   Array.iteri
     (fun r f ->
@@ -224,7 +226,8 @@ let hier_allreduce_run ~fault ~quick =
     Collectives.bcast p comm ~root:(n - 1) (Bv.of_bytes bb);
     bcasts.(r) <- Bytes.copy bb
   in
-  Fiber.run (List.init n (fun r -> (Printf.sprintf "hier%d" r, body r)));
+  Fiber.run ~pending:(Mpi.describe_pending w)
+    (List.init n (fun r -> (Printf.sprintf "hier%d" r, body r)));
   Array.iteri
     (fun r f ->
       if f <> finals.(0) then
@@ -285,7 +288,8 @@ let icoll_overlap_run ~fault ~quick =
         (Bytes.to_string inb)
         (Bytes.get_int64_le asum 0)
   in
-  Fiber.run (List.init n (fun r -> (Printf.sprintf "icoll%d" r, body r)));
+  Fiber.run ~pending:(Mpi.describe_pending w)
+    (List.init n (fun r -> (Printf.sprintf "icoll%d" r, body r)));
   let digest =
     Digest.to_hex (Digest.string (String.concat "#" (Array.to_list per_rank)))
   in
@@ -495,7 +499,8 @@ let rma_fence_run ~fault ~quick =
       Digest.to_hex (Digest.bytes mine) ^ Digest.to_hex (Digest.bytes fetched);
     Rma.win_free win
   in
-  Fiber.run (List.init n (fun r -> (Printf.sprintf "rmaf%d" r, body r)));
+  Fiber.run ~pending:(Mpi.describe_pending w)
+    (List.init n (fun r -> (Printf.sprintf "rmaf%d" r, body r)));
   let digest =
     Digest.to_hex (Digest.string (String.concat "#" (Array.to_list finals)))
   in
@@ -573,7 +578,8 @@ let rma_lock_run ~fault ~quick =
     finals.(r) <- Digest.to_hex (Digest.bytes audit);
     Rma.win_free win
   in
-  Fiber.run (List.init n (fun r -> (Printf.sprintf "rmal%d" r, body r)));
+  Fiber.run ~pending:(Mpi.describe_pending w)
+    (List.init n (fun r -> (Printf.sprintf "rmal%d" r, body r)));
   let digest =
     Digest.to_hex (Digest.string (String.concat "#" (Array.to_list finals)))
   in
@@ -633,7 +639,8 @@ let rma_epoch_run ~buggy ~fault:_ ~quick =
     finals.(r) <- Digest.to_hex (Digest.bytes mine);
     Rma.win_free win
   in
-  Fiber.run (List.init n (fun r -> (Printf.sprintf "rmab%d" r, body r)));
+  Fiber.run ~pending:(Mpi.describe_pending w)
+    (List.init n (fun r -> (Printf.sprintf "rmab%d" r, body r)));
   let digest =
     Digest.to_hex (Digest.string (String.concat "#" (Array.to_list finals)))
   in
@@ -743,7 +750,7 @@ let kill_run ?topology ?victims ~wname ~work ~oracle ~fault ~quick:_ () =
         :: !semantic;
     reports := (r, members, Int64.to_string !value) :: !reports
   in
-  Fiber.run
+  Fiber.run ~pending:(Mpi.describe_pending w)
     (List.init n (fun r ->
          ( Printf.sprintf "%s%d" wname r,
            fun () -> Mpi.rank_guard w r (body r) )));

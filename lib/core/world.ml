@@ -77,7 +77,7 @@ let run t body =
                down instead of aborting the whole world. *)
             Mpi.rank_guard t.mpi_world i (fun () -> body (rank_ctx t i)) ))
   in
-  Fiber.run fibers
+  Fiber.run ~pending:(Mpi.describe_pending t.mpi_world) fibers
 
 (* A restarted incarnation gets a fresh VM instance — its old heap died
    with the process; the state it resumes from comes out of a checkpoint

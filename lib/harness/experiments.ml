@@ -707,15 +707,11 @@ let scale_run ~nodes ~cores ~bytes ~algo =
            Mpi_core.Collectives.iallreduce ~algo p comm
              ~op:Mpi_core.Collectives.sum_i64 mine
          in
-         (* Read the shape before yielding into the wait: the registry is
-            bounded and a 64k-rank world starts 64k schedules, so a
-            post-wait lookup can race its periodic reset. *)
-         if Mpi_core.Mpi.rank p = 0 then
+         ignore (Mpi_core.Mpi.wait p req);
+         if Mpi_core.Mpi.rank p = 0 then begin
            Option.iter
              (fun (r, _) -> rounds := r)
              (Mpi_core.Coll_sched.info req);
-         ignore (Mpi_core.Mpi.wait p req);
-         if Mpi_core.Mpi.rank p = 0 then begin
            let expect = Int64.of_int (n * (n + 1) / 2) in
            if Bytes.get_int64_le acc 0 <> expect then
              failwith "scale_run: allreduce converged to the wrong sum"

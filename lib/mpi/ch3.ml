@@ -40,20 +40,11 @@ type t = {
      message), with the matched envelope — the hook the schedule
      explorer's non-overtaking invariant builds on. *)
   mutable on_match : (Packet.envelope -> unit) option;
-  (* Failure-layer plumbing (all None in a world without kills):
-     [tick] runs at the head of every progress pump (heartbeat + sweep);
-     [revoked] says whether a context id was revoked; [dead] whether a
-     world rank was declared dead. None of them may raise. *)
-  mutable tick : tick option;
-  mutable revoked : (int -> bool) option;
-  mutable dead : (int -> bool) option;
-  (* Collective-failure flood: when one rank's in-flight schedule fails
-     with a process failure, ULFM requires the error to surface at every
-     rank of the collective — survivors whose own steps only touch live
-     peers would otherwise wait forever on the rank that bailed. The
-     world installs a closure here that aborts the context on all
-     devices. *)
-  mutable coll_failed : (int -> Request.reason -> unit) option;
+  (* The world's failure service, if it has one: [progress] runs its
+     tick (heartbeat + sweep), operations consult its revocation
+     registry and declared-dead set, and a collective failing with a
+     process failure floods through it. *)
+  ft : Ft.t option;
 }
 
 and hook = {
@@ -64,13 +55,7 @@ and hook = {
   h_abort : (Request.reason -> unit) option;
 }
 
-and tick = {
-  run : unit -> unit;
-  horizon : busy:bool -> float;
-  beat : float -> unit;
-}
-
-let create env chan ~rank ~fresh_id =
+let create ?ft env chan ~rank ~fresh_id =
   {
     rank;
     env;
@@ -84,10 +69,7 @@ let create env chan ~rank ~fresh_id =
     hooks = [];
     next_hook = 0;
     on_match = None;
-    tick = None;
-    revoked = None;
-    dead = None;
-    coll_failed = None;
+    ft;
   }
 
 let rank t = t.rank
@@ -120,15 +102,14 @@ let add_progress_hook ?ctx ?on_abort ~quiet t fn =
 let remove_progress_hook t id =
   t.hooks <- List.filter (fun h -> h.h_id <> id) t.hooks
 
-let set_tick t f = t.tick <- f
-let set_revoked_check t f = t.revoked <- f
-let set_dead_check t f = t.dead <- f
-let set_coll_failed t f = t.coll_failed <- f
+let notify_coll_failed t ~ctx ~peer =
+  match t.ft with Some ft -> Ft.coll_failed ft ~ctx ~peer | None -> ()
 
-let notify_coll_failed t ~ctx reason =
-  match t.coll_failed with Some f -> f ctx reason | None -> ()
-let ctx_revoked t ctx = match t.revoked with Some f -> f ctx | None -> false
-let peer_dead t peer = match t.dead with Some f -> f peer | None -> false
+let ctx_revoked t ctx =
+  match t.ft with Some ft -> Ft.is_revoked ft ctx | None -> false
+
+let peer_dead t peer =
+  match t.ft with Some ft -> Ft.is_down ft peer | None -> false
 
 let progress_hook_count t = List.length t.hooks
 let set_match_observer t obs = t.on_match <- obs
@@ -372,7 +353,7 @@ let progress t =
   Simtime.Env.charge t.env t.env.Simtime.Env.cost.progress_poll_ns;
   (* Failure detector first: beat this rank, sweep the others. Pending
      declarations may fail requests, which the hooks below observe. *)
-  (match t.tick with Some tk -> tk.run () | None -> ());
+  (match t.ft with Some ft -> Ft.tick ft ~rank:t.rank | None -> ());
   let did = ref false in
   let rec drain () =
     match t.chan.Channel.poll ~rank:t.rank with
@@ -391,23 +372,24 @@ let progress t =
   !did
 
 (* What [progress] does while nothing can happen: charge one poll, and
-   let the tick beat. The channel stack's horizon covers arrivals and its
-   own timers; the tick's covers detections and kills. A finite channel
-   horizon means this poll keeps the scheduler busy, and the tick's
-   deadlines count only while something does. A hook that may act leaves
-   the horizon unknown. *)
+   let the detector's tick beat. The channel stack's horizon covers
+   arrivals and its own timers; the detector's covers declarations and
+   kills. A finite channel horizon means this poll keeps the scheduler
+   busy, and the detector's deadlines count only while something does. A
+   hook that may act leaves the horizon unknown. *)
 let idle_poll t =
   {
     Fiber.clock = t.env.Simtime.Env.clock;
     charges = [| t.env.Simtime.Env.cost.progress_poll_ns |];
     count =
-      (fun _ ~at -> match t.tick with Some tk -> tk.beat at | None -> ());
+      (fun _ ~at ->
+        match t.ft with Some ft -> Ft.beat ft ~rank:t.rank at | None -> ());
     horizon =
       (fun () ->
         if List.for_all (fun h -> h.h_quiet ()) t.hooks then
-          match (t.chan.Channel.next_arrival ~rank:t.rank, t.tick) with
-          | Some a, Some tk ->
-              Some (Float.min a (tk.horizon ~busy:(a < Float.infinity)))
+          match (t.chan.Channel.next_arrival ~rank:t.rank, t.ft) with
+          | Some a, Some ft ->
+              Some (Float.min a (Ft.horizon ft ~busy:(a < Float.infinity)))
           | h, _ -> h
         else None);
   }

@@ -20,9 +20,19 @@ type send_mode =
   | Synchronous  (** always rendezvous: completion implies a match *)
 
 val create :
-  Simtime.Env.t -> Channel.t -> rank:int -> fresh_id:(unit -> int) -> t
+  ?ft:Ft.t ->
+  Simtime.Env.t ->
+  Channel.t ->
+  rank:int ->
+  fresh_id:(unit -> int) ->
+  t
 (** [fresh_id] must be shared by all devices of a world (request and
-    rendezvous identifiers). *)
+    rendezvous identifiers). [ft] is the world's failure service, if it
+    has one: every {!progress} pump runs its {!Ft.tick} for this rank,
+    operations consult its revocation registry ({!ctx_revoked}) and
+    declared-dead set ({!peer_dead}), and {!idle_poll} carries its
+    heartbeat and horizon. Without it the device never fails an
+    operation for a process failure. *)
 
 val rank : t -> int
 val env : t -> Simtime.Env.t
@@ -59,12 +69,13 @@ val progress : t -> bool
 
 val idle_poll : t -> Fiber.idle
 (** What one {!progress} call does while nothing can happen: charge
-    [progress_poll_ns] and let the tick beat ([count]'s [at] is the
-    beat's time). The horizon is the channel's [next_arrival] for this
-    rank, lowered to the tick's horizon; it is unknown while a progress
-    hook is not quiet, or when the channel cannot tell. With nothing in
-    flight on the channel, the tick's horizon counts only if the tick
-    itself keeps the scheduler busy ({!tick}'s [busy]). *)
+    [progress_poll_ns] and let the failure service beat this rank
+    ([count]'s [at] is the beat's time, {!Ft.beat}). The horizon is the
+    channel's [next_arrival] for this rank, lowered to {!Ft.horizon}; it
+    is unknown while a progress hook is not quiet, or when the channel
+    cannot tell. With nothing in flight on the channel, the detector's
+    horizon counts only if the detector itself keeps the scheduler busy
+    ({!Ft.horizon}'s [busy]). *)
 
 val add_progress_hook :
   ?ctx:int ->
@@ -78,7 +89,7 @@ val add_progress_hook :
     advance in-flight collective schedules). The closure returns true if
     it made progress. Returns a handle for {!remove_progress_hook}.
     [quiet ()] says the closure would do nothing, with no charge and no
-    state change, until a packet arrives on this device or the tick
+    state change, until a packet arrives on this device or the detector
     acts; while every hook is quiet the device's waits may fast-forward
     ({!idle_poll}). A hook that cannot tell answers [false].
     [ctx] tags the hook with its schedule's context id and [on_abort] is
@@ -118,56 +129,23 @@ val pending_rendezvous : t -> int
 
 (** {1 Failure plumbing}
 
-    All installed by {!Mpi.create_world} when the world has a failure
-    service ({!Ft}); absent (and free) otherwise. *)
+    Answered by the failure service passed to {!create}; without one,
+    nothing is revoked or dead and nothing floods. *)
 
-type tick = {
-  run : unit -> unit;
-      (** run at the head of every {!progress} pump: the failure
-          detector's beat + sweep. Must never raise. *)
-  horizon : busy:bool -> float;
-      (** the earliest virtual time at which [run] can do more than beat
-          (declare a rank dead, let a kill fall due), given that polling
-          goes on until then. [busy]: something else keeps the scheduler
-          polling (packets in flight, timers). When neither it nor the
-          tick's own pending work does, the answer is [infinity]. Must
-          not change state. *)
-  beat : float -> unit;
-      (** leave what a quiet [run] at the given time leaves (the
-          heartbeat stamp) *)
-}
+val notify_coll_failed : t -> ctx:int -> peer:int -> unit
+(** The schedule engine reports that an in-flight collective on [ctx]
+    failed because [peer] is dead ({!Ft.coll_failed}). *)
 
-val set_tick : t -> tick option -> unit
-(** Install (or clear) the tick. *)
+val ctx_revoked : t -> int -> bool
+(** Whether the context id was revoked. Operations on a revoked context
+    fail immediately with {!Request.Comm_revoked}; arriving traffic on
+    one is refused. *)
 
-val set_revoked_check : t -> (int -> bool) option -> unit
-(** Predicate consulted on every operation start and packet arrival:
-    operations on a revoked context fail immediately with
-    {!Request.Comm_revoked}; arriving traffic on one is refused. *)
-
-val set_dead_check : t -> (int -> bool) option -> unit
-(** Predicate for declared-dead world ranks: sends to (and receives
+val peer_dead : t -> int -> bool
+(** Whether the world rank was declared dead. Sends to (and receives
     from) a dead peer fail immediately with {!Request.Proc_failed} —
     ULFM's [MPI_ERR_PROC_FAILED] — and stale in-flight traffic from one
     is discarded. *)
-
-val set_coll_failed : t -> (int -> Request.reason -> unit) option -> unit
-(** Flood callback for collective failure: invoked by the schedule
-    engine when an in-flight collective on this device fails with a
-    process failure, with the schedule's context id. The world installs
-    a closure that aborts that context on {e every} device, so the error
-    surfaces at all ranks of the collective (ULFM's uniform
-    [MPI_ERR_PROC_FAILED] guarantee) instead of only at ranks whose own
-    steps touched the dead peer. *)
-
-val notify_coll_failed : t -> ctx:int -> Request.reason -> unit
-(** Invoke the installed flood callback (no-op without one). *)
-
-val ctx_revoked : t -> int -> bool
-(** The installed revoked-check's verdict ([false] without one). *)
-
-val peer_dead : t -> int -> bool
-(** The installed dead-check's verdict ([false] without one). *)
 
 val fail_peer : t -> peer:int -> unit
 (** A peer was declared dead: complete every operation on this device

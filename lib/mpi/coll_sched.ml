@@ -146,8 +146,8 @@ let watch sc i st req =
              wait forever on this one. Revocation already reaches every
              device through the revoked-context check. *)
           (match reason with
-          | Request.Proc_failed _ ->
-              Ch3.notify_coll_failed sc.sc_dev ~ctx:sc.sc_context reason
+          | Request.Proc_failed peer ->
+              Ch3.notify_coll_failed sc.sc_dev ~ctx:sc.sc_context ~peer
           | _ -> ())
       | None ->
           st.s_state <- Done;
@@ -252,32 +252,23 @@ let quiet sc =
   && !i < n
   && sc.sc_steps.(!i).s_state = Started
 
-(* Shape registry: (rounds, steps) per started schedule, keyed by its
-   request id, so tests and the scaling harness can compare a measured
-   schedule against an analytic round model. Bounded by periodic reset —
-   the map is diagnostic, not load-bearing. It is process-global (request
-   ids are world-unique), so under parallel execution ranks on different
-   domains start schedules concurrently: a mutex serializes the two
-   touch points. Uncontended lock/unlock is a few ns — noise next to
-   building the step array. *)
-let infos : (int, int * int) Hashtbl.t = Hashtbl.create 64
-let infos_mu = Mutex.create ()
-
 let info req =
-  Mutex.protect infos_mu (fun () -> Hashtbl.find_opt infos (Request.id req))
+  match Request.kind req with
+  | Request.Coll_req { rounds; steps } -> Some (rounds, steps)
+  | Request.Send_req | Request.Recv_req -> None
 
 let start b =
   if b.b_started then invalid_arg "Coll_sched.start: schedule already started";
   b.b_started <- true;
   let steps = Array.of_list (List.rev b.b_rev_steps) in
-  let req = Request.create ~id:(Ch3.fresh_req_id b.b_dev) Request.Coll_req in
   let rounds =
     if Array.length steps = 0 then 0
     else steps.(Array.length steps - 1).s_round + 1
   in
-  Mutex.protect infos_mu (fun () ->
-      if Hashtbl.length infos > 1 lsl 20 then Hashtbl.reset infos;
-      Hashtbl.replace infos (Request.id req) (rounds, Array.length steps));
+  let req =
+    Request.create ~id:(Ch3.fresh_req_id b.b_dev)
+      (Request.Coll_req { rounds; steps = Array.length steps })
+  in
   let sc =
     {
       sc_dev = b.b_dev;
@@ -297,9 +288,7 @@ let start b =
   Trace.record (Ch3.env b.b_dev) ~rank:(Ch3.rank b.b_dev) ~op:"sched/start"
     ~detail:
       (Printf.sprintf "%s %d step(s) %d round(s)" sc.sc_name
-         (Array.length steps)
-         (if Array.length steps = 0 then 0
-          else steps.(Array.length steps - 1).s_round + 1));
+         (Array.length steps) rounds);
   (* A collective started on an already-revoked communicator fails
      before any step runs (entry check ULFM prescribes for every op). *)
   if Ch3.ctx_revoked b.b_dev b.b_context then begin

@@ -62,7 +62,8 @@ val start : builder -> Request.t
     A builder can be started once. *)
 
 val info : Request.t -> (int * int) option
-(** [(rounds, steps)] of a started schedule, looked up by its request —
-    the measured shape tests compare against analytic round models
-    (e.g. the two-level collectives' [2 log s + 2 log L] structure).
-    Entries live in a bounded diagnostic registry and may be evicted. *)
+(** [(rounds, steps)] of a started schedule, read from its request's
+    kind ({!Request.Coll_req}) — the measured shape tests compare
+    against analytic round models (e.g. the two-level collectives'
+    [2 log s + 2 log L] structure). [None] for point-to-point
+    requests. *)

@@ -10,7 +10,7 @@ let remote_size ic = Comm.size ic.ic_remote
 let spawn p ~comm ~n body =
   if n < 1 then invalid_arg "Dynamic.spawn: need at least one child";
   if not (Fiber.in_scheduler ()) then
-    failwith "Dynamic.spawn: requires a running fiber scheduler";
+    invalid_arg "Dynamic.spawn: requires a running fiber scheduler";
   let w = Mpi.world_of p in
   let me = Mpi.comm_rank p comm in
   let e = Mpi.next_epoch p comm in
@@ -33,9 +33,9 @@ let spawn p ~comm ~n body =
     in
     Array.iter
       (fun cp ->
-        Fiber.spawn
-          (Printf.sprintf "spawned%d" (Mpi.rank cp))
-          (fun () -> body cp child_ic))
+        let rank = Mpi.rank cp in
+        Fiber.spawn (Printf.sprintf "spawned%d" rank) (fun () ->
+            Mpi.rank_guard w rank (fun () -> body cp child_ic)))
       children;
     Hashtbl.replace table key child_members
   end

@@ -19,10 +19,11 @@ val spawn :
   (Mpi.proc -> intercomm -> unit) ->
   intercomm
 (** Every member of [comm] must call [spawn]; rank 0 actually creates the
-    [n] children, which run the given body. Must be called from inside a
-    fiber scheduler. From the parents' perspective [ic_local] is [comm] and
-    [ic_remote] addresses the children; the children see the mirror
-    image. *)
+    [n] children, which run the given body under {!Mpi.rank_guard}, so
+    they fail and finish like initial ranks. Must be called from inside
+    a fiber scheduler; raises [Invalid_argument] otherwise. From the
+    parents' perspective [ic_local] is [comm] and [ic_remote] addresses
+    the children; the children see the mirror image. *)
 
 val merge : Mpi.proc -> intercomm -> Comm.t
 (** Intracommunicator over local-then-remote members ([MPI_Intercomm_merge]

@@ -52,6 +52,7 @@ type t = {
   mutable killed_at : float array;  (* actual teardown time, for latency *)
   mutable on_death : (int -> unit) list;
   mutable on_revive : (int -> unit) list;
+  mutable on_coll_failed : (ctx:int -> peer:int -> unit) list;
   mutable revoked : int list;
   mutable detections : (int * float) list;  (* (rank, declared at) *)
 }
@@ -72,6 +73,7 @@ let create ~env ?(detector = default_detector) ?(kills = []) ~n () =
     killed_at = Array.make n nan;
     on_death = [];
     on_revive = [];
+    on_coll_failed = [];
     revoked = [];
     detections = [];
   }
@@ -137,6 +139,14 @@ let finish t ~rank =
 
 let on_death t f = t.on_death <- f :: t.on_death
 let on_revive t f = t.on_revive <- f :: t.on_revive
+let on_coll_failed t f = t.on_coll_failed <- f :: t.on_coll_failed
+
+(* Flood only failures of declared-dead peers: the victim's own teardown
+   also completes its schedule with Proc_failed, but at that point nobody
+   else can know — the error must not outrun the detector. *)
+let coll_failed t ~ctx ~peer =
+  if is_down t peer then
+    List.iter (fun f -> f ~ctx ~peer) (List.rev t.on_coll_failed)
 
 let declare_dead t rank =
   ensure t rank;

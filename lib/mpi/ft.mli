@@ -92,6 +92,19 @@ val revive : t -> rank:int -> unit
 val on_death : t -> (int -> unit) -> unit
 val on_revive : t -> (int -> unit) -> unit
 
+val on_coll_failed : t -> (ctx:int -> peer:int -> unit) -> unit
+(** Subscribe to collective failures reported by {!coll_failed}. The
+    world subscribes a flood that aborts [ctx] on every device, so the
+    error surfaces at all ranks of the collective (ULFM's uniform
+    [MPI_ERR_PROC_FAILED] guarantee) instead of only at ranks whose own
+    steps touched the dead peer. *)
+
+val coll_failed : t -> ctx:int -> peer:int -> unit
+(** An in-flight collective schedule on [ctx] failed because [peer] is
+    dead. Fires the subscribers only if [peer] is declared dead: a
+    victim's own teardown also fails its schedules, and that must not
+    outrun the detector. *)
+
 val pending_detection : t -> bool
 (** A kill has fired but not been declared (or is still scheduled): the
     detector guarantees progress, so a blocked configuration is not yet a
@@ -113,7 +126,7 @@ val horizon : t -> busy:bool -> float
     until then. [busy]: something other than the detector keeps the
     scheduler polling. [infinity] when neither that nor a pending
     detection does. The idle fast-forward's bound for worlds with a
-    failure service ({!Ch3.tick}). *)
+    failure service ({!Ch3.idle_poll}). *)
 
 val revoke : t -> int -> unit
 (** Mark a context id revoked (idempotent). *)

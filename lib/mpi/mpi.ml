@@ -22,11 +22,18 @@ type world = {
 
 type proc = { world : world; prank : int; dev : Ch3.t }
 
-(* Request ids key the process-global Coll_sched shape registry, so they
-   must stay unique even when ranks on different domains allocate
-   concurrently — hence the atomic. Cooperative runs see the identical
-   1, 2, 3, ... sequence as before. *)
+(* Rendezvous ids travel to the receiver, which keys its pending
+   transfers by them, so they must stay world-unique even when ranks on
+   different domains allocate concurrently — hence the atomic. *)
 let fresh_id world () = Atomic.fetch_and_add world.id_counter 1 + 1
+
+(* The one way a device is made, for initial and spawned ranks alike:
+   each device charges and counts into its own domain's environment, so
+   hot-path accounting never crosses domains ([merged_stats] recombines
+   after the run joins), and carries the world's failure service. *)
+let make_device w rank =
+  Ch3.create ?ft:w.ft w.envs.(w.place rank) w.chan ~rank
+    ~fresh_id:(fresh_id w)
 
 let create_world ?(channel = `Sock) ?cost ?env ?fault ?reliable ?detector
     ?topology ?parallel ~n () =
@@ -177,41 +184,10 @@ let create_world ?(channel = `Sock) ?cost ?env ?fault ?reliable ?detector
       rdma;
     }
   in
-  (* Each device charges and counts into its own domain's environment, so
-     hot-path accounting never crosses domains; [merged_stats] recombines
-     after the run joins. *)
-  world.devices <-
-    Array.init n (fun rank ->
-        Ch3.create envs.(place rank) chan ~rank ~fresh_id:(fresh_id world));
+  world.devices <- Array.init n (make_device world);
   (match ft with
   | None -> ()
   | Some ft ->
-      Array.iter
-        (fun dev ->
-          let rank = Ch3.rank dev in
-          Ch3.set_tick dev
-            (Some
-               {
-                 Ch3.run = (fun () -> Ft.tick ft ~rank);
-                 horizon = Ft.horizon ft;
-                 beat = Ft.beat ft ~rank;
-               });
-          Ch3.set_revoked_check dev (Some (Ft.is_revoked ft));
-          Ch3.set_dead_check dev (Some (Ft.is_down ft));
-          Ch3.set_coll_failed dev
-            (Some
-               (fun ctx reason ->
-                 (* Flood only failures of declared-dead peers: the
-                    victim's own teardown also completes its schedule
-                    with Proc_failed, but at that point nobody else can
-                    know — the error must not outrun the detector. *)
-                 match reason with
-                 | Request.Proc_failed r when Ft.is_down ft r ->
-                     Array.iter
-                       (fun d -> Ch3.abort_context d ~ctx ~reason)
-                       world.devices
-                 | _ -> ())))
-        world.devices;
       Ft.on_death ft (fun dead ->
           (* Discard whatever the dead rank's inbox still holds (its NIC
              is gone), then drop the reliable layer's sequence state on
@@ -232,14 +208,19 @@ let create_world ?(channel = `Sock) ?cost ?env ?fault ?reliable ?detector
             (fun dev ->
               if Ch3.rank dev <> dead then Ch3.fail_peer dev ~peer:dead)
             world.devices);
+      Ft.on_coll_failed ft (fun ~ctx ~peer ->
+          Array.iter
+            (fun d ->
+              Ch3.abort_context d ~ctx ~reason:(Request.Proc_failed peer))
+            world.devices);
       Ft.on_revive ft (fun rank ->
           match rel with
           | Some r -> ignore (Reliable.reset_peer r ~peer:rank)
           | None -> ()));
-  (* Deadlock reports name the requests that never completed. *)
-  Fiber.register_deadlock_dump (fun () ->
-      Array.to_list world.devices |> List.concat_map Ch3.describe_pending);
   world
+
+let describe_pending w () =
+  Array.to_list w.devices |> List.concat_map Ch3.describe_pending
 
 let env w = w.env
 let domain_envs w = Array.copy w.envs
@@ -314,15 +295,7 @@ let alloc_context w ~key =
 
 let add_rank w =
   let rank = w.chan.Channel.add_rank () in
-  let dev = Ch3.create w.env w.chan ~rank ~fresh_id:(fresh_id w) in
-  (* A spawned rank neither beats nor sweeps, but its quiet waits still
-     answer for the detector's deadlines: the original ranks' sweeps keep
-     running while it waits, and no skip may jump over a declaration. *)
-  Option.iter
-    (fun ft ->
-      Ch3.set_tick dev
-        (Some { Ch3.run = ignore; horizon = Ft.horizon ft; beat = ignore }))
-    w.ft;
+  let dev = make_device w rank in
   w.devices <- Array.append w.devices [| dev |];
   { world = w; prank = rank; dev }
 
@@ -523,20 +496,12 @@ let comm_split p comm ~color ~key =
   let table = Bytes.create (12 * size) in
   if me = 0 then begin
     Bytes.blit (record me) 0 table 0 12;
-    for _ = 1 to size - 1 do
-      let slot = Bytes.create 12 in
-      let st =
-        Ch3.irecv p.dev ~src:Tag_match.any_source ~tag:(tag 0) ~context:ctx
-          (Buffer_view.of_bytes slot)
-        |> wait p
-      in
-      (match st with
-      | Some s -> (
-          match Comm.comm_rank_of comm s.Status.source with
-          | Some r -> Bytes.blit slot 0 table (12 * r) 12
-          | None -> failwith "comm_split: sender not in communicator")
-      | None -> assert false)
-    done;
+    List.init (size - 1) (fun i ->
+        Ch3.irecv p.dev
+          ~src:(Comm.world_rank_of comm (i + 1))
+          ~tag:(tag 0) ~context:ctx
+          (Buffer_view.of_bytes_sub table ~off:(12 * (i + 1)) ~len:12))
+    |> wait_all p;
     for r = 1 to size - 1 do
       Ch3.isend p.dev
         ~dst:(Comm.world_rank_of comm r)
@@ -879,8 +844,9 @@ let run ?channel ?cost ?env ?fault ?reliable ?detector ?topology ?parallel ~n
         ( Printf.sprintf "rank%d" i,
           fun () -> rank_guard w i (fun () -> body (proc w i)) ))
   in
-  (match w.parallel with
-  | None -> Fiber.run fibers
-  | Some domains ->
-      Fiber.run ~mode:(Fiber.Parallel { domains; place = w.place }) fibers);
+  let mode =
+    Option.map (fun domains -> Fiber.Parallel { domains; place = w.place })
+      w.parallel
+  in
+  Fiber.run ?mode ~pending:(describe_pending w) fibers;
   w

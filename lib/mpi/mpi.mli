@@ -134,10 +134,10 @@ val alloc_context : world -> key:string -> int
     on the new context. *)
 
 val add_rank : world -> proc
-(** Extend the world by one process (dynamic process management). In a
-    world with a failure service the new rank neither beats nor sweeps,
-    but its quiet waits carry the detector's horizon, so no skip jumps
-    over a declaration (DESIGN.md §17). *)
+(** Extend the world by one process (dynamic process management). Its
+    device is built exactly like an initial rank's: in a world with a
+    failure service it beats, sweeps, sees revocations and dead peers.
+    Run its fiber under {!rank_guard}, as {!Dynamic.spawn} does. *)
 
 val quiescence_report : world -> (int * string) list
 (** Leftover communication state per rank — outstanding requests, posted
@@ -147,6 +147,12 @@ val quiescence_report : world -> (int * string) list
     Torn-down (killed) ranks are exempt: their devices were purged at
     death, and survivors' state referring to them was completed with
     [Proc_failed]. *)
+
+val describe_pending : world -> unit -> string list
+(** One line per incomplete operation on any device of the world
+    ({!Ch3.describe_pending}) — the [pending] dump {!run} hands
+    {!Fiber.run}, so a {!Fiber.Deadlock} names this world's requests
+    only. Drivers that call {!Fiber.run} themselves pass it too. *)
 
 val run :
   ?channel:[ `Shm | `Sock | `Rdma ] ->

@@ -247,5 +247,3 @@ let wrap ?(config = default_config) ~env chan =
       n_ranks = chan.Channel.n_ranks;
     },
     t )
-
-let wrap_channel ?config ~env chan = fst (wrap ?config ~env chan)

@@ -43,9 +43,6 @@ val wrap : ?config:config -> env:Simtime.Env.t -> Channel.t -> Channel.t * t
     events. Its [next_arrival] is the inner channel's, lowered to the
     earliest retransmission timeout of any live window. *)
 
-val wrap_channel : ?config:config -> env:Simtime.Env.t -> Channel.t -> Channel.t
-(** {!wrap} without the handle. *)
-
 val stranded : t -> int
 (** Frames still in retransmission queues (unacked). A clean run drains
     to 0; a partitioned run strands the frames the partition swallowed. *)

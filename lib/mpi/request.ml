@@ -1,4 +1,4 @@
-type kind = Send_req | Recv_req | Coll_req
+type kind = Send_req | Recv_req | Coll_req of { rounds : int; steps : int }
 
 type reason =
   | Error of string

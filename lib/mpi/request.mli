@@ -7,12 +7,13 @@
 type kind =
   | Send_req
   | Recv_req
-  | Coll_req
+  | Coll_req of { rounds : int; steps : int }
       (** A generalized request backed by a collective schedule
-          ({!Coll_sched}): complete once every step of the schedule is
-          done. The conditional-pin machinery needs nothing beyond
-          [is_complete], so the GC mark phase polls collective requests
-          exactly like point-to-point ones. *)
+          ({!Coll_sched}) of [rounds] rounds and [steps] steps: complete
+          once every step of the schedule is done. The conditional-pin
+          machinery needs nothing beyond [is_complete], so the GC mark
+          phase polls collective requests exactly like point-to-point
+          ones. *)
 
 type reason =
   | Error of string  (** categorized protocol error (truncation, NAK, ...) *)

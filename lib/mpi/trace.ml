@@ -329,8 +329,3 @@ let to_chrome_json ?topo t =
     async_open;
   out "\n]\n}\n";
   Buffer.contents buf
-
-let write_chrome ?topo ~path t =
-  let oc = open_out path in
-  output_string oc (to_chrome_json ?topo t);
-  close_out oc

@@ -112,5 +112,3 @@ val to_chrome_json : ?topo:Simtime.Topology.t -> t -> string
     pairs are always well formed even after ring-buffer overflow: orphan
     ends are dropped, dangling begins are closed at the trace's last
     timestamp. Field order is fixed, so output is golden-testable. *)
-
-val write_chrome : ?topo:Simtime.Topology.t -> path:string -> t -> unit

@@ -137,36 +137,6 @@ exception
     pending : string list;
   }
 
-(* Diagnostics dumps: subsystems (the MPI device layer) register a
-   closure describing their pending operations; the deadlock report
-   concatenates them so a hang names the requests that never completed
-   (rank, kind, peer, tag, failure reason), not just the blocked wait
-   labels. Registrations are capped to the most recent few — worlds are
-   created per run and never unregister; a quiesced stale world
-   contributes nothing but must not accumulate without bound. The list
-   lives in an [Atomic] because worlds may be created while another
-   domain is running (e.g. a bench fixture built during a parallel
-   sweep); dumps themselves are only invoked at deadlock declaration,
-   when every fiber is provably parked. *)
-let max_dumps = 8
-let dumps : (unit -> string list) list Atomic.t = Atomic.make []
-
-let register_deadlock_dump f =
-  let rec retry () =
-    let cur = Atomic.get dumps in
-    let next =
-      f
-      :: (if List.length cur >= max_dumps
-          then List.filteri (fun i _ -> i < max_dumps - 1) cur
-          else cur)
-    in
-    if not (Atomic.compare_and_set dumps cur next) then retry ()
-  in
-  retry ()
-
-let pending_dump () =
-  List.concat_map (fun f -> try f () with _ -> []) (List.rev (Atomic.get dumps))
-
 type blocked = {
   pred : unit -> bool;
   idle : idle option;
@@ -418,7 +388,7 @@ let fast_forward_blocked sched =
    only when a full scan wakes nobody and no subsystem reported
    activity, so multi-step progress (e.g. one packet per poll) is never
    mistaken for a hang — under any policy. *)
-let run_cooperative ?policy ?record fibers =
+let run_cooperative ?policy ?record ~pending fibers =
   let driver =
     match policy with
     | Some p -> make_driver ?record p
@@ -451,7 +421,7 @@ let run_cooperative ?policy ?record fibers =
              {
                policy = policy_name driver.d_policy;
                waiting = List.map (fun b -> b.wlabel) sched.blocked;
-               pending = pending_dump ();
+               pending = pending ();
              })
       else begin
         fast_forward_blocked sched;
@@ -484,7 +454,7 @@ let run_cooperative ?policy ?record fibers =
    flight anywhere, so the hang is real; the declarer poisons the run
    with a [Deadlock] carrying its own blocked labels and wakes everyone
    up to unwind. *)
-let run_domain pr d fibers =
+let run_domain pr ~pending d fibers =
   let pd = pr.pr_doms.(d) in
   let driver = make_driver Round_robin in
   let sched =
@@ -528,7 +498,7 @@ let run_domain pr d fibers =
              policy =
                Printf.sprintf "parallel(%d domains)" (Array.length pr.pr_doms);
              waiting = List.map (fun b -> b.wlabel) sched.blocked;
-             pending = pending_dump ();
+             pending = pending ();
            });
       true
     end
@@ -588,7 +558,7 @@ let run_domain pr d fibers =
   (match loop () with () -> () | exception e -> poison pr e);
   finish ()
 
-let run_parallel ~domains ~place fibers =
+let run_parallel ~domains ~place ~pending fibers =
   if domains < 1 then invalid_arg "Fiber.run: need at least one domain";
   (match get_ambient () with
   | None | Some { d_policy = Round_robin; d_record = None; _ } -> ()
@@ -633,16 +603,18 @@ let run_parallel ~domains ~place fibers =
      and every domain unwinds, so joins are clean. *)
   let spawned =
     Array.init (domains - 1) (fun k ->
-        Domain.spawn (fun () -> run_domain pr (k + 1) groups.(k + 1)))
+        Domain.spawn (fun () ->
+            run_domain pr ~pending (k + 1) groups.(k + 1)))
   in
-  run_domain pr 0 groups.(0);
+  run_domain pr ~pending 0 groups.(0);
   Array.iter Domain.join spawned;
   Atomic.set current_prun None;
   match Atomic.get pr.pr_poison with Some e -> raise e | None -> ()
 
-let run ?(mode = Cooperative) ?policy ?record fibers =
+let run ?(mode = Cooperative) ?policy ?record ?(pending = fun () -> [])
+    fibers =
   match mode with
-  | Cooperative -> run_cooperative ?policy ?record fibers
+  | Cooperative -> run_cooperative ?policy ?record ~pending fibers
   | Parallel { domains; place } ->
       if Option.is_some policy then
         invalid_arg
@@ -652,4 +624,4 @@ let run ?(mode = Cooperative) ?policy ?record fibers =
         invalid_arg
           "Fiber.run: ~record is incompatible with parallel execution — \
            decision traces only exist under the cooperative scheduler";
-      run_parallel ~domains ~place fibers
+      run_parallel ~domains ~place ~pending fibers

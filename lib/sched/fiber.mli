@@ -61,15 +61,9 @@ exception
     can make progress. Carries the labels of the blocked waits, the
     {!policy_name} of the active scheduling policy (with its seed), so a
     deadlock found by exploration is reproducible from the report — and
-    [pending], the registered subsystems' dumps of their incomplete
-    operations (per-rank posted receives, rendezvous in flight, hooks),
+    [pending], the run's own dump of its incomplete operations (per-rank
+    posted receives, rendezvous in flight, hooks: {!run}'s [pending]),
     which is what makes a hang under a kill plan triageable. *)
-
-val register_deadlock_dump : (unit -> string list) -> unit
-(** Register a closure contributing lines to {!Deadlock}'s [pending]
-    dump ({!Mpi.create_world} registers one per world, describing every
-    device's pending requests). Only the most recent registrations are
-    kept (bounded); a dump that raises contributes nothing. *)
 
 (** {1 Execution modes} *)
 
@@ -92,14 +86,18 @@ val run :
   ?mode:mode ->
   ?policy:policy ->
   ?record:trace ->
+  ?pending:(unit -> string list) ->
   (string * (unit -> unit)) list ->
   unit
 (** [run fibers] executes the labelled fibers until all complete, picking
     the next runnable fiber according to [policy]. The default policy is
     the ambient one installed by {!with_policy}, or [Round_robin] — byte
     for byte the historical schedule. Decisions are appended to [record]
-    when given. An exception escaping any fiber aborts the whole run and
-    is re-raised. Runs may nest (a fiber may start an inner scheduler);
+    when given. [pending] describes the run's incomplete operations; it
+    is called once, when a {!Deadlock} is declared, to fill the report
+    (default: none — {!Mpi.run} passes its world's devices). An
+    exception escaping any fiber aborts the whole run and is
+    re-raised. Runs may nest (a fiber may start an inner scheduler);
     a nested run without an explicit [policy] shares the ambient driver,
     so one trace covers the whole nesting structure.
 

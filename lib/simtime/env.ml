@@ -7,7 +7,6 @@ type t = {
 let create ?(cost = Cost.motor) () =
   { clock = Clock.create (); cost; stats = Stats.create () }
 
-let with_cost cost t = { t with cost }
 let now_us t = Clock.now_us t.clock
 let now_ns t = Clock.now_ns t.clock
 let charge t ns = Clock.advance t.clock ns

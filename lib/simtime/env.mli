@@ -14,9 +14,6 @@ type t = {
 val create : ?cost:Cost.t -> unit -> t
 (** Fresh environment; the cost model defaults to {!Cost.motor}. *)
 
-val with_cost : Cost.t -> t -> t
-(** Same clock and stats, different cost model. Used by managed-wrapper
-    baselines that share a world with other systems. *)
 
 val now_us : t -> float
 val now_ns : t -> float

@@ -265,10 +265,8 @@ let test_analytic_shape_4k () =
         let mine = Bytes.create len in
         Bytes.set_int64_le mine 0 (Int64.of_int (me + 1));
         let req, acc = Coll.iallreduce p comm ~op:Coll.sum_i64 mine in
-        (* Read before the wait yields: the shape registry is bounded
-           and thousands of schedules start during this run. *)
-        if me = 0 then rounds_at_0 := Sched.info req;
         ignore (Mpi.wait p req);
+        if me = 0 then rounds_at_0 := Sched.info req;
         let expect = n * (n + 1) / 2 in
         if Int64.to_int (Bytes.get_int64_le acc 0) <> expect then
           Alcotest.failf "rank %d: bad sum" me)

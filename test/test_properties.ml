@@ -1345,8 +1345,7 @@ let ff_detector prog =
 
 (* Every rank joins the spawn; rank 0 sends [bytes] to the child and
    waits for an 8-byte reply. The child completes its requests with the
-   same waits as its parents. The child never beats, so a short detector
-   timeout declares it dead while the message is on the wire. *)
+   same waits as its parents, and beats and sweeps like them. *)
 let ff_spawn_child prog (complete : completer) p bytes =
   let comm = Mpi.comm_world (Mpi.world_of p) in
   let post p (ic : Mpi_core.Dynamic.intercomm) op =
@@ -1468,30 +1467,64 @@ let prop_fast_forward_exact =
         QCheck.Test.fail_reportf "stats differ:\n%s\nvs\n%s" stats ref_stats;
       trace = ref_trace)
 
-(* A spawned rank never beats. While it waits for a message that takes
-   longer than the detector timeout to arrive, its parents' sweeps
-   declare it dead; the skip must stop at that declaration even though
-   the parents' own channels are quiet. *)
-let test_spawned_rank_detected_in_place () =
-  let prog =
+(* A compute phase that yields to the scheduler between quanta but never
+   touches MPI: each poll charges [quantum] until the clock reaches
+   [until_ns]. Its idle declares exactly that, so quiet scans over it may
+   be skipped like any wait's. *)
+let compute_without_polling env ~quantum ~until_ns =
+  let idle =
     {
-      ff_ranks = 1;
-      ff_channel = `Sock;
-      ff_motor = false;
-      ff_stack = Detector 5_000.0;
-      ff_coll = false;
-      ff_msgs = [ (0, 0, 8) ];
-      ff_gaps = [| 0 |];
-      ff_style = 0;
-      ff_gc = false;
-      ff_kill = None;
-      ff_spawn = Some 64;
-      ff_seed = 0;
+      Fiber.clock = env.Simtime.Env.clock;
+      charges = [| quantum |];
+      count = (fun _ ~at:_ -> ());
+      horizon = (fun () -> Some until_ns);
     }
   in
-  let clock, stats, _, deadlocked = run_ff prog fast_complete in
-  let ref_clock, ref_stats, _, ref_deadlocked = run_ff prog ref_complete in
-  Alcotest.(check bool) "deadlocked" ref_deadlocked deadlocked;
+  Fiber.wait_until ~label:"compute" ~idle (fun () ->
+      Simtime.Env.charge env quantum;
+      Fiber.note_activity ();
+      Simtime.Env.now_ns env >= until_ns)
+
+(* A spawned child sends its parent 64 bytes, then computes without
+   polling, so it stops beating. The message takes longer than the
+   detector timeout to arrive; while the parent waits for it, its sweeps
+   declare the child dead. The parent's skip must stop at that
+   declaration, and end on the clock and counters of polling one by
+   one. *)
+let test_spawned_rank_detected_in_place () =
+  let run (complete : completer) =
+    let env = Simtime.Env.create () in
+    let w =
+      Mpi.run ~env
+        ~detector:{ Ft.default_detector with hb_timeout_ns = 5_000.0 }
+        ~n:1
+        (fun p ->
+          let comm = Mpi.comm_world (Mpi.world_of p) in
+          let ic =
+            Mpi_core.Dynamic.spawn p ~comm ~n:1 (fun cp ic ->
+                Mpi_core.Dynamic.send cp ic ~dst:0 ~tag:0
+                  (Bv.of_bytes (Bytes.make 64 's'));
+                compute_without_polling env ~quantum:1_000.0
+                  ~until_ns:(Simtime.Env.now_ns env +. 20_000.0))
+          in
+          complete p 0
+            [
+              Mpi.irecv p ~comm:ic.Mpi_core.Dynamic.ic_remote ~src:0 ~tag:0
+                (Bv.of_bytes (Bytes.create 64));
+            ])
+    in
+    let detections =
+      match Mpi.ft_handle w with Some ft -> Ft.detections ft | None -> []
+    in
+    ( Int64.bits_of_float (Simtime.Env.now_ns env),
+      Simtime.Stats.(to_json (snapshot env.Simtime.Env.stats)),
+      List.map (fun (r, at) -> (r, Int64.bits_of_float at)) detections )
+  in
+  let clock, stats, detections = run fast_complete in
+  let ref_clock, ref_stats, ref_detections = run ref_complete in
+  Alcotest.(check (list int)) "child declared" [ 1 ] (List.map fst detections);
+  Alcotest.(check (list (pair int int64)))
+    "declared at the same time" ref_detections detections;
   Alcotest.(check int64) "clock bits" ref_clock clock;
   Alcotest.(check string) "counters" ref_stats stats
 

@@ -9,6 +9,7 @@ module Fault = Mpi_core.Fault
 module Ft = Mpi_core.Ft
 module Coll = Mpi_core.Collectives
 module Comm = Mpi_core.Comm
+module Dynamic = Mpi_core.Dynamic
 module Bv = Mpi_core.Buffer_view
 module Env = Simtime.Env
 module Key = Simtime.Stats.Key
@@ -94,6 +95,115 @@ let test_send_to_dead_peer_fails_immediately () =
              (Mpi.recv p ~comm ~src:0 ~tag:0 (Bv.of_bytes (Bytes.create 8)))));
   Alcotest.(check (option int)) "pending recv failed" (Some 1) !first;
   Alcotest.(check (option int)) "fresh send failed at entry" (Some 1) !second
+
+(* ------------------------------------------------------------------ *)
+(* Spawned ranks: wired like initial ones                              *)
+(* ------------------------------------------------------------------ *)
+
+let ft_of w =
+  match Mpi.ft_handle w with
+  | Some ft -> ft
+  | None -> Alcotest.fail "world should have a failure service"
+
+(* The child waits for 100 KB: the transfer takes longer than the
+   detector timeout, and the child beats while it polls. *)
+let test_spawned_poller_not_declared () =
+  let got = ref 0 in
+  let w =
+    Mpi.run ~detector:fast ~n:1 (fun p ->
+        let comm = Mpi.comm_world (Mpi.world_of p) in
+        let ic =
+          Dynamic.spawn p ~comm ~n:1 (fun cp ic ->
+              let b = Bytes.create 100_000 in
+              ignore (Dynamic.recv cp ic ~src:0 ~tag:0 (Bv.of_bytes b));
+              Dynamic.send cp ic ~dst:0 ~tag:1 (Bv.of_bytes (i64_buf 7)))
+        in
+        let reply = Bytes.create 8 in
+        let req =
+          Mpi.irecv p ~comm:ic.Dynamic.ic_remote ~src:0 ~tag:1
+            (Bv.of_bytes reply)
+        in
+        Dynamic.send p ic ~dst:0 ~tag:0 (Bv.of_bytes (Bytes.create 100_000));
+        ignore (Mpi.wait p req);
+        got := i64_of reply)
+  in
+  Alcotest.(check bool)
+    "polled past the timeout" true
+    (Env.now_ns (Mpi.env w) > fast.Ft.hb_timeout_ns);
+  Alcotest.(check int) "reply arrived" 7 !got;
+  Alcotest.(check (list int)) "no detection" []
+    (List.map fst (Ft.detections (ft_of w)))
+
+(* The child reports and returns; the parent keeps polling (a 100 KB
+   self-exchange) for longer than the timeout. *)
+let test_spawned_rank_finishes () =
+  let w =
+    Mpi.run ~detector:fast ~n:1 (fun p ->
+        let comm = Mpi.comm_world (Mpi.world_of p) in
+        let ic =
+          Dynamic.spawn p ~comm ~n:1 (fun cp ic ->
+              Dynamic.send cp ic ~dst:0 ~tag:0 (Bv.of_bytes (i64_buf 1)))
+        in
+        ignore (Dynamic.recv p ic ~src:0 ~tag:0 (Bv.of_bytes (Bytes.create 8)));
+        let big = Bytes.create 100_000 in
+        ignore
+          (Mpi.sendrecv p ~comm ~dst:0 ~send_tag:1 ~send:(Bv.of_bytes big)
+             ~src:0 ~recv_tag:1 ~recv:(Bv.of_bytes (Bytes.create 100_000))))
+  in
+  let ft = ft_of w in
+  Alcotest.(check bool)
+    "polled past the timeout" true
+    (Env.now_ns (Mpi.env w) > fast.Ft.hb_timeout_ns);
+  Alcotest.(check bool) "child finished" true (Ft.state ft 1 = Ft.Finished);
+  Alcotest.(check (list int)) "no detection" []
+    (List.map fst (Ft.detections ft))
+
+let test_spawned_rank_sees_revoke () =
+  let seen = ref None in
+  ignore
+    (Mpi.run ~detector:fast ~n:1 (fun p ->
+         let comm = Mpi.comm_world (Mpi.world_of p) in
+         let ic =
+           Dynamic.spawn p ~comm ~n:1 (fun cp ic ->
+               let merged = Dynamic.merge cp ic in
+               (* Proceed only once the parent has revoked. *)
+               ignore
+                 (Dynamic.recv cp ic ~src:0 ~tag:0
+                    (Bv.of_bytes (Bytes.create 8)));
+               try
+                 Mpi.send cp ~comm:merged ~dst:0 ~tag:1
+                   (Bv.of_bytes (i64_buf 2))
+               with Ft.Revoked _ -> seen := Some "revoked")
+         in
+         Mpi.comm_revoke p (Dynamic.merge p ic);
+         Dynamic.send p ic ~dst:0 ~tag:0 (Bv.of_bytes (i64_buf 1))));
+  Alcotest.(check (option string))
+    "op on revoked comm fails at entry" (Some "revoked") !seen
+
+let test_spawned_rank_sees_dead_peer () =
+  let seen = ref None in
+  let w =
+    Mpi.run ~detector:fast
+      ~fault:(kill_plan ~rank:1 ~at_ns:0.0 ())
+      ~n:2
+      (fun p ->
+        let comm = Mpi.comm_world (Mpi.world_of p) in
+        if Mpi.rank p = 1 then
+          (* Dies at entry: its kill time has passed. *)
+          Mpi.send p ~comm ~dst:0 ~tag:0 (Bv.of_bytes (i64_buf 1))
+        else begin
+          (try
+             ignore
+               (Mpi.recv p ~comm ~src:1 ~tag:0 (Bv.of_bytes (Bytes.create 8)))
+           with Ft.Proc_failed _ -> ());
+          ignore
+            (Dynamic.spawn p ~comm ~n:1 (fun cp _ ->
+                 try Mpi.send cp ~comm ~dst:1 ~tag:0 (Bv.of_bytes (i64_buf 2))
+                 with Ft.Proc_failed r -> seen := Some r))
+        end)
+  in
+  Alcotest.(check (list int)) "rank 1 declared dead" [ 1 ] (Mpi.dead_ranks w);
+  Alcotest.(check (option int)) "send to dead peer failed" (Some 1) !seen
 
 (* ------------------------------------------------------------------ *)
 (* Revocation                                                          *)
@@ -553,6 +663,17 @@ let () =
             test_send_to_dead_peer_fails_immediately;
           Alcotest.test_case "detector false positive" `Quick
             test_detector_false_positive;
+        ] );
+      ( "spawned ranks",
+        [
+          Alcotest.test_case "polling child not declared" `Quick
+            test_spawned_poller_not_declared;
+          Alcotest.test_case "returned child never declared" `Quick
+            test_spawned_rank_finishes;
+          Alcotest.test_case "child sees revoke" `Quick
+            test_spawned_rank_sees_revoke;
+          Alcotest.test_case "child sees dead peer" `Quick
+            test_spawned_rank_sees_dead_peer;
         ] );
       ( "recovery",
         [

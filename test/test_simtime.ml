@@ -147,12 +147,6 @@ let test_env_charges () =
   Env.charge_per_byte env 2.0 500;
   Alcotest.(check (float 1e-9)) "total" 2.0 (Env.now_us env)
 
-let test_env_with_cost_shares_clock () =
-  let env = Env.create ~cost:Cost.motor () in
-  let env2 = Env.with_cost Cost.native_cpp env in
-  Env.charge env2 3000.0;
-  Alcotest.(check (float 1e-9)) "shared clock" 3.0 (Env.now_us env)
-
 let prop_clock_monotone =
   QCheck.Test.make ~name:"clock is monotone under non-negative charges"
     ~count:200
@@ -211,8 +205,6 @@ let () =
         [
           Alcotest.test_case "charges reach the clock" `Quick
             test_env_charges;
-          Alcotest.test_case "with_cost shares the clock" `Quick
-            test_env_with_cost_shares_clock;
           Alcotest.test_case "with_timer observes the charge" `Quick
             test_env_with_timer;
         ] );
