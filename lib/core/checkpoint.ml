@@ -57,9 +57,9 @@ let save store ctx ~step root =
   Hashtbl.replace store.latest image.i_rank image;
   Simtime.Env.count env Key.checkpoints;
   Mpi_core.Trace.record env ~rank:image.i_rank ~op:"checkpoint"
-    ~detail:
-      (Printf.sprintf "step=%d %dB %s [%s]" step (Bytes.length data)
-         image.i_digest image.i_pending);
+    ~detail:(fun () ->
+      Printf.sprintf "step=%d %dB %s [%s]" step (Bytes.length data)
+        image.i_digest image.i_pending);
   image
 
 let restore store ctx =
@@ -80,7 +80,7 @@ let restore store ctx =
       let root = Serializer.deserialize gc image.i_data in
       Simtime.Env.count env Key.restores;
       Mpi_core.Trace.record env ~rank ~op:"restore"
-        ~detail:
-          (Printf.sprintf "step=%d %dB %s" image.i_step
-             (Bytes.length image.i_data) image.i_digest);
+        ~detail:(fun () ->
+          Printf.sprintf "step=%d %dB %s" image.i_step
+            (Bytes.length image.i_data) image.i_digest);
       (root, image.i_step)

@@ -166,10 +166,11 @@ let isend t ~dst ~tag ~context ?(mode = Standard) source =
   in
   Trace.record t.env ~rank:t.rank
     ~op:(if eager then "isend" else "isend/rndv")
-    ~detail:(Printf.sprintf "dst=%d tag=%d %dB" dst tag len);
+    ~detail:(fun () -> Printf.sprintf "dst=%d tag=%d %dB" dst tag len);
   if eager then begin
     Trace.span_begin t.env ~rank:t.rank ~cat:"ch3" ~name:"eager"
-      ~args:[ ("dst", string_of_int dst); ("bytes", string_of_int len) ]
+      ~args:(fun () ->
+        [ ("dst", string_of_int dst); ("bytes", string_of_int len) ])
       ();
     let data = Bytes.create len in
     source.Buffer_view.blit_to ~pos:0 ~dst:data ~dst_off:0 ~len;
@@ -187,7 +188,8 @@ let isend t ~dst ~tag ~context ?(mode = Standard) source =
     Hashtbl.replace t.pending_sends id
       { ps_source = source; ps_dst = dst; ps_ctx = context; ps_req = req };
     Trace.span_begin t.env ~id ~rank:t.rank ~cat:"ch3" ~name:"rndv"
-      ~args:[ ("dst", string_of_int dst); ("bytes", string_of_int len) ]
+      ~args:(fun () ->
+        [ ("dst", string_of_int dst); ("bytes", string_of_int len) ])
       ();
     (* Sender-side cost of a rendezvous transfer: RTS to local
        completion (data handed to the wire after CTS, or failure). *)
@@ -236,8 +238,8 @@ let deliver_eager t (envelope : Packet.envelope) data
 let irecv t ~src ~tag ~context sink =
   charge_request t;
   Trace.record t.env ~rank:t.rank ~op:"irecv"
-    ~detail:(Printf.sprintf "src=%d tag=%d %dB" src tag
-               (Buffer_view.length sink));
+    ~detail:(fun () ->
+      Printf.sprintf "src=%d tag=%d %dB" src tag (Buffer_view.length sink));
   let req = Request.create ~id:(t.fresh_id ()) Request.Recv_req in
   if ctx_revoked t context then begin
     Request.fail_reason req (Request.Comm_revoked context);
@@ -272,10 +274,11 @@ let irecv t ~src ~tag ~context sink =
    they are counted and dropped, never fatal. *)
 let stale_drop t what detail =
   Simtime.Env.count t.env Key.dup_drops;
-  Trace.record t.env ~rank:t.rank ~op:"drop"
-    ~detail:(Printf.sprintf "stale %s: %s" what detail)
+  Trace.record t.env ~rank:t.rank ~op:"drop" ~detail:(fun () ->
+      Printf.sprintf "stale %s: %s" what (detail ()))
 
 let handle_packet t packet =
+  let describe () = Packet.describe packet in
   Trace.record t.env ~rank:t.rank
     ~op:
       (match packet with
@@ -286,22 +289,22 @@ let handle_packet t packet =
       | Packet.Nak _ -> "nak"
       | Packet.Frame _ -> "frame"
       | Packet.Ack _ -> "ack")
-    ~detail:(Packet.describe packet);
+    ~detail:describe;
   match packet with
   | Packet.Eager (envelope, _)
     when ctx_revoked t envelope.Packet.e_context ->
-      stale_drop t "eager on revoked comm" (Packet.describe packet)
+      stale_drop t "eager on revoked comm" describe
   | Packet.(Eager (envelope, _) | Rts (envelope, _))
     when peer_dead t envelope.Packet.e_src ->
       (* In-flight traffic from a rank declared dead while the packet was
          on the wire: the failure model discards it (endpoints silent). *)
-      stale_drop t "message from dead rank" (Packet.describe packet)
+      stale_drop t "message from dead rank" describe
   | Packet.Rts (envelope, rndv_id)
     when ctx_revoked t envelope.Packet.e_context ->
       (* Refuse the transfer so the sender releases its rendezvous state
          (its own request was already failed when it aborted the
          context; the NAK covers senders outside the revoking world). *)
-      stale_drop t "rts on revoked comm" (Packet.describe packet);
+      stale_drop t "rts on revoked comm" describe;
       t.chan.Channel.send ~src:t.rank ~dst:envelope.Packet.e_src
         (Packet.Nak (rndv_id, "communicator revoked"))
   | Packet.Eager (envelope, data) -> (
@@ -321,7 +324,7 @@ let handle_packet t packet =
           Queues.add_unexpected t.queues (Queues.U_rts (envelope, rndv_id)))
   | Packet.Cts rndv_id -> (
       match Hashtbl.find_opt t.pending_sends rndv_id with
-      | None -> stale_drop t "cts" (Packet.describe packet)
+      | None -> stale_drop t "cts" describe
       | Some ps ->
           Hashtbl.remove t.pending_sends rndv_id;
           let len = Buffer_view.length ps.ps_source in
@@ -332,7 +335,7 @@ let handle_packet t packet =
           Request.complete ps.ps_req None)
   | Packet.Rndv_data (rndv_id, data) -> (
       match Hashtbl.find_opt t.pending_recvs rndv_id with
-      | None -> stale_drop t "data" (Packet.describe packet)
+      | None -> stale_drop t "data" describe
       | Some pr ->
           Hashtbl.remove t.pending_recvs rndv_id;
           let len = Bytes.length data in
@@ -340,14 +343,14 @@ let handle_packet t packet =
           Request.complete pr.pr_req (Some (status_of pr.pr_env)))
   | Packet.Nak (rndv_id, msg) -> (
       match Hashtbl.find_opt t.pending_sends rndv_id with
-      | None -> stale_drop t "nak" (Packet.describe packet)
+      | None -> stale_drop t "nak" describe
       | Some ps ->
           Hashtbl.remove t.pending_sends rndv_id;
           Request.fail ps.ps_req ("rendezvous refused by receiver: " ^ msg))
   | Packet.Frame _ | Packet.Ack _ ->
       (* Transport-layer framing leaking past a missing Reliable layer:
          not addressed to the device; drop rather than crash. *)
-      stale_drop t "transport frame" (Packet.describe packet)
+      stale_drop t "transport frame" describe
 
 let progress t =
   Simtime.Env.charge t.env t.env.Simtime.Env.cost.progress_poll_ns;
@@ -447,7 +450,8 @@ let fail_peer t ~peer =
       (match u with
        | Queues.U_eager (e, _) | Queues.U_rts (e, _) ->
            e.Packet.e_src = peer))
-  |> List.iter (fun _ -> stale_drop t "message from dead rank" "purged")
+  |> List.iter (fun _ ->
+         stale_drop t "message from dead rank" (fun () -> "purged"))
 
 (* Revocation: cancel every operation on the context, including in-flight
    collective schedules (their abort hook fails the generalized request),

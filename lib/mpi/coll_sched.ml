@@ -38,6 +38,7 @@ type t = {
   sc_dev : Ch3.t;
   sc_context : int;
   sc_name : string;
+  sc_hist : string;  (* per-schedule step histogram key *)
   sc_steps : step array;
   sc_req : Request.t;
   mutable sc_cursor : int;  (* steps before this index are all Done *)
@@ -105,9 +106,9 @@ let describe_action = function
 
 let trace_step sc op i (st : step) =
   Trace.record (Ch3.env sc.sc_dev) ~rank:(Ch3.rank sc.sc_dev) ~op
-    ~detail:
-      (Printf.sprintf "%s[%d] r%d %s" sc.sc_name i st.s_round
-         (describe_action st.s_action))
+    ~detail:(fun () ->
+      Printf.sprintf "%s[%d] r%d %s" sc.sc_name i st.s_round
+        (describe_action st.s_action))
 
 let finish sc =
   (match sc.sc_hook with
@@ -119,11 +120,11 @@ let finish sc =
     ~id:(Request.id sc.sc_req)
     ~rank:(Ch3.rank sc.sc_dev) ~cat:"coll" ~name:sc.sc_name ();
   Trace.record (Ch3.env sc.sc_dev) ~rank:(Ch3.rank sc.sc_dev) ~op:"sched/done"
-    ~detail:
-      (Printf.sprintf "%s %d step(s)%s" sc.sc_name (Array.length sc.sc_steps)
-         (match Request.error sc.sc_req with
-         | Some m -> " FAILED: " ^ m
-         | None -> ""))
+    ~detail:(fun () ->
+      Printf.sprintf "%s %d step(s)%s" sc.sc_name (Array.length sc.sc_steps)
+        (match Request.error sc.sc_req with
+        | Some m -> " FAILED: " ^ m
+        | None -> ""))
 
 (* Mark [st] done when its device request retires; a failed transfer
    (truncation, rendezvous refused, a dead peer, a revoked context) fails
@@ -161,9 +162,7 @@ let start_step sc i st =
      rescheduling the calling fiber between rounds. *)
   let env = Ch3.env sc.sc_dev in
   Simtime.Env.with_timer env Simtime.Stats.Key.h_sched_step (fun () ->
-      Simtime.Env.with_timer env
-        (Simtime.Stats.Key.h_sched_step ^ "/" ^ sc.sc_name)
-        (fun () ->
+      Simtime.Env.with_timer env sc.sc_hist (fun () ->
           Simtime.Env.charge env env.Simtime.Env.cost.sched_step_ns;
           trace_step sc "sched/step" i st;
           match st.s_action with
@@ -274,6 +273,7 @@ let start b =
       sc_dev = b.b_dev;
       sc_context = b.b_context;
       sc_name = b.b_name;
+      sc_hist = Simtime.Stats.Key.h_sched_step ^ "/" ^ b.b_name;
       sc_steps = steps;
       sc_req = req;
       sc_cursor = 0;
@@ -283,12 +283,12 @@ let start b =
   Ch3.track_request b.b_dev req;
   Trace.span_begin (Ch3.env b.b_dev) ~id:(Request.id req)
     ~rank:(Ch3.rank b.b_dev) ~cat:"coll" ~name:sc.sc_name
-    ~args:[ ("steps", string_of_int (Array.length steps)) ]
+    ~args:(fun () -> [ ("steps", string_of_int (Array.length steps)) ])
     ();
   Trace.record (Ch3.env b.b_dev) ~rank:(Ch3.rank b.b_dev) ~op:"sched/start"
-    ~detail:
-      (Printf.sprintf "%s %d step(s) %d round(s)" sc.sc_name
-         (Array.length steps) rounds);
+    ~detail:(fun () ->
+      Printf.sprintf "%s %d step(s) %d round(s)" sc.sc_name
+        (Array.length steps) rounds);
   (* A collective started on an already-revoked communicator fails
      before any step runs (entry check ULFM prescribes for every op). *)
   if Ch3.ctx_revoked b.b_dev b.b_context then begin

@@ -1190,30 +1190,9 @@ let reduce_scatter_block p comm ~op send =
 (* Predefined operators                                                *)
 (* ------------------------------------------------------------------ *)
 
-let fold_f64 f acc x =
-  let n = Bytes.length acc / 8 in
-  for i = 0 to n - 1 do
-    let a = Int64.float_of_bits (Bytes.get_int64_le acc (8 * i)) in
-    let b = Int64.float_of_bits (Bytes.get_int64_le x (8 * i)) in
-    Bytes.set_int64_le acc (8 * i) (Int64.bits_of_float (f a b))
-  done
+let lanes op acc x =
+  Lanes.combine op ~dst:acc ~dst_off:0 ~src:x ~len:(Bytes.length acc)
 
-let fold_i32 f acc x =
-  let n = Bytes.length acc / 4 in
-  for i = 0 to n - 1 do
-    let a = Int32.to_int (Bytes.get_int32_le acc (4 * i)) in
-    let b = Int32.to_int (Bytes.get_int32_le x (4 * i)) in
-    Bytes.set_int32_le acc (4 * i) (Int32.of_int (f a b))
-  done
-
-let fold_i64 f acc x =
-  let n = Bytes.length acc / 8 in
-  for i = 0 to n - 1 do
-    let a = Bytes.get_int64_le acc (8 * i) in
-    let b = Bytes.get_int64_le x (8 * i) in
-    Bytes.set_int64_le acc (8 * i) (f a b)
-  done
-
-let sum_f64 acc x = fold_f64 ( +. ) acc x
-let sum_i32 acc x = fold_i32 ( + ) acc x
-let sum_i64 acc x = fold_i64 Int64.add acc x
+let sum_f64 acc x = lanes Lanes.Add_f64 acc x
+let sum_i32 acc x = lanes Lanes.Add_i32 acc x
+let sum_i64 acc x = lanes Lanes.Add_i64 acc x

@@ -278,7 +278,15 @@ val reduce_scatter_block :
 (** [MPI_Reduce_scatter_block]: element-wise reduce the input (whose length
     must be size x block) and return this member's block of the result. *)
 
-(** {1 Predefined reduction operators} *)
+(** {1 Predefined reduction operators}
+
+    [sum_t acc x] adds each little-endian lane of [x] into the matching
+    lane of [acc], in place: 8-byte IEEE doubles, 4-byte and 8-byte
+    wrapping integers. The accumulator's length sets the lane count; a
+    trailing partial lane is left untouched, and an [x] too short for
+    those lanes raises [Invalid_argument] before [acc] is written. All
+    three run on the unboxed {!Lanes} kernel (no allocation or closure
+    call per lane) and, like every operator, charge no virtual time. *)
 
 val sum_f64 : Bytes.t -> Bytes.t -> unit
 val sum_i32 : Bytes.t -> Bytes.t -> unit

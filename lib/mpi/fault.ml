@@ -179,8 +179,8 @@ let send t ~src ~dst packet =
   if partitioned t ~src ~dst at then begin
     Simtime.Env.count t.env Key.fault_drops;
     Trace.record t.env ~rank:src ~op:"drop"
-      ~detail:(Printf.sprintf "partition %d->%d %s" src dst
-                 (Packet.describe packet))
+      ~detail:(fun () ->
+        Printf.sprintf "partition %d->%d %s" src dst (Packet.describe packet))
   end
   else begin
     let id = t.counter in
@@ -190,8 +190,8 @@ let send t ~src ~dst packet =
     if roll 0 < p.drop then begin
       Simtime.Env.count t.env Key.fault_drops;
       Trace.record t.env ~rank:src ~op:"drop"
-        ~detail:(Printf.sprintf "loss %d->%d %s" src dst
-                   (Packet.describe packet))
+        ~detail:(fun () ->
+          Printf.sprintf "loss %d->%d %s" src dst (Packet.describe packet))
     end
     else begin
       let packet, lost =
@@ -208,7 +208,7 @@ let send t ~src ~dst packet =
       if lost then begin
         Simtime.Env.count t.env Key.fault_drops;
         Trace.record t.env ~rank:src ~op:"drop"
-          ~detail:(Printf.sprintf "corrupt-ack %d->%d" src dst)
+          ~detail:(fun () -> Printf.sprintf "corrupt-ack %d->%d" src dst)
       end
       else begin
         if roll 3 < p.delay then begin

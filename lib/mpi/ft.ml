@@ -130,7 +130,7 @@ let mark_killed t ~rank =
     t.killed_at.(rank) <- now t;
     Simtime.Env.count t.env Key.proc_kills;
     Trace.record t.env ~rank ~op:"kill"
-      ~detail:(Printf.sprintf "fail-stop at t=%.0fns" (now t))
+      ~detail:(fun () -> Printf.sprintf "fail-stop at t=%.0fns" (now t))
   end
 
 let finish t ~rank =
@@ -161,7 +161,8 @@ let declare_dead t rank =
       if not (Float.is_nan t.killed_at.(rank)) then
         Simtime.Env.observe t.env Key.h_ft_detect (at -. t.killed_at.(rank));
       Trace.record t.env ~rank ~op:"detect"
-        ~detail:(Printf.sprintf "rank %d declared dead at t=%.0fns" rank at);
+        ~detail:(fun () ->
+          Printf.sprintf "rank %d declared dead at t=%.0fns" rank at);
       List.iter (fun f -> f rank) (List.rev t.on_death)
 
 let revive t ~rank =
@@ -172,7 +173,8 @@ let revive t ~rank =
   t.states.(rank) <- Alive;
   t.last_beat.(rank) <- now t;
   Trace.record t.env ~rank ~op:"revive"
-    ~detail:(Printf.sprintf "rank %d restarted at t=%.0fns" rank (now t));
+    ~detail:(fun () ->
+      Printf.sprintf "rank %d restarted at t=%.0fns" rank (now t));
   List.iter (fun f -> f rank) (List.rev t.on_revive)
 
 (* Kills not yet declared (or not yet fired) mean progress is a matter of
@@ -276,9 +278,9 @@ let wrap_channel t chan =
         if is_out t src || is_out t dst then begin
           Simtime.Env.count t.env Key.ft_silenced;
           Trace.record t.env ~rank:src ~op:"drop"
-            ~detail:
-              (Printf.sprintf "dead endpoint %d->%d %s" src dst
-                 (Packet.describe p))
+            ~detail:(fun () ->
+              Printf.sprintf "dead endpoint %d->%d %s" src dst
+                (Packet.describe p))
         end
         else chan.Channel.send ~src ~dst p);
     poll =

@@ -629,7 +629,7 @@ let comm_revoke p comm =
     Ft.revoke ft comm.Comm.ctx;
     Ft.revoke ft comm.Comm.ctx_coll;
     Trace.record p.world.env ~rank:p.prank ~op:"revoke"
-      ~detail:(Printf.sprintf "ctx=%d" comm.Comm.ctx);
+      ~detail:(fun () -> Printf.sprintf "ctx=%d" comm.Comm.ctx);
     (* The revocation reaches every rank "now" — the simulation's
        stand-in for ULFM's reliable revoke flood. Every device cancels
        its pending operations on the context, so no rank stays blocked
@@ -768,9 +768,9 @@ let comm_shrink p comm =
       ~key:(Printf.sprintf "shrink/%d/%d/%x" comm.Comm.ctx e agreed)
   in
   Trace.record p.world.env ~rank:p.prank ~op:"shrink"
-    ~detail:
-      (Printf.sprintf "ctx=%d -> ctx=%d survivors=[%s]" comm.Comm.ctx ctx
-         (String.concat ";" (List.map string_of_int alive)));
+    ~detail:(fun () ->
+      Printf.sprintf "ctx=%d -> ctx=%d survivors=[%s]" comm.Comm.ctx ctx
+        (String.concat ";" (List.map string_of_int alive)));
   Comm.make ~ctx ~members:(Array.of_list alive)
 
 let revive_rank w rank =
@@ -831,7 +831,8 @@ let rank_guard w rank body =
       | exception Ft.Killed r when r = rank ->
           Ch3.purge w.devices.(rank) ~reason:(Request.Proc_failed rank);
           Ft.mark_killed ft ~rank;
-          Trace.record w.env ~rank ~op:"kill" ~detail:"fiber torn down")
+          Trace.record w.env ~rank ~op:"kill" ~detail:(fun () ->
+              "fiber torn down"))
 
 let run ?channel ?cost ?env ?fault ?reliable ?detector ?topology ?parallel ~n
     body =

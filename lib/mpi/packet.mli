@@ -53,6 +53,7 @@ val wire_bytes : t -> int
 val checksum : t -> int
 (** Deterministic integrity checksum (FNV-1a over a canonical encoding,
     truncated to 30 bits). Any single bit flip in a payload or header
-    field changes the value. *)
+    field changes the value. The hash runs as plain loops over an unboxed
+    accumulator, so its allocation does not grow with the payload. *)
 
 val describe : t -> string

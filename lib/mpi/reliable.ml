@@ -108,10 +108,11 @@ let pump_retransmits t =
                st.gave_up <- true;
                Simtime.Env.count t.env Key.retx_giveups;
                Trace.record t.env ~rank:src ~op:"retx"
-                 ~detail:
-                   (Printf.sprintf "giving up on dst=%d after %d timeouts (%d \
-                                    frames stranded)"
-                      dst st.retries (Queue.length st.unacked))
+                 ~detail:(fun () ->
+                   Printf.sprintf
+                     "giving up on dst=%d after %d timeouts (%d frames \
+                      stranded)"
+                     dst st.retries (Queue.length st.unacked))
              end
              else begin
                (* The backoff that had to elapse before this timeout fired:
@@ -121,7 +122,7 @@ let pump_retransmits t =
                  (fun (_, framed) ->
                    Simtime.Env.count t.env Key.retransmits;
                    Trace.record t.env ~rank:src ~op:"retx"
-                     ~detail:(Packet.describe framed);
+                     ~detail:(fun () -> Packet.describe framed);
                    t.chan.Channel.send ~src ~dst framed)
                  st.unacked;
                st.retries <- st.retries + 1;
@@ -132,7 +133,7 @@ let pump_retransmits t =
 let send_ack t ~src ~dst ~cum =
   Simtime.Env.count t.env Key.acks;
   Trace.record t.env ~rank:src ~op:"ack"
-    ~detail:(Printf.sprintf "dst=%d cum=%d" dst cum);
+    ~detail:(fun () -> Printf.sprintf "dst=%d cum=%d" dst cum);
   t.chan.Channel.send ~src ~dst (Packet.Ack (src, cum))
 
 let rec poll t ~rank =
@@ -148,7 +149,7 @@ let rec poll t ~rank =
            delivery. *)
         Simtime.Env.count t.env Key.corrupt_drops;
         Trace.record t.env ~rank ~op:"drop"
-          ~detail:("checksum mismatch " ^ Packet.describe inner);
+          ~detail:(fun () -> "checksum mismatch " ^ Packet.describe inner);
         poll t ~rank
       end
       else if f.Packet.f_seq = rx.expected then begin
@@ -161,9 +162,9 @@ let rec poll t ~rank =
            ack): suppress, but re-ack so the sender stops resending. *)
         Simtime.Env.count t.env Key.dup_drops;
         Trace.record t.env ~rank ~op:"drop"
-          ~detail:
-            (Printf.sprintf "dup seq=%d (expected %d) %s" f.Packet.f_seq
-               rx.expected (Packet.describe inner));
+          ~detail:(fun () ->
+            Printf.sprintf "dup seq=%d (expected %d) %s" f.Packet.f_seq
+              rx.expected (Packet.describe inner));
         send_ack t ~src:rank ~dst:src ~cum:(rx.expected - 1);
         poll t ~rank
       end
@@ -172,9 +173,9 @@ let rec poll t ~rank =
            future frame and re-acks the last in-order sequence. *)
         Simtime.Env.count t.env Key.ooo_drops;
         Trace.record t.env ~rank ~op:"drop"
-          ~detail:
-            (Printf.sprintf "out-of-order seq=%d (expected %d)"
-               f.Packet.f_seq rx.expected);
+          ~detail:(fun () ->
+            Printf.sprintf "out-of-order seq=%d (expected %d)" f.Packet.f_seq
+              rx.expected);
         send_ack t ~src:rank ~dst:src ~cum:(rx.expected - 1);
         poll t ~rank
       end
@@ -226,7 +227,8 @@ let reset_peer t ~peer =
   purge t.rxs;
   if !dropped > 0 then
     Trace.record t.env ~rank:peer ~op:"retx"
-      ~detail:(Printf.sprintf "abandoned %d frame(s) for dead rank %d" !dropped peer);
+      ~detail:(fun () ->
+        Printf.sprintf "abandoned %d frame(s) for dead rank %d" !dropped peer);
   !dropped
 
 let wrap ?(config = default_config) ~env chan =

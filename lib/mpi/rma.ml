@@ -22,6 +22,11 @@ let k_lock = 4
 let k_unlock = 5
 let k_free = 6
 
+exception Protocol_error of string
+
+let protocol_error fmt =
+  Printf.ksprintf (fun m -> raise (Protocol_error ("Rma: " ^ m))) fmt
+
 type accum_op = Sum | Prod | Min | Max | Bxor | Replace | Matmul
 
 let op_code = function
@@ -174,22 +179,11 @@ let accum_into dst ~off src op =
       for i = 0 to blocks - 1 do
         matmul_block dst (off + (4 * i)) src (4 * i)
       done
-  | (Sum | Prod | Min | Max | Bxor) as op ->
-      let f =
-        match op with
-        | Sum -> Int64.add
-        | Prod -> Int64.mul
-        | Min -> Int64.min
-        | Max -> Int64.max
-        | Bxor -> Int64.logxor
-        | _ -> assert false
-      in
-      let lanes = len / 8 in
-      for i = 0 to lanes - 1 do
-        let t = Bytes.get_int64_le dst (off + (8 * i)) in
-        let s = Bytes.get_int64_le src (8 * i) in
-        Bytes.set_int64_le dst (off + (8 * i)) (f t s)
-      done
+  | Sum -> Lanes.combine Lanes.Add_i64 ~dst ~dst_off:off ~src ~len
+  | Prod -> Lanes.combine Lanes.Mul_i64 ~dst ~dst_off:off ~src ~len
+  | Min -> Lanes.combine Lanes.Min_i64 ~dst ~dst_off:off ~src ~len
+  | Max -> Lanes.combine Lanes.Max_i64 ~dst ~dst_off:off ~src ~len
+  | Bxor -> Lanes.combine Lanes.Xor_i64 ~dst ~dst_off:off ~src ~len
 
 let apply_op win q =
   match q.q_kind with
@@ -247,9 +241,7 @@ let release_lock win ~origin =
       let l = List.filter (fun o -> o <> origin) l in
       win.w_lock <- (if l = [] then Unlocked else Shared l)
   | _ ->
-      failwith
-        (Printf.sprintf "Rma: unlock from origin %d which holds no lock"
-           origin));
+      protocol_error "unlock from origin %d which holds no lock" origin);
   (* Serve waiters FIFO; consecutive shared requests coalesce. *)
   let rec serve () =
     match Queue.peek_opt win.w_waiters with
@@ -285,10 +277,8 @@ let handle_unlock win ~origin ~count =
        List.partition (fun q -> q.q_epoch = -1) (List.rev !(win.w_queued.(origin)))
      in
      if List.length mine <> count then
-       failwith
-         (Printf.sprintf
-            "Rma: unlock from %d announces %d ops but %d are queued" origin
-            count (List.length mine));
+       protocol_error "unlock from %d announces %d ops but %d are queued"
+         origin count (List.length mine);
      List.iter (apply_op win) mine;
      win.w_queued.(origin) := List.rev rest
    end);
@@ -350,7 +340,7 @@ and dispatch win =
           grant win ~origin ~exclusive
         else Queue.push (origin, exclusive) win.w_waiters
     | k when k = k_unlock -> handle_unlock win ~origin ~count:aux
-    | k -> failwith (Printf.sprintf "Rma: bad message kind %d" k));
+    | k -> protocol_error "bad message kind %d" k);
     post_service win
   end
 

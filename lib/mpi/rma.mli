@@ -37,8 +37,18 @@
 
 type win
 
+exception Protocol_error of string
+(** A window's service receive got a message that breaks the one-sided
+    protocol's invariants: an unlock from an origin that holds no lock,
+    an unlock whose announced operation count differs from the updates
+    queued for that origin, or an unknown message kind. Origins built by
+    this module never send such a message, so the exception means the
+    window's service context was corrupted or reused by other traffic;
+    it is never a recoverable user error. *)
+
 (** Element-wise accumulate operators. Arithmetic operators combine
-    little-endian [int64] lanes (length must be a multiple of 8);
+    little-endian [int64] lanes (length must be a multiple of 8) on the
+    same unboxed {!Lanes} kernel as {!Collectives.sum_i64};
     [Replace] is [MPI_REPLACE]; [Matmul] combines 4-byte blocks as 2x2
     matrices over Z/256 ([target := target * incoming]) — associative but
     {e not} commutative, so it observably folds in rank order. *)

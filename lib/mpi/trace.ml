@@ -48,6 +48,7 @@ let pp_args = function
 (* The Probe sink: spans emitted anywhere below us (GC, serializer, call
    gates) land in the same ring buffer as device events. *)
 let sink t ~kind ~id ~rank ~cat ~name ~args =
+  let args = args () in
   let kind =
     match kind with
     | Simtime.Probe.Begin ->
@@ -103,7 +104,7 @@ let record env ~rank ~op ~detail =
           t_us = Simtime.Env.now_us env;
           rank;
           op;
-          detail;
+          detail = detail ();
           kind = Instant;
           cat = "";
           args = [];
@@ -112,14 +113,9 @@ let record env ~rank ~op ~detail =
 
 (* Span emission delegates to Probe so the MPI layers and the VM share one
    path (and one no-op fast path when tracing is off). *)
-let span_begin env ?id ~rank ~cat ~name ?(args = []) () =
-  Simtime.Probe.span_begin env ?id ~rank ~cat ~name ~args ()
-
-let span_end env ?id ~rank ~cat ~name ?(args = []) () =
-  Simtime.Probe.span_end env ?id ~rank ~cat ~name ~args ()
-
-let with_span env ~rank ~cat ~name ?(args = []) f =
-  Simtime.Probe.with_span env ~rank ~cat ~name ~args f
+let span_begin = Simtime.Probe.span_begin
+let span_end = Simtime.Probe.span_end
+let with_span = Simtime.Probe.with_span
 
 let open_spans t = t.open_spans
 let length t = min t.next t.capacity

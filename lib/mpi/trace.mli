@@ -42,14 +42,19 @@ val registered : unit -> int
 (** Number of environments currently holding a trace (leak tests). *)
 
 val find : Simtime.Env.t -> t option
-val record : Simtime.Env.t -> rank:int -> op:string -> detail:string -> unit
-(** No-op when tracing is not enabled — safe on hot paths. *)
+val record :
+  Simtime.Env.t -> rank:int -> op:string -> detail:(unit -> string) -> unit
+(** Record an instant event. [detail] is called exactly once when the
+    environment has a trace and never otherwise, so a call with tracing
+    off costs one registry miss and formats nothing — safe on hot paths. *)
 
 (** {1 Spans}
 
     Thin wrappers over {!Simtime.Probe}: no-ops unless tracing is enabled
     on the environment. Pass [id] for async spans (operations that overlap
-    other activity on the same rank); omit it for scoped sync spans. *)
+    other activity on the same rank); omit it for scoped sync spans.
+    [args] is a thunk, called once by the trace's sink and never while no
+    sink is installed. *)
 
 val span_begin :
   Simtime.Env.t ->
@@ -57,7 +62,7 @@ val span_begin :
   rank:int ->
   cat:string ->
   name:string ->
-  ?args:(string * string) list ->
+  ?args:(unit -> (string * string) list) ->
   unit ->
   unit
 
@@ -67,7 +72,7 @@ val span_end :
   rank:int ->
   cat:string ->
   name:string ->
-  ?args:(string * string) list ->
+  ?args:(unit -> (string * string) list) ->
   unit ->
   unit
 
@@ -76,7 +81,7 @@ val with_span :
   rank:int ->
   cat:string ->
   name:string ->
-  ?args:(string * string) list ->
+  ?args:(unit -> (string * string) list) ->
   (unit -> 'a) ->
   'a
 

@@ -4,7 +4,8 @@
    Mpi_core.Trace directly; instead every layer emits spans through this
    registry and Trace installs itself as the sink when tracing is enabled
    on an environment. With no sink installed, emission is a registry miss
-   — safe on hot paths, exactly like Trace.record. *)
+   — safe on hot paths, exactly like Trace.record: the args are a thunk
+   that only a sink forces, so a disabled span builds no strings. *)
 
 type kind = Begin | End | Instant
 
@@ -14,7 +15,7 @@ type sink =
   rank:int ->
   cat:string ->
   name:string ->
-  args:(string * string) list ->
+  args:(unit -> (string * string) list) ->
   unit
 
 (* Environments are few and long-lived (same reasoning as the Trace
@@ -35,7 +36,9 @@ let set_sink env sink =
 let clear_sink env = update (List.filter (fun (e, _) -> not (e == env)))
 let installed () = List.length (Atomic.get sinks)
 
-let emit env ~kind ?id ~rank ~cat ~name ?(args = []) () =
+let no_args () = []
+
+let emit env ~kind ?id ~rank ~cat ~name ?(args = no_args) () =
   match
     List.find_map
       (fun (e, s) -> if e == env then Some s else None)
@@ -44,15 +47,15 @@ let emit env ~kind ?id ~rank ~cat ~name ?(args = []) () =
   | Some sink -> sink ~kind ~id ~rank ~cat ~name ~args
   | None -> ()
 
-let span_begin env ?id ~rank ~cat ~name ?(args = []) () =
-  emit env ~kind:Begin ?id ~rank ~cat ~name ~args ()
+let span_begin env ?id ~rank ~cat ~name ?args () =
+  emit env ~kind:Begin ?id ~rank ~cat ~name ?args ()
 
-let span_end env ?id ~rank ~cat ~name ?(args = []) () =
-  emit env ~kind:End ?id ~rank ~cat ~name ~args ()
+let span_end env ?id ~rank ~cat ~name ?args () =
+  emit env ~kind:End ?id ~rank ~cat ~name ?args ()
 
-let instant env ~rank ~cat ~name ?(args = []) () =
-  emit env ~kind:Instant ~rank ~cat ~name ~args ()
+let instant env ~rank ~cat ~name ?args () =
+  emit env ~kind:Instant ~rank ~cat ~name ?args ()
 
-let with_span env ~rank ~cat ~name ?(args = []) f =
-  span_begin env ~rank ~cat ~name ~args ();
+let with_span env ~rank ~cat ~name ?args f =
+  span_begin env ~rank ~cat ~name ?args ();
   Fun.protect ~finally:(fun () -> span_end env ~rank ~cat ~name ()) f

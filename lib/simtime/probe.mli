@@ -20,8 +20,10 @@ type sink =
   rank:int ->
   cat:string ->
   name:string ->
-  args:(string * string) list ->
+  args:(unit -> (string * string) list) ->
   unit
+(** A sink receives the span's key/value args as a thunk: it forces it
+    at most once, or never if it does not record args. *)
 
 val set_sink : Env.t -> sink -> unit
 (** Install (or replace) the environment's sink. *)
@@ -37,11 +39,13 @@ val emit :
   rank:int ->
   cat:string ->
   name:string ->
-  ?args:(string * string) list ->
+  ?args:(unit -> (string * string) list) ->
   unit ->
   unit
 (** Rank [-1] denotes the runtime itself (GC, serializer) rather than a
-    communicating rank. *)
+    communicating rank. [args] (default: none) is called only by an
+    installed sink, so with no sink a call is one registry miss and
+    formats nothing. *)
 
 val span_begin :
   Env.t ->
@@ -49,7 +53,7 @@ val span_begin :
   rank:int ->
   cat:string ->
   name:string ->
-  ?args:(string * string) list ->
+  ?args:(unit -> (string * string) list) ->
   unit ->
   unit
 
@@ -59,7 +63,7 @@ val span_end :
   rank:int ->
   cat:string ->
   name:string ->
-  ?args:(string * string) list ->
+  ?args:(unit -> (string * string) list) ->
   unit ->
   unit
 
@@ -68,7 +72,7 @@ val instant :
   rank:int ->
   cat:string ->
   name:string ->
-  ?args:(string * string) list ->
+  ?args:(unit -> (string * string) list) ->
   unit ->
   unit
 
@@ -77,7 +81,7 @@ val with_span :
   rank:int ->
   cat:string ->
   name:string ->
-  ?args:(string * string) list ->
+  ?args:(unit -> (string * string) list) ->
   (unit -> 'a) ->
   'a
 (** Sync span around a scope; the end event is emitted even on raise. *)

@@ -1,6 +1,8 @@
 (* The observability layer end to end: the Chrome-trace exporter's exact
-   output (golden), its pair-repair under ring-buffer overflow, snapshot
-   diffing, and the enable/disable lifecycle of the probe sinks. *)
+   output (golden), its pair-repair under ring-buffer overflow, lazy
+   event details, a pinned export of a world that reaches every device
+   trace point, snapshot diffing, and the enable/disable lifecycle of the
+   probe sinks. *)
 
 module Env = Simtime.Env
 module Stats = Simtime.Stats
@@ -36,12 +38,12 @@ let test_chrome_golden () =
   let env = fresh_env () in
   let trace = Trace.enable env in
   Trace.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager"
-    ~args:[ ("dst", "1"); ("bytes", "64") ] ();
+    ~args:(fun () -> [ ("dst", "1"); ("bytes", "64") ]) ();
   Env.charge env 1000.0;
   Trace.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ();
   Trace.span_begin env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
   Env.charge env 500.0;
-  Trace.record env ~rank:1 ~op:"recv" ~detail:"tag=3";
+  Trace.record env ~rank:1 ~op:"recv" ~detail:(fun () -> "tag=3");
   Trace.span_end env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
   Trace.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
   Env.charge env 250.0;
@@ -75,11 +77,11 @@ let golden_topo =
 let test_chrome_golden_topo () =
   let env = fresh_env () in
   let trace = Trace.enable env in
-  Trace.record env ~rank:1 ~op:"send" ~detail:"tag=1";
+  Trace.record env ~rank:1 ~op:"send" ~detail:(fun () -> "tag=1");
   Env.charge env 500.0;
-  Trace.record env ~rank:2 ~op:"recv" ~detail:"tag=1";
+  Trace.record env ~rank:2 ~op:"recv" ~detail:(fun () -> "tag=1");
   Trace.span_begin env ~rank:3 ~cat:"ch3" ~name:"eager"
-    ~args:[ ("dst", "0") ] ();
+    ~args:(fun () -> [ ("dst", "0") ]) ();
   Env.charge env 1000.0;
   Trace.span_end env ~rank:3 ~cat:"ch3" ~name:"eager" ();
   Trace.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
@@ -201,6 +203,134 @@ let test_with_span_on_raise () =
   Alcotest.(check int) "span closed on raise" 0 (Trace.open_spans trace);
   Trace.disable env
 
+(* ------------------------------------------------------------------ *)
+(* Lazy details: nothing is formatted unless a trace will keep it.     *)
+(* ------------------------------------------------------------------ *)
+
+let test_thunks_forced_only_when_traced () =
+  let env = fresh_env () in
+  let details = ref 0 and args = ref 0 in
+  let emit () =
+    Trace.record env ~rank:0 ~op:"isend" ~detail:(fun () ->
+        incr details;
+        "dst=1");
+    Trace.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager"
+      ~args:(fun () ->
+        incr args;
+        [ ("dst", "1") ])
+      ();
+    Trace.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ()
+  in
+  emit ();
+  Alcotest.(check (pair int int)) "untraced: never forced" (0, 0)
+    (!details, !args);
+  (* A sink that ignores args (as the benchmark's does) never forces them
+     either; Trace.record has no trace to write to. *)
+  Probe.set_sink env (fun ~kind:_ ~id:_ ~rank:_ ~cat:_ ~name:_ ~args:_ -> ());
+  emit ();
+  Probe.clear_sink env;
+  Alcotest.(check (pair int int)) "args-blind sink: never forced" (0, 0)
+    (!details, !args);
+  let trace = Trace.enable env in
+  emit ();
+  Alcotest.(check (pair int int)) "traced: forced once each" (1, 1)
+    (!details, !args);
+  Alcotest.(check int) "three events recorded" 3 (Trace.length trace);
+  Trace.disable env
+
+(* ------------------------------------------------------------------ *)
+(* Trace parity: one small traced world that reaches every device-level *)
+(* trace point, pinned by the digest of its Chrome-trace export.        *)
+(* ------------------------------------------------------------------ *)
+
+module Mpi = Mpi_core.Mpi
+module Fault = Mpi_core.Fault
+module Ft = Mpi_core.Ft
+module Rma = Mpi_core.Rma
+module Coll = Mpi_core.Collectives
+module Bv = Mpi_core.Buffer_view
+
+(* Three ranks on a lossy wire (drops and duplicates under reliable
+   delivery) with a fast heartbeat detector. Ranks 0 and 1 exchange an
+   eager and a rendezvous message, everyone joins a scheduled allreduce
+   and a lock epoch on rank 0's window, then rank 2 blocks until its
+   scheduled kill and rank 0 learns of the death through a receive. *)
+let parity_world () =
+  let env = fresh_env () in
+  let trace = Trace.enable ~capacity:(1 lsl 17) env in
+  let detector = { Ft.hb_period_ns = 5_000.0; hb_timeout_ns = 200_000.0 } in
+  let fault =
+    Fault.plan ~seed:5 ~drop:0.05 ~duplicate:0.05
+      ~kills:[ Fault.kill ~rank:2 ~at_ns:2_000_000.0 () ]
+      ()
+  in
+  let failed = ref None in
+  ignore
+    (Mpi.run ~env ~fault ~detector ~n:3 (fun p ->
+         let comm = Mpi.comm_world (Mpi.world_of p) in
+         let me = Mpi.rank p in
+         let small = Bytes.make 64 'e' and large = Bytes.make 100_000 'r' in
+         (match me with
+         | 0 ->
+             Mpi.send p ~comm ~dst:1 ~tag:1 (Bv.of_bytes small);
+             ignore (Mpi.recv p ~comm ~src:1 ~tag:2 (Bv.of_bytes large))
+         | 1 ->
+             ignore (Mpi.recv p ~comm ~src:0 ~tag:1 (Bv.of_bytes small));
+             Mpi.send p ~comm ~dst:0 ~tag:2 (Bv.of_bytes large)
+         | _ -> ());
+         let v = Bytes.create 8 in
+         Bytes.set_int64_le v 0 (Int64.of_int (me + 1));
+         ignore (Coll.allreduce p comm ~op:Coll.sum_i64 v);
+         let win =
+           Rma.win_create p ~comm (Bytes.make (if me = 0 then 8 else 0) '\000')
+         in
+         if me > 0 then begin
+           Rma.win_lock win ~target:0;
+           Rma.accumulate win ~target:0 ~target_off:0 ~op:Rma.Sum v ~off:0
+             ~len:8;
+           Rma.win_unlock win ~target:0
+         end;
+         Rma.win_free win;
+         match me with
+         | 0 -> (
+             try ignore (Mpi.recv p ~comm ~src:2 ~tag:3 (Bv.of_bytes v))
+             with Ft.Proc_failed r -> failed := Some r)
+         | 2 -> ignore (Mpi.recv p ~comm ~src:0 ~tag:3 (Bv.of_bytes v))
+         | _ -> ()));
+  let json = Trace.to_chrome_json trace in
+  let evs =
+    List.map (fun (e : Trace.event) -> (e.op, e.detail)) (Trace.events trace)
+  in
+  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped trace);
+  Trace.disable env;
+  (!failed, evs, json)
+
+let parity_digest = "1c383865140106106d4ba9d30a8b6cb6"
+
+let test_trace_parity () =
+  let failed, evs, json = parity_world () in
+  Alcotest.(check (option int)) "rank 2 detected dead" (Some 2) failed;
+  (* Each (op, detail prefix) names one trace point the digest covers. *)
+  List.iter
+    (fun (op, prefix) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reaches %s %s" op prefix)
+        true
+        (List.exists
+           (fun (o, d) -> o = op && String.starts_with ~prefix d)
+           evs))
+    [ ("isend", "dst="); ("isend/rndv", "dst="); ("irecv", "src=");
+      ("eager", "eager "); ("rts", "rts "); ("cts", "cts "); ("data", "data ");
+      ("ack", "dst="); ("retx", "frame "); ("drop", "loss ");
+      ("drop", "dup seq=");
+      ("sched/start", "allreduce"); ("sched/step", "allreduce");
+      ("sched/step-done", "allreduce"); ("sched/done", "allreduce");
+      ("kill", "fail-stop"); ("kill", "fiber torn down");
+      ("detect", "rank 2"); ("eager", "dst="); ("rndv", "dst=");
+      ("allreduce", "steps=") ];
+  Alcotest.(check string) "chrome json digest" parity_digest
+    (Digest.to_hex (Digest.string json))
+
 let () =
   Alcotest.run "observability"
     [
@@ -211,6 +341,9 @@ let () =
             test_chrome_golden_topo;
           Alcotest.test_case "overflow pair repair" `Quick
             test_overflow_pairs;
+          Alcotest.test_case "details forced only when traced" `Quick
+            test_thunks_forced_only_when_traced;
+          Alcotest.test_case "traced world parity" `Quick test_trace_parity;
         ] );
       ( "stats",
         [ Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff ] );

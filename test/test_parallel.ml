@@ -176,11 +176,11 @@ let test_trace_merge_sorted () =
   let env1 = Simtime.Env.create () and env2 = Simtime.Env.create () in
   let t1 = Trace.enable env1 and t2 = Trace.enable env2 in
   Simtime.Clock.advance env1.Simtime.Env.clock 5.0;
-  Trace.record env1 ~rank:0 ~op:"a" ~detail:"";
+  Trace.record env1 ~rank:0 ~op:"a" ~detail:(fun () -> "");
   Simtime.Clock.advance env2.Simtime.Env.clock 2.0;
-  Trace.record env2 ~rank:1 ~op:"b" ~detail:"";
+  Trace.record env2 ~rank:1 ~op:"b" ~detail:(fun () -> "");
   Simtime.Clock.advance env1.Simtime.Env.clock 1.0;
-  Trace.record env1 ~rank:0 ~op:"c" ~detail:"";
+  Trace.record env1 ~rank:0 ~op:"c" ~detail:(fun () -> "");
   let merged = Trace.merge_events [ t1; t2 ] in
   Trace.disable env1;
   Trace.disable env2;

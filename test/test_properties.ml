@@ -1,7 +1,9 @@
 (* Cross-cutting property tests: typed storage roundtrips over every
    primitive type (including boundary values), serializer idempotence,
    agreement between the two visited structures on arbitrary graphs,
-   corpus trace-file round-trips and checkpoint save/restore. *)
+   corpus trace-file round-trips, checkpoint save/restore, and the
+   reduction and checksum kernels against the closure folds they
+   replaced. *)
 
 module Om = Vm.Object_model
 module Gc = Vm.Gc
@@ -1714,6 +1716,272 @@ let test_stuck_detector_world_deadlocks_in_place () =
   in
   Alcotest.(check int64) "clock bits at the deadlock" (run reference) (run fast)
 
+(* --- Reduction and checksum kernels vs the closure folds ------------ *)
+
+module Lanes = Mpi_core.Lanes
+module Packet = Mpi_core.Packet
+
+(* The per-lane closure folds the kernel replaced, kept verbatim as the
+   oracle: they read the accumulator's length, so a trailing partial lane
+   is never touched. *)
+let old_fold_f64 f acc x =
+  let n = Bytes.length acc / 8 in
+  for i = 0 to n - 1 do
+    let a = Int64.float_of_bits (Bytes.get_int64_le acc (8 * i)) in
+    let b = Int64.float_of_bits (Bytes.get_int64_le x (8 * i)) in
+    Bytes.set_int64_le acc (8 * i) (Int64.bits_of_float (f a b))
+  done
+
+let old_fold_i32 f acc x =
+  let n = Bytes.length acc / 4 in
+  for i = 0 to n - 1 do
+    let a = Int32.to_int (Bytes.get_int32_le acc (4 * i)) in
+    let b = Int32.to_int (Bytes.get_int32_le x (4 * i)) in
+    Bytes.set_int32_le acc (4 * i) (Int32.of_int (f a b))
+  done
+
+let old_fold_i64 f acc x =
+  let n = Bytes.length acc / 8 in
+  for i = 0 to n - 1 do
+    let a = Bytes.get_int64_le acc (8 * i) in
+    let b = Bytes.get_int64_le x (8 * i) in
+    Bytes.set_int64_le acc (8 * i) (f a b)
+  done
+
+(* RMA's old accumulate loop: the source's length sets the lane count,
+   the window offset is arbitrary (not lane-aligned). *)
+let old_accum f dst ~off src =
+  for i = 0 to (Bytes.length src / 8) - 1 do
+    let t = Bytes.get_int64_le dst (off + (8 * i)) in
+    let s = Bytes.get_int64_le src (8 * i) in
+    Bytes.set_int64_le dst (off + (8 * i)) (f t s)
+  done
+
+let random_bytes next len = Bytes.init len (fun _ -> Char.chr (next 256))
+
+let sums =
+  [
+    ("sum_i64", 8, Coll.sum_i64, old_fold_i64 Int64.add);
+    ("sum_i32", 4, Coll.sum_i32, old_fold_i32 ( + ));
+    ("sum_f64", 8, Coll.sum_f64, old_fold_f64 ( +. ));
+  ]
+
+let arb_sum =
+  QCheck.make QCheck.Gen.(oneofl sums) ~print:(fun (n, _, _, _) -> n)
+
+(* [extra] makes the source longer than the accumulator; the accumulator
+   length is free, so most cases end in a partial lane. *)
+let prop_sums_match_closure_fold =
+  QCheck.Test.make ~name:"sum_i64/i32/f64 equal the closure fold" ~count:300
+    QCheck.(quad arb_sum (int_range 0 300) (int_range 0 24) (int_range 0 9999))
+    (fun ((_, w, kernel, oracle), len, extra, seed) ->
+      let next = lcg seed in
+      let acc = random_bytes next len in
+      let src = random_bytes next (len + extra) in
+      let expect = Bytes.copy acc in
+      oracle expect src;
+      let got = Bytes.copy acc in
+      kernel got src;
+      let tail = len - (len mod w) in
+      Bytes.equal expect got
+      && Bytes.equal (Bytes.sub acc tail (len - tail))
+           (Bytes.sub got tail (len - tail)))
+
+let prop_short_source_rejected =
+  QCheck.Test.make ~name:"a source shorter than the lanes is refused"
+    ~count:100
+    QCheck.(triple arb_sum (int_range 8 300) (int_range 0 9999))
+    (fun ((_, w, kernel, _), len, seed) ->
+      let next = lcg seed in
+      let acc = random_bytes next len in
+      let short = random_bytes next ((len / w * w) - 1 - next w) in
+      let got = Bytes.copy acc in
+      match kernel got short with
+      | () -> false
+      | exception Invalid_argument _ -> Bytes.equal acc got)
+
+let lane_ops =
+  [
+    ("add_i64", Lanes.Add_i64, Int64.add, Rma.Sum);
+    ("mul_i64", Lanes.Mul_i64, Int64.mul, Rma.Prod);
+    ("min_i64", Lanes.Min_i64, Int64.min, Rma.Min);
+    ("max_i64", Lanes.Max_i64, Int64.max, Rma.Max);
+    ("xor_i64", Lanes.Xor_i64, Int64.logxor, Rma.Bxor);
+  ]
+
+let arb_lane_op =
+  QCheck.make QCheck.Gen.(oneofl lane_ops) ~print:(fun (n, _, _, _) -> n)
+
+(* RMA accumulate through a real window: rank 1 combines [lanes] lanes
+   into rank 0's window at an arbitrary byte offset; after the fence the
+   whole window equals the old loop's result, bytes outside the target
+   range included. *)
+let prop_rma_accumulate_matches_closure_fold =
+  QCheck.Test.make ~name:"RMA accumulate at an offset equals the closure fold"
+    ~count:40
+    QCheck.(
+      quad arb_lane_op (int_range 1 12) (int_range 1 40) (int_range 0 9999))
+    (fun ((_, _, f, op), lanes, slack, seed) ->
+      let next = lcg seed in
+      let len = 8 * lanes in
+      let off = 1 + next slack in
+      let init = random_bytes next (off + len + next 16) in
+      let contrib = random_bytes next (len + 8) in
+      let expect = Bytes.copy init in
+      old_accum f expect ~off (Bytes.sub contrib 0 len);
+      let got = ref Bytes.empty in
+      ignore
+        (Mpi.run ~n:2 (fun p ->
+             let comm = Mpi.comm_world (Mpi.world_of p) in
+             let mine =
+               if Mpi.rank p = 0 then Bytes.copy init else Bytes.create 0
+             in
+             let win = Rma.win_create p ~comm mine in
+             if Mpi.rank p = 1 then
+               Rma.accumulate win ~target:0 ~target_off:off ~op contrib
+                 ~off:0 ~len;
+             Rma.win_fence win;
+             if Mpi.rank p = 0 then got := Bytes.copy mine;
+             Rma.win_free win));
+      Bytes.equal expect !got)
+
+(* The kernel itself at a nonzero offset, every integer operator, with
+   lengths that end in a partial lane. *)
+let prop_lanes_at_offset_match_closure_fold =
+  QCheck.Test.make ~name:"Lanes.combine at an offset equals the closure fold"
+    ~count:300
+    QCheck.(
+      quad arb_lane_op (int_range 0 200) (int_range 0 24) (int_range 0 9999))
+    (fun ((_, op, f, _), len, off, seed) ->
+      let next = lcg seed in
+      let dst = random_bytes next (off + len + next 9) in
+      let src = random_bytes next (len + next 9) in
+      let expect = Bytes.copy dst in
+      old_accum f expect ~off (Bytes.sub src 0 (len / 8 * 8));
+      let got = Bytes.copy dst in
+      Lanes.combine op ~dst:got ~dst_off:off ~src ~len;
+      Bytes.equal expect got)
+
+(* FNV-1a the old way, one closure call and one boxed int64 per byte,
+   over the same canonical encoding. *)
+module Fnv_oracle = struct
+  let mix_byte h b =
+    Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) 0x100000001b3L
+
+  let mix_int h n =
+    let rec go h k n =
+      if k = 8 then h else go (mix_byte h (n land 0xff)) (k + 1) (n asr 8)
+    in
+    go h 0 n
+
+  let mix_bytes h b =
+    let h = ref (mix_int h (Bytes.length b)) in
+    Bytes.iter (fun c -> h := mix_byte !h (Char.code c)) b;
+    !h
+
+  let mix_env h (e : Packet.envelope) =
+    List.fold_left mix_int h
+      Packet.[ e.e_src; e.e_dst; e.e_tag; e.e_context; e.e_bytes; e.e_seq ]
+
+  let rec digest h = function
+    | Packet.Eager (e, b) -> mix_bytes (mix_env (mix_int h 1) e) b
+    | Packet.Rts (e, id) -> mix_int (mix_env (mix_int h 2) e) id
+    | Packet.Cts id -> mix_int (mix_int h 3) id
+    | Packet.Rndv_data (id, b) -> mix_bytes (mix_int (mix_int h 4) id) b
+    | Packet.Nak (id, msg) ->
+        mix_bytes (mix_int (mix_int h 5) id) (Bytes.of_string msg)
+    | Packet.Frame (f, inner) ->
+        let h = mix_int (mix_int h 6) f.Packet.f_src in
+        digest (mix_int (mix_int h f.Packet.f_seq) f.Packet.f_check) inner
+    | Packet.Ack (src, cum) -> mix_int (mix_int (mix_int h 7) src) cum
+
+  let checksum p =
+    Int64.to_int (Int64.logand (digest 0xcbf29ce484222325L p) 0x3FFFFFFFL)
+end
+
+let gen_packet =
+  let open QCheck.Gen in
+  let int_field =
+    oneof [ int_range (-5) 300; int; oneofl [ min_int; max_int ] ]
+  in
+  let payload = map Bytes.of_string (string_size (int_range 0 300)) in
+  let envelope =
+    map
+      (fun (a, b, c, (d, e, f)) ->
+        { Packet.e_src = a; e_dst = b; e_tag = c; e_context = d; e_bytes = e;
+          e_seq = f })
+      (quad int_field int_field int_field
+         (triple int_field int_field int_field))
+  in
+  let frame =
+    map
+      (fun (s, q, c) -> { Packet.f_src = s; f_seq = q; f_check = c })
+      (triple int_field int_field int_field)
+  in
+  let eager = map2 (fun e b -> Packet.Eager (e, b)) envelope payload in
+  let plain =
+    oneof
+      [
+        eager;
+        map2 (fun e id -> Packet.Rts (e, id)) envelope int_field;
+        map (fun id -> Packet.Cts id) int_field;
+        map2 (fun id b -> Packet.Rndv_data (id, b)) int_field payload;
+        map2 (fun id m -> Packet.Nak (id, m)) int_field
+          (string_size (int_range 0 40));
+        map2 (fun s c -> Packet.Ack (s, c)) int_field int_field;
+      ]
+  in
+  oneof
+    [
+      plain;
+      map2 (fun f p -> Packet.Frame (f, p)) frame plain;
+      map2 (fun f p -> Packet.Frame (f, p)) frame eager;
+    ]
+
+let prop_checksum_matches_fnv =
+  QCheck.Test.make ~name:"Packet.checksum equals per-byte FNV-1a" ~count:500
+    (QCheck.make gen_packet ~print:Packet.describe)
+    (fun p -> Packet.checksum p = Fnv_oracle.checksum p)
+
+(* Values computed by the per-byte implementation the loops replaced. *)
+let test_checksum_known_answers () =
+  let env =
+    { Packet.e_src = 1; e_dst = 2; e_tag = 3; e_context = 4; e_bytes = 5;
+      e_seq = 6 }
+  in
+  Alcotest.(check int) "ack" 418292624 (Packet.checksum (Packet.Ack (3, 17)));
+  Alcotest.(check int) "frame around eager" 457633336
+    (Packet.checksum
+       (Packet.Frame
+          ( { Packet.f_src = 1; f_seq = 2; f_check = 3 },
+            Packet.Eager (env, Bytes.of_string "hello") )))
+
+(* Minor-heap words one call allocates: the same for 8 bytes as for 64
+   KiB when nothing is boxed per lane or per byte. *)
+let minor_words_of f =
+  f ();
+  let w0 = Stdlib.Gc.minor_words () in
+  f ();
+  Stdlib.Gc.minor_words () -. w0
+
+let test_kernels_allocate_nothing_per_lane () =
+  let sum len =
+    let acc = Bytes.make len '\001' and x = Bytes.make len '\002' in
+    minor_words_of (fun () -> Coll.sum_i64 acc x)
+  in
+  Alcotest.(check (float 0.)) "64 KiB sum_i64 allocates as 8 B" (sum 8)
+    (sum 65536);
+  let check len =
+    let p =
+      Packet.Frame
+        ( { Packet.f_src = 0; f_seq = 1; f_check = 2 },
+          Packet.Rndv_data (3, Bytes.make len 'c') )
+    in
+    minor_words_of (fun () -> ignore (Packet.checksum p))
+  in
+  Alcotest.(check (float 0.)) "1 KiB checksum allocates as 1 B" (check 1)
+    (check 1024)
+
 let () =
   Alcotest.run "properties"
     [
@@ -1771,5 +2039,17 @@ let () =
           QCheck_alcotest.to_alcotest prop_rma_put_get_matches_model;
           QCheck_alcotest.to_alcotest prop_rma_accumulate_order_insensitive;
           QCheck_alcotest.to_alcotest prop_cache_equals_naive_model;
+        ] );
+      ( "reduction kernels",
+        [
+          QCheck_alcotest.to_alcotest prop_sums_match_closure_fold;
+          QCheck_alcotest.to_alcotest prop_short_source_rejected;
+          QCheck_alcotest.to_alcotest prop_lanes_at_offset_match_closure_fold;
+          QCheck_alcotest.to_alcotest prop_rma_accumulate_matches_closure_fold;
+          QCheck_alcotest.to_alcotest prop_checksum_matches_fnv;
+          Alcotest.test_case "checksum known answers" `Quick
+            test_checksum_known_answers;
+          Alcotest.test_case "no allocation per lane or byte" `Quick
+            test_kernels_allocate_nothing_per_lane;
         ] );
     ]

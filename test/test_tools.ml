@@ -37,14 +37,14 @@ let test_trace_off_by_default () =
   let env = Simtime.Env.create ~cost:Simtime.Cost.native_cpp () in
   Alcotest.(check bool) "no trace attached" true (Trace.find env = None);
   (* Recording without a trace must be a harmless no-op. *)
-  Trace.record env ~rank:0 ~op:"x" ~detail:"y"
+  Trace.record env ~rank:0 ~op:"x" ~detail:(fun () -> "y")
 
 let test_trace_ring_buffer_drops_oldest () =
   let env = Simtime.Env.create () in
   let trace = Trace.enable ~capacity:8 env in
   for i = 1 to 20 do
     Simtime.Env.charge env 1000.0;
-    Trace.record env ~rank:0 ~op:"tick" ~detail:(string_of_int i)
+    Trace.record env ~rank:0 ~op:"tick" ~detail:(fun () -> string_of_int i)
   done;
   Alcotest.(check int) "bounded" 8 (Trace.length trace);
   Alcotest.(check int) "dropped counted" 12 (Trace.dropped trace);
