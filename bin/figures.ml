@@ -605,7 +605,7 @@ let run_profile ~quick ~out ~trace_out =
   in
   if missing <> [] then begin
     Format.printf "PROFILE CHECK FAILED: no samples for %s@."
-      (String.concat ", " missing);
+      (String.concat ", " (List.map Simtime.Stats.histogram_name missing));
     Stdlib.exit 1
   end
   else Format.printf "profile check: all headline histograms populated@."

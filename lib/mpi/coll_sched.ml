@@ -38,7 +38,7 @@ type t = {
   sc_dev : Ch3.t;
   sc_context : int;
   sc_name : string;
-  sc_hist : string;  (* per-schedule step histogram key *)
+  sc_hist : Simtime.Stats.histogram;  (* per-schedule step histogram *)
   sc_steps : step array;
   sc_req : Request.t;
   mutable sc_cursor : int;  (* steps before this index are all Done *)
@@ -49,21 +49,27 @@ type t = {
 (* Builder                                                             *)
 (* ------------------------------------------------------------------ *)
 
+type kind = { k_name : string; k_hist : Simtime.Stats.histogram }
+
+let kind name =
+  let step = Simtime.Stats.(histogram_name Key.h_sched_step) in
+  { k_name = name; k_hist = Simtime.Stats.histogram (step ^ "/" ^ name) }
+
 type builder = {
   b_dev : Ch3.t;
   b_context : int;
-  b_name : string;
+  b_kind : kind;
   mutable b_round : int;
   mutable b_open : bool;  (* the current round has steps *)
   mutable b_rev_steps : step list;
   mutable b_started : bool;
 }
 
-let make dev ~context ~name =
+let make dev ~context kind =
   {
     b_dev = dev;
     b_context = context;
-    b_name = name;
+    b_kind = kind;
     b_round = 0;
     b_open = false;
     b_rev_steps = [];
@@ -272,8 +278,8 @@ let start b =
     {
       sc_dev = b.b_dev;
       sc_context = b.b_context;
-      sc_name = b.b_name;
-      sc_hist = Simtime.Stats.Key.h_sched_step ^ "/" ^ b.b_name;
+      sc_name = b.b_kind.k_name;
+      sc_hist = b.b_kind.k_hist;
       sc_steps = steps;
       sc_req = req;
       sc_cursor = 0;

@@ -17,11 +17,19 @@
     ["sched/step-done"] events (plus ["sched/start"] / ["sched/done"]
     for the schedule itself), so round structure is testable. *)
 
+type kind
+(** What a schedule computes: a name, which labels trace events and error
+    messages, and its step histogram ["sched/step_ns/<name>"]. *)
+
+val kind : string -> kind
+(** Declare a schedule kind and its step histogram. Call once per kind,
+    at module initialisation, not per schedule. *)
+
 type builder
 
-val make : Ch3.t -> context:int -> name:string -> builder
-(** A schedule over [context] (a communicator's collective context).
-    [name] labels trace events and error messages. *)
+val make : Ch3.t -> context:int -> kind -> builder
+(** A schedule of [kind] over [context] (a communicator's collective
+    context). *)
 
 (** {1 Steps}
 

@@ -30,8 +30,22 @@ let cost_of p = (env_of p).Simtime.Env.cost
 (* All schedule traffic runs on the communicator's collective context,
    so it can never match user receives; [dst]/[src] below are
    communicator ranks, translated to world ranks at build time. *)
-let builder p comm ~name =
-  Coll_sched.make (Mpi.device p) ~context:comm.Comm.ctx_coll ~name
+let builder p comm kind =
+  Coll_sched.make (Mpi.device p) ~context:comm.Comm.ctx_coll kind
+
+(* One schedule kind per collective, each declared (with its step
+   histogram) once, here. *)
+module Kind = struct
+  let barrier = Coll_sched.kind "barrier"
+  let bcast = Coll_sched.kind "bcast"
+  let scatter = Coll_sched.kind "scatter"
+  let gather = Coll_sched.kind "gather"
+  let allgather = Coll_sched.kind "allgather"
+  let alltoall = Coll_sched.kind "alltoall"
+  let reduce = Coll_sched.kind "reduce"
+  let allreduce = Coll_sched.kind "allreduce"
+  let scan = Coll_sched.kind "scan"
+end
 
 let ssend b comm ~dst ~tag v =
   Coll_sched.isend b ~dst:(Comm.world_rank_of comm dst) ~tag v
@@ -224,7 +238,7 @@ let sched_barrier_hier b p comm =
     else srecv b h.hp_shard ~src:0 ~tag:(rtag Comm.Hier_fan 1) empty
 
 let ibarrier ?(algo : barrier_algo = `Auto) p comm =
-  let b = builder p comm ~name:"barrier" in
+  let b = builder p comm Kind.barrier in
   let algo =
     match algo with
     | `Auto -> if hier_applicable p comm then `Hier else `Dissemination
@@ -367,7 +381,7 @@ let sched_bcast_hier b p comm ~root buf =
 
 let ibcast ?(algo : bcast_algo = `Auto) p comm ~root buf =
   let n = Comm.size comm in
-  let b = builder p comm ~name:"bcast" in
+  let b = builder p comm Kind.bcast in
   if n > 1 then begin
     let me = Mpi.comm_rank p comm in
     let algo =
@@ -491,7 +505,7 @@ let sched_scatter_binomial b comm ~root ~me ~parts ~recv ~block =
 let iscatter ?(algo : fan_algo = `Auto) ?block p comm ~root ~parts ~recv =
   let n = Comm.size comm in
   let me = Mpi.comm_rank p comm in
-  let b = builder p comm ~name:"scatter" in
+  let b = builder p comm Kind.scatter in
   let algo =
     match algo with
     | `Auto -> fan_algo_for (cost_of p) ~n ~block
@@ -585,7 +599,7 @@ let sched_gather_binomial b comm ~root ~me ~send ~parts ~block =
 let igather ?(algo : fan_algo = `Auto) ?block p comm ~root ~send ~parts =
   let n = Comm.size comm in
   let me = Mpi.comm_rank p comm in
-  let b = builder p comm ~name:"gather" in
+  let b = builder p comm Kind.gather in
   let algo =
     match algo with
     | `Auto -> fan_algo_for (cost_of p) ~n ~block
@@ -718,7 +732,7 @@ let sched_allgather_hier b p comm ~me ~send =
 let iallgather ?(algo : allgather_algo = `Auto) p comm ~send =
   let n = Comm.size comm in
   let me = Mpi.comm_rank p comm in
-  let b = builder p comm ~name:"allgather" in
+  let b = builder p comm Kind.allgather in
   let algo =
     match algo with
     | `Auto ->
@@ -761,7 +775,7 @@ let ialltoall p comm ~send =
       if Bytes.length bl <> blk then
         invalid_arg "Collectives.alltoall: blocks must have equal length")
     send;
-  let b = builder p comm ~name:"alltoall" in
+  let b = builder p comm Kind.alltoall in
   let recv = Array.init n (fun _ -> Bytes.create blk) in
   Coll_sched.copy b
     ~src:(Buffer_view.of_bytes send.(me))
@@ -830,7 +844,7 @@ let sched_reduce ?(phase = Comm.Reduce) b comm ~root ~me ~op send =
 
 let ireduce p comm ~root ~op send =
   let me = Mpi.comm_rank p comm in
-  let b = builder p comm ~name:"reduce" in
+  let b = builder p comm Kind.reduce in
   let out = sched_reduce b comm ~root ~me ~op send in
   (Coll_sched.start b, out)
 
@@ -1086,7 +1100,7 @@ let sched_allreduce_hier b p comm ~op ~granule ~commutative send =
 let iallreduce ?(algo : allreduce_algo = `Auto) ?(granule = 8)
     ?(commutative = true) p comm ~op send =
   let n = Comm.size comm in
-  let b = builder p comm ~name:"allreduce" in
+  let b = builder p comm Kind.allreduce in
   if n = 1 then (Coll_sched.start b, Bytes.copy send)
   else begin
     let me = Mpi.comm_rank p comm in
@@ -1132,7 +1146,7 @@ let allreduce ?algo ?granule ?commutative p comm ~op send =
 let iscan p comm ~op send =
   let n = Comm.size comm in
   let me = Mpi.comm_rank p comm in
-  let b = builder p comm ~name:"scan" in
+  let b = builder p comm Kind.scan in
   let mine = Bytes.copy send in
   let result =
     if me > 0 then begin

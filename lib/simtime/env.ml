@@ -9,9 +9,9 @@ let create ?(cost = Cost.motor) () =
 
 let now_us t = Clock.now_us t.clock
 let now_ns t = Clock.now_ns t.clock
-let charge t ns = Clock.advance t.clock ns
+let[@inline] charge t ns = Clock.advance t.clock ns
 
-let charge_per_byte t ns_per_byte n =
+let[@inline] charge_per_byte t ns_per_byte n =
   if n < 0 then invalid_arg "Env.charge_per_byte: negative byte count";
   Clock.advance t.clock (ns_per_byte *. float_of_int n)
 

@@ -23,13 +23,14 @@ val charge : t -> float -> unit
 val charge_per_byte : t -> float -> int -> unit
 (** [charge_per_byte env ns_per_byte n] charges [ns_per_byte *. n]. *)
 
-val count : t -> string -> unit
-val count_n : t -> string -> int -> unit
+val count : t -> Stats.counter -> unit
+val count_n : t -> Stats.counter -> int -> unit
+(** Bump a declared {!Stats} counter: one array update, no allocation. *)
 
-val observe : t -> string -> float -> unit
-(** Record a virtual-time sample (ns) into the named {!Stats} histogram. *)
+val observe : t -> Stats.histogram -> float -> unit
+(** Record a virtual-time sample (ns) into a declared {!Stats} histogram. *)
 
-val with_timer : t -> string -> (unit -> 'a) -> 'a
+val with_timer : t -> Stats.histogram -> (unit -> 'a) -> 'a
 (** Run a scope and observe the virtual time it charged into the named
     histogram: the standard way to attribute a pause or a pass to a
     mechanism. *)

@@ -22,7 +22,7 @@ let stats w = (Mpi.env w).Env.stats
 
 let counters w =
   List.map
-    (fun k -> (k, Simtime.Stats.get (stats w) k))
+    (fun k -> (Simtime.Stats.counter_name k, Simtime.Stats.get (stats w) k))
     [
       Key.retransmits; Key.acks; Key.dup_drops; Key.ooo_drops;
       Key.corrupt_drops; Key.fault_drops; Key.fault_dups; Key.fault_delays;

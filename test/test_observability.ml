@@ -141,27 +141,29 @@ let test_overflow_pairs () =
 (* ------------------------------------------------------------------ *)
 
 let test_snapshot_diff () =
+  let msgs = Stats.counter "msgs" and other = Stats.counter "other" in
+  let lat = Stats.histogram "lat" in
   let stats = Stats.create () in
-  Stats.add stats "msgs" 5;
-  Stats.observe stats "lat" 100.0;
-  Stats.observe stats "lat" 200.0;
+  Stats.add stats msgs 5;
+  Stats.observe stats lat 100.0;
+  Stats.observe stats lat 200.0;
   let before = Stats.snapshot stats in
-  Stats.add stats "msgs" 3;
-  Stats.incr stats "other";
-  Stats.observe stats "lat" 400.0;
+  Stats.add stats msgs 3;
+  Stats.incr stats other;
+  Stats.observe stats lat 400.0;
   let after = Stats.snapshot stats in
   let d = Stats.diff after before in
-  Alcotest.(check int) "counter delta" 3 (Stats.counter_value d "msgs");
-  Alcotest.(check int) "new counter" 1 (Stats.counter_value d "other");
-  (match Stats.hist_summary d "lat" with
+  Alcotest.(check int) "counter delta" 3 (Stats.counter_value d msgs);
+  Alcotest.(check int) "new counter" 1 (Stats.counter_value d other);
+  (match Stats.hist_summary d lat with
   | None -> Alcotest.fail "lat histogram missing from diff"
   | Some s ->
       Alcotest.(check int) "hist count delta" 1 s.Stats.n;
       Alcotest.(check (float 0.001)) "hist sum delta" 400.0 s.Stats.sum);
   (* A self-diff is all zeros. *)
   let z = Stats.diff after after in
-  Alcotest.(check int) "self-diff counter" 0 (Stats.counter_value z "msgs");
-  (match Stats.hist_summary z "lat" with
+  Alcotest.(check int) "self-diff counter" 0 (Stats.counter_value z msgs);
+  (match Stats.hist_summary z lat with
   | Some s -> Alcotest.(check int) "self-diff hist" 0 s.Stats.n
   | None -> ());
   (* The JSON form is stable and mentions both sections. *)

@@ -158,15 +158,16 @@ let test_merged_stats () =
     (List.for_all (fun c -> c > 0) per_domain)
 
 let test_stats_absorb_histograms () =
+  let h = Simtime.Stats.histogram "h" and c = Simtime.Stats.counter "c" in
   let a = Simtime.Stats.create () and b = Simtime.Stats.create () in
-  Simtime.Stats.observe a "h" 10.0;
-  Simtime.Stats.observe b "h" 30.0;
-  Simtime.Stats.add a "c" 2;
-  Simtime.Stats.add b "c" 3;
+  Simtime.Stats.observe a h 10.0;
+  Simtime.Stats.observe b h 30.0;
+  Simtime.Stats.add a c 2;
+  Simtime.Stats.add b c 3;
   let m = Simtime.Stats.merged [ a; b ] in
-  Alcotest.(check int) "counters add" 5 (Simtime.Stats.get m "c");
+  Alcotest.(check int) "counters add" 5 (Simtime.Stats.get m c);
   (* originals untouched *)
-  Alcotest.(check int) "absorb copies, not moves" 2 (Simtime.Stats.get a "c")
+  Alcotest.(check int) "absorb copies, not moves" 2 (Simtime.Stats.get a c)
 
 (* ------------------------------------------------------------------ *)
 (* Trace merge                                                         *)

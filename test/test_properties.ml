@@ -1982,6 +1982,346 @@ let test_kernels_allocate_nothing_per_lane () =
   Alcotest.(check (float 0.)) "1 KiB checksum allocates as 1 B" (check 1)
     (check 1024)
 
+(* ------------------------------------------------------------------ *)
+(* Stats: declared slots against the string-keyed tables they replaced *)
+(* ------------------------------------------------------------------ *)
+
+module Stats = Simtime.Stats
+
+(* The string-keyed [Stats] that declared slots replaced, reduced to
+   what the comparison reads. Its listings, summaries and JSON are the
+   reference output. *)
+module Stats_model = struct
+  type hist = {
+    mutable h_n : int;
+    mutable h_sum : float;
+    mutable h_min : float;
+    mutable h_max : float;
+    h_buckets : int array;
+  }
+
+  let fresh_hist () =
+    { h_n = 0; h_sum = 0.0; h_min = infinity; h_max = neg_infinity;
+      h_buckets = Array.make 128 0 }
+
+  let bucket_of v =
+    if v <= 1.0 then 0
+    else
+      let i = int_of_float (Float.ceil (2.0 *. Float.log2 v)) in
+      if i < 0 then 0 else if i >= 128 then 127 else i
+
+  type t = {
+    counters : (string, int ref) Hashtbl.t;
+    hists : (string, hist) Hashtbl.t;
+  }
+
+  let create () = { counters = Hashtbl.create 8; hists = Hashtbl.create 8 }
+
+  let add t k n =
+    match Hashtbl.find_opt t.counters k with
+    | Some r -> r := !r + n
+    | None -> Hashtbl.add t.counters k (ref n)
+
+  let hist_cell t k =
+    match Hashtbl.find_opt t.hists k with
+    | Some h -> h
+    | None ->
+        let h = fresh_hist () in
+        Hashtbl.add t.hists k h;
+        h
+
+  let observe t k v =
+    let h = hist_cell t k in
+    h.h_n <- h.h_n + 1;
+    h.h_sum <- h.h_sum +. v;
+    if v < h.h_min then h.h_min <- v;
+    if v > h.h_max then h.h_max <- v;
+    let b = bucket_of v in
+    h.h_buckets.(b) <- h.h_buckets.(b) + 1
+
+  let reset t =
+    Hashtbl.iter (fun _ r -> r := 0) t.counters;
+    Hashtbl.reset t.hists
+
+  let absorb t ~from =
+    Hashtbl.iter (fun k r -> add t k !r) from.counters;
+    Hashtbl.iter
+      (fun k h ->
+        let dst = hist_cell t k in
+        dst.h_n <- dst.h_n + h.h_n;
+        dst.h_sum <- dst.h_sum +. h.h_sum;
+        if h.h_n > 0 then begin
+          if h.h_min < dst.h_min then dst.h_min <- h.h_min;
+          if h.h_max > dst.h_max then dst.h_max <- h.h_max
+        end;
+        Array.iteri
+          (fun i v -> dst.h_buckets.(i) <- dst.h_buckets.(i) + v)
+          h.h_buckets)
+      from.hists
+
+  let merged ts =
+    let acc = create () in
+    List.iter (fun t -> absorb acc ~from:t) ts;
+    acc
+
+  let quantile h q =
+    if h.h_n = 0 then 0.0
+    else begin
+      let target = Float.max 1.0 (Float.ceil (q *. float_of_int h.h_n)) in
+      let rec go i cum =
+        let cum = cum + h.h_buckets.(i) in
+        if float_of_int cum >= target || i = 127 then i else go (i + 1) cum
+      in
+      let upper = Float.pow 2.0 (float_of_int (go 0 0) /. 2.0) in
+      Float.min h.h_max (Float.max h.h_min upper)
+    end
+
+  let summarize h =
+    { Stats.n = h.h_n; sum = h.h_sum;
+      min = (if h.h_n = 0 then 0.0 else h.h_min);
+      max = (if h.h_n = 0 then 0.0 else h.h_max);
+      p50 = quantile h 0.5; p99 = quantile h 0.99 }
+
+  let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+  let to_alist t =
+    sorted (Hashtbl.fold (fun k r l -> (k, !r) :: l) t.counters [])
+
+  let hists_alist t =
+    sorted (Hashtbl.fold (fun k h l -> (k, summarize h) :: l) t.hists [])
+
+  (* A snapshot is its two listings; histogram copies keep the buckets
+     so [diff] can subtract them. *)
+  type snapshot = (string * int) list * (string * hist) list
+
+  let snapshot t : snapshot =
+    ( to_alist t,
+      sorted
+        (Hashtbl.fold
+           (fun k h l -> (k, { h with h_buckets = Array.copy h.h_buckets }) :: l)
+           t.hists []) )
+
+  let rec merge_assoc f xs ys =
+    match (xs, ys) with
+    | [], [] -> []
+    | (k, x) :: xs', [] -> (k, f (Some x) None) :: merge_assoc f xs' []
+    | [], (k, y) :: ys' -> (k, f None (Some y)) :: merge_assoc f [] ys'
+    | (kx, x) :: xs', (ky, y) :: ys' ->
+        let c = String.compare kx ky in
+        if c = 0 then (kx, f (Some x) (Some y)) :: merge_assoc f xs' ys'
+        else if c < 0 then (kx, f (Some x) None) :: merge_assoc f xs' ys
+        else (ky, f None (Some y)) :: merge_assoc f xs ys'
+
+  let diff ((lc, lh) : snapshot) ((ec, eh) : snapshot) : snapshot =
+    ( merge_assoc
+        (fun l e -> Option.value ~default:0 l - Option.value ~default:0 e)
+        lc ec,
+      merge_assoc
+        (fun l e ->
+          match (l, e) with
+          | Some l, None -> { l with h_buckets = Array.copy l.h_buckets }
+          | None, _ -> fresh_hist ()
+          | Some l, Some e ->
+              {
+                l with
+                h_n = l.h_n - e.h_n;
+                h_sum = l.h_sum -. e.h_sum;
+                h_buckets =
+                  Array.mapi (fun i v -> v - e.h_buckets.(i)) l.h_buckets;
+              })
+        lh eh )
+
+  let to_json ((cs, hs) : snapshot) =
+    let buf = Buffer.create 1024 in
+    let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+    out "{\n  \"counters\": {";
+    List.iteri
+      (fun i (k, v) ->
+        out "%s\n    \"%s\": %d"
+          (if i = 0 then "" else ",")
+          (Stats.json_escape k) v)
+      cs;
+    out "\n  },\n  \"histograms\": {";
+    List.iteri
+      (fun i (k, h) ->
+        let sm = summarize h in
+        out
+          "%s\n    \"%s\": {\"count\": %d, \"sum\": %.3f, \"min\": %.3f, \
+           \"max\": %.3f, \"p50\": %.3f, \"p99\": %.3f}"
+          (if i = 0 then "" else ",")
+          (Stats.json_escape k) sm.Stats.n sm.sum sm.min sm.max sm.p50 sm.p99)
+      hs;
+    out "\n  }\n}\n";
+    Buffer.contents buf
+end
+
+(* Key [k] is a counter when even and a histogram when odd; [Incr],
+   [Add] and [Observe] round it to their kind. *)
+type stats_op =
+  | Declare of int
+  | Incr of int * int  (* accumulator, key *)
+  | Add of int * int * int
+  | Observe of int * int * float
+  | Reset of int
+  | Absorb of int * int  (* into, from *)
+  | Merge of int  (* replace with merged [0; 1; 2] *)
+  | Snapshot of int
+
+let show_stats_op = function
+  | Declare k -> Printf.sprintf "declare %d" k
+  | Incr (a, k) -> Printf.sprintf "incr %d k%d" a k
+  | Add (a, k, n) -> Printf.sprintf "add %d k%d %d" a k n
+  | Observe (a, k, v) -> Printf.sprintf "observe %d k%d %h" a k v
+  | Reset a -> Printf.sprintf "reset %d" a
+  | Absorb (a, b) -> Printf.sprintf "absorb %d <- %d" a b
+  | Merge a -> Printf.sprintf "merge -> %d" a
+  | Snapshot a -> Printf.sprintf "snapshot %d" a
+
+let gen_stats_ops =
+  let open QCheck.Gen in
+  let acc = int_bound 2 and key = int_bound 7 in
+  let sample =
+    oneof
+      [ oneofl [ 0.0; 0.5; 1.0; 2.0; 1e9 ]; float_bound_inclusive 1e6;
+        map float_of_int (int_bound 100_000) ]
+  in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         (2, map (fun k -> Declare k) key);
+         (4, map2 (fun a k -> Incr (a, k)) acc key);
+         ( 4,
+           map3
+             (fun a k n -> Add (a, k, n))
+             acc key
+             (oneof [ return 0; int_bound 1000 ]) );
+         (6, map3 (fun a k v -> Observe (a, k, v)) acc key sample);
+         (1, map (fun a -> Reset a) acc);
+         (1, map2 (fun a b -> Absorb (a, b)) acc acc);
+         (1, map (fun a -> Merge a) acc);
+         (2, map (fun a -> Snapshot a) acc);
+       ])
+
+(* Each case declares fresh names, so keys are declared after the
+   accumulators exist and every record of them grows an array. *)
+let stats_case = ref 0
+
+let prop_stats_match_string_keyed_model =
+  QCheck.Test.make
+    ~name:"Stats on declared slots matches the string-keyed model" ~count:300
+    (QCheck.make gen_stats_ops
+       ~print:(fun ops -> String.concat "; " (List.map show_stats_op ops)))
+    (fun ops ->
+      incr stats_case;
+      let case = !stats_case in
+      let name k =
+        Printf.sprintf "model/%d/%s%d" case
+          (if k land 1 = 0 then "c" else "h")
+          k
+      in
+      (* Declaring again returns the same key, so every use declares. *)
+      let counter k = Stats.counter (name k)
+      and hist k = Stats.histogram (name k) in
+      let real = Array.init 3 (fun _ -> Stats.create ()) in
+      let model = Array.init 3 (fun _ -> Stats_model.create ()) in
+      let snaps = ref [] in
+      let same () =
+        Array.for_all2
+          (fun r m ->
+            Stats.to_alist r = Stats_model.to_alist m
+            && Stats.hists_alist r = Stats_model.hists_alist m
+            && Stats.to_json (Stats.snapshot r)
+               = Stats_model.to_json (Stats_model.snapshot m))
+          real model
+      in
+      List.iter
+        (function
+          | Declare k ->
+              if k land 1 = 0 then ignore (counter k) else ignore (hist k)
+          | Incr (a, k) ->
+              let k = k land lnot 1 in
+              Stats.incr real.(a) (counter k);
+              Stats_model.add model.(a) (name k) 1
+          | Add (a, k, n) ->
+              let k = k land lnot 1 in
+              Stats.add real.(a) (counter k) n;
+              Stats_model.add model.(a) (name k) n
+          | Observe (a, k, v) ->
+              let k = k lor 1 in
+              Stats.observe real.(a) (hist k) v;
+              Stats_model.observe model.(a) (name k) v
+          | Reset a ->
+              Stats.reset real.(a);
+              Stats_model.reset model.(a)
+          | Absorb (a, b) ->
+              Stats.absorb real.(a) ~from:real.(b);
+              Stats_model.absorb model.(a) ~from:model.(b)
+          | Merge a ->
+              real.(a) <- Stats.merged (Array.to_list real);
+              model.(a) <- Stats_model.merged (Array.to_list model)
+          | Snapshot a ->
+              snaps :=
+                (Stats.snapshot real.(a), Stats_model.snapshot model.(a))
+                :: !snaps)
+        ops;
+      let diffs_same =
+        match !snaps with
+        | [] -> true
+        | (rl, ml) :: _ as all ->
+            List.for_all
+              (fun (re, me) ->
+                Stats.to_json (Stats.diff rl re)
+                = Stats_model.to_json (Stats_model.diff ml me)
+                && Stats.to_json (Stats.diff re rl)
+                   = Stats_model.to_json (Stats_model.diff me ml))
+              all
+      in
+      same () && diffs_same)
+
+(* Recording a declared key is an array update: 10^4 records allocate
+   exactly what one does. *)
+let test_stats_record_allocates_nothing () =
+  let env = Simtime.Env.create () in
+  let c = Stats.Key.visited_probes and h = Stats.Key.h_ser_encode in
+  let v = 1234.5 in
+  let each n f = minor_words_of (fun () -> for _ = 1 to n do f () done) in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check (float 0.)) (what ^ ": 10^4 calls allocate as 1")
+        (each 1 f) (each 10_000 f))
+    [
+      ("Env.count", fun () -> Simtime.Env.count env c);
+      ("Env.count_n", fun () -> Simtime.Env.count_n env c 3);
+      ("Env.observe", fun () -> Simtime.Env.observe env h v);
+    ]
+
+(* The only hash table in [stats.ml] is the declaration registry's. *)
+let test_stats_hashtbl_only_in_registry () =
+  let lines =
+    In_channel.with_open_text "../lib/simtime/stats.ml" In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let mentions s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let outside =
+    List.fold_left
+      (fun (inside, bad) l ->
+        if String.starts_with ~prefix:"module Registry = struct" l then
+          (true, bad)
+        else if inside && l = "end" then (false, bad)
+        else if (not inside) && mentions l "Hashtbl" then (inside, l :: bad)
+        else (inside, bad))
+      (false, []) lines
+    |> snd
+  in
+  Alcotest.(check (list string)) "Hashtbl outside the registry" [] outside;
+  Alcotest.(check bool) "the registry uses one" true
+    (List.exists (fun l -> mentions l "Hashtbl") lines)
+
 let () =
   Alcotest.run "properties"
     [
@@ -2051,5 +2391,13 @@ let () =
             test_checksum_known_answers;
           Alcotest.test_case "no allocation per lane or byte" `Quick
             test_kernels_allocate_nothing_per_lane;
+        ] );
+      ( "stats registry",
+        [
+          QCheck_alcotest.to_alcotest prop_stats_match_string_keyed_model;
+          Alcotest.test_case "recording a declared key allocates nothing"
+            `Quick test_stats_record_allocates_nothing;
+          Alcotest.test_case "no Hashtbl outside the registry" `Quick
+            test_stats_hashtbl_only_in_registry;
         ] );
     ]

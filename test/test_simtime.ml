@@ -70,35 +70,39 @@ let test_cost_call_mechanism_ordering () =
   Alcotest.(check bool) "motor crosses boundary for free" true
     (m.Cost.binding_ns_per_byte = 0.0 && i.Cost.binding_ns_per_byte > 0.0)
 
+let x = Stats.counter "x"
+let lat = Stats.histogram "lat"
+let work = Stats.histogram "work"
+
 let test_stats_basic () =
   let s = Stats.create () in
-  Alcotest.(check int) "absent is zero" 0 (Stats.get s "x");
-  Stats.incr s "x";
-  Stats.add s "x" 4;
-  Alcotest.(check int) "accumulated" 5 (Stats.get s "x");
+  Alcotest.(check int) "absent is zero" 0 (Stats.get s x);
+  Stats.incr s x;
+  Stats.add s x 4;
+  Alcotest.(check int) "accumulated" 5 (Stats.get s x);
   Stats.reset s;
-  Alcotest.(check int) "reset" 0 (Stats.get s "x")
+  Alcotest.(check int) "reset" 0 (Stats.get s x)
 
 let test_stats_negative () =
   let s = Stats.create () in
   Alcotest.check_raises "negative add rejected"
     (Invalid_argument "Stats.add: negative amount") (fun () ->
-      Stats.add s "x" (-1))
+      Stats.add s x (-1))
 
 let test_stats_alist_sorted () =
   let s = Stats.create () in
-  Stats.incr s "zebra";
-  Stats.incr s "apple";
+  Stats.incr s (Stats.counter "zebra");
+  Stats.incr s (Stats.counter "apple");
   Alcotest.(check (list string)) "sorted keys" [ "apple"; "zebra" ]
     (List.map fst (Stats.to_alist s))
 
 let test_hist_observe () =
   let s = Stats.create () in
-  Alcotest.(check bool) "absent histogram" true (Stats.hist s "lat" = None);
+  Alcotest.(check bool) "absent histogram" true (Stats.hist s lat = None);
   for i = 1 to 100 do
-    Stats.observe s "lat" (float_of_int i)
+    Stats.observe s lat (float_of_int i)
   done;
-  match Stats.hist s "lat" with
+  match Stats.hist s lat with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
       Alcotest.(check int) "count" 100 h.Stats.n;
@@ -117,24 +121,37 @@ let test_hist_negative () =
   let s = Stats.create () in
   Alcotest.check_raises "negative observe rejected"
     (Invalid_argument "Stats.observe: negative value") (fun () ->
-      Stats.observe s "lat" (-1.0))
+      Stats.observe s lat (-1.0))
+
+(* A NaN or infinite sample would poison the sum and the extrema, and
+   the JSON snapshot would carry [nan]/[inf], which no reader accepts. *)
+let test_hist_non_finite () =
+  let s = Stats.create () in
+  List.iter
+    (fun v ->
+      Alcotest.check_raises
+        (Printf.sprintf "observe %h rejected" v)
+        (Invalid_argument "Stats.observe: non-finite value")
+        (fun () -> Stats.observe s lat v))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check bool) "nothing recorded" true (Stats.hist s lat = None)
 
 let test_hist_reset () =
   let s = Stats.create () in
-  Stats.observe s "lat" 5.0;
+  Stats.observe s lat 5.0;
   Stats.reset s;
   Alcotest.(check bool) "reset drops histograms" true
-    (Stats.hist s "lat" = None)
+    (Stats.hist s lat = None)
 
 let test_env_with_timer () =
   let env = Env.create ~cost:Cost.motor () in
   let r =
-    Env.with_timer env "work" (fun () ->
+    Env.with_timer env work (fun () ->
         Env.charge env 1234.0;
         42)
   in
   Alcotest.(check int) "result passed through" 42 r;
-  match Stats.hist env.Env.stats "work" with
+  match Stats.hist env.Env.stats work with
   | None -> Alcotest.fail "timer histogram missing"
   | Some h ->
       Alcotest.(check int) "one sample" 1 h.Stats.n;
@@ -165,8 +182,8 @@ let prop_stats_sum =
     QCheck.(list small_nat)
     (fun ns ->
       let s = Stats.create () in
-      List.iter (fun n -> Stats.add s "k" n) ns;
-      Stats.get s "k" = List.fold_left ( + ) 0 ns)
+      List.iter (fun n -> Stats.add s x n) ns;
+      Stats.get s x = List.fold_left ( + ) 0 ns)
 
 let () =
   Alcotest.run "simtime"
@@ -199,6 +216,8 @@ let () =
             test_hist_observe;
           Alcotest.test_case "histogram rejects negatives" `Quick
             test_hist_negative;
+          Alcotest.test_case "non-finite observe rejected" `Quick
+            test_hist_non_finite;
           Alcotest.test_case "reset drops histograms" `Quick test_hist_reset;
         ] );
       ( "env",

@@ -133,9 +133,9 @@ let test_gate_malformed_json () =
 
 let test_gate_stats_round_trip () =
   let stats = Simtime.Stats.create () in
-  Simtime.Stats.add stats "pins" 42;
-  Simtime.Stats.incr stats "quote\"d\\key";
-  Simtime.Stats.observe stats "send_ns" 1500.0;
+  Simtime.Stats.add stats (Simtime.Stats.counter "pins") 42;
+  Simtime.Stats.incr stats (Simtime.Stats.counter "quote\"d\\key");
+  Simtime.Stats.observe stats (Simtime.Stats.histogram "send_ns") 1500.0;
   let json =
     Gate.parse (Simtime.Stats.to_json (Simtime.Stats.snapshot stats))
   in
@@ -159,6 +159,124 @@ let test_gate_stats_round_trip () =
       Alcotest.(check bool) "histogram count" true
         (Gate.member "count" h = Some (Gate.Num 1.0))
   | None -> Alcotest.fail "histogram missing"
+
+(* ------------------------------------------------------------------ *)
+(* Stats key registry                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Stats = Simtime.Stats
+
+let occurrences x l = List.length (List.filter (String.equal x) l)
+
+(* The index of [sub] in [s] at or after [from], if any. *)
+let rec find_sub s sub from =
+  if from + String.length sub > String.length s then None
+  else if String.sub s from (String.length sub) = sub then Some from
+  else find_sub s sub (from + 1)
+
+(* The per-schedule histograms are declared when [Collectives]
+   initialises; naming one of its operations links it in. *)
+let _collectives_linked = Mpi_core.Collectives.barrier
+
+let test_registry_covers_profile_snapshot () =
+  let json =
+    Gate.parse
+      (In_channel.with_open_text "../results/profile_snapshot.json"
+         In_channel.input_all)
+  in
+  let names section =
+    match Gate.member section json with
+    | Some (Gate.Obj fields) -> List.map fst fields
+    | _ -> Alcotest.failf "no %s object" section
+  in
+  let counters = Stats.declared_counters ()
+  and hists = Stats.declared_histograms () in
+  let check kind mine other name =
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "%S is declared once, as a %s" name kind)
+      (1, 0)
+      (occurrences name mine, occurrences name other)
+  in
+  let cs = names "counters" and hs = names "histograms" in
+  Alcotest.(check bool) "the snapshot has both kinds" true
+    (cs <> [] && hs <> []);
+  List.iter (check "counter" counters hists) cs;
+  List.iter (check "histogram" hists counters) hs
+
+(* Two [Key] entries with one name would silently share a slot, so the
+   declarations in [Stats.Key] must name distinct keys. *)
+let test_key_names_distinct () =
+  let src =
+    In_channel.with_open_text "../lib/simtime/stats.ml" In_channel.input_all
+  in
+  let start = Option.get (find_sub src "module Key = struct" 0) in
+  let decls =
+    String.split_on_char '\n' (String.sub src start (String.length src - start))
+    |> List.filter_map (fun l ->
+           List.find_map
+             (fun kind ->
+               Option.map
+                 (fun i ->
+                   let from = i + String.length kind + 5 in
+                   let stop = String.index_from l from '"' in
+                   (kind, String.sub l from (stop - from)))
+                 (find_sub l (" = " ^ kind ^ " \"") 0))
+             [ "counter"; "histogram" ])
+  in
+  let names = List.map snd decls in
+  Alcotest.(check bool) "Key declares keys" true (List.length decls > 50);
+  Alcotest.(check (list string)) "names declared twice" []
+    (List.sort_uniq compare
+       (List.filter (fun n -> occurrences n names > 1) names));
+  List.iter
+    (fun (kind, name) ->
+      let declared =
+        if kind = "counter" then Stats.declared_counters ()
+        else Stats.declared_histograms ()
+      in
+      Alcotest.(check int) (name ^ " registered as a " ^ kind) 1
+        (occurrences name declared))
+    decls
+
+let test_redeclare_other_kind_raises () =
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let pins = Stats.counter_name Stats.Key.pins in
+  let send = Stats.histogram_name Stats.Key.h_ch3_send in
+  Alcotest.(check bool) "counter as histogram" true
+    (raises (fun () -> ignore (Stats.histogram pins)));
+  Alcotest.(check bool) "histogram as counter" true
+    (raises (fun () -> ignore (Stats.counter send)));
+  Alcotest.(check bool) "same kind is the same key" true
+    (Stats.counter pins = Stats.Key.pins
+    && Stats.histogram send = Stats.Key.h_ch3_send)
+
+(* Two domains declaring the same fresh names at the same moment agree
+   on every slot, and each name is registered once. *)
+let test_concurrent_declarations_share_slots () =
+  let names = List.init 200 (Printf.sprintf "race/%d") in
+  let go = Atomic.make false in
+  let declare () =
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    List.map
+      (fun n ->
+        (Stats.counter ("c/" ^ n), Stats.histogram ("h/" ^ n)))
+      names
+  in
+  let a = Domain.spawn declare and b = Domain.spawn declare in
+  Atomic.set go true;
+  let ka = Domain.join a and kb = Domain.join b in
+  Alcotest.(check bool) "same slots on both domains" true (ka = kb);
+  let counters = Stats.declared_counters ()
+  and hists = Stats.declared_histograms () in
+  List.iter2
+    (fun n (c, h) ->
+      Alcotest.(check (pair string string)) "slot names" ("c/" ^ n, "h/" ^ n)
+        (Stats.counter_name c, Stats.histogram_name h);
+      Alcotest.(check (pair int int)) ("registered once: " ^ n) (1, 1)
+        (occurrences ("c/" ^ n) counters, occurrences ("h/" ^ n) hists))
+    names ka
 
 module Speedup = Harness.Speedup
 
@@ -366,6 +484,17 @@ let () =
           Alcotest.test_case "speedup ratio" `Quick test_speedup_ratio;
           Alcotest.test_case "speedup cores guard" `Quick
             test_speedup_skipped_on_small_machines;
+        ] );
+      ( "stats registry",
+        [
+          Alcotest.test_case "profile snapshot names are declared" `Quick
+            test_registry_covers_profile_snapshot;
+          Alcotest.test_case "Key names are distinct" `Quick
+            test_key_names_distinct;
+          Alcotest.test_case "re-declaring as the other kind raises" `Quick
+            test_redeclare_other_kind_raises;
+          Alcotest.test_case "concurrent declarations share slots" `Quick
+            test_concurrent_declarations_share_slots;
         ] );
       ( "csv",
         [
