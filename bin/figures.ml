@@ -569,8 +569,8 @@ let run_profile ~quick ~out ~trace_out =
   Vm.Gc.collect rt.Vm.Runtime.gc ~full:false;
   Vm.Gc.collect rt.Vm.Runtime.gc ~full:true;
   Mpi_core.Trace.disable env;
-  let snap = Simtime.Stats.snapshot env.Simtime.Env.stats in
-  Table.write_file out (Simtime.Stats.to_json snap);
+  let stats = env.Simtime.Env.stats in
+  Table.write_file out (Simtime.Stats.to_json stats);
   Format.printf "profile snapshot written to %s@." out;
   Table.write_file trace_out (Mpi_core.Trace.to_chrome_json trace);
   Format.printf "chrome trace written to %s (open at ui.perfetto.dev)@."
@@ -585,7 +585,7 @@ let run_profile ~quick ~out ~trace_out =
             Table.Num s.Simtime.Stats.p50;
             Table.Num s.Simtime.Stats.p99;
           ] ))
-      (Simtime.Stats.snapshot_hists snap)
+      (Simtime.Stats.hists_alist stats)
   in
   Table.print_table ~title:"Virtual-time histograms (ns)"
     ~headers:[ "n"; "sum"; "p50"; "p99" ] ~rows:hist_rows ();
@@ -594,7 +594,7 @@ let run_profile ~quick ~out ~trace_out =
   let missing =
     List.filter
       (fun k ->
-        match Simtime.Stats.hist_summary snap k with
+        match Simtime.Stats.hist stats k with
         | Some s -> s.Simtime.Stats.n = 0
         | None -> true)
       [

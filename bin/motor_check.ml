@@ -51,25 +51,7 @@ let csv_row (o : E.outcome) =
     o.o_digest
     (List.length o.o_trace)
 
-(* Schedule exploration and replay are only meaningful under the
-   deterministic cooperative scheduler: a recorded decision stream has no
-   interpretation when ranks race on real domains. Fail fast with a
-   usage error (exit 2) instead of producing a hang or garbage. *)
-let reject_parallel what parallel =
-  match parallel with
-  | None -> false
-  | Some d ->
-      Printf.eprintf
-        "error: %s cannot run with --parallel %d: recorded schedules and \
-         invariant checks require the deterministic cooperative scheduler \
-         (single domain). Drop --parallel, or use `figures speedup` for \
-         multi-domain runs.\n"
-        what d;
-      true
-
-let explore parallel seeds faults quick workload_names csv save_failing =
-  if reject_parallel "explore" parallel then 2
-  else
+let explore seeds faults quick workload_names csv save_failing =
   match resolve_workloads workload_names with
   | Error msg ->
       Printf.eprintf "error: %s\n" msg;
@@ -119,9 +101,7 @@ let explore parallel seeds faults quick workload_names csv save_failing =
         report.E.r_runs (List.length workloads) failures;
       if failures > 0 then 1 else if !io_errors then 2 else 0)
 
-let replay parallel quick files =
-  if reject_parallel "replay" parallel then 2
-  else begin
+let replay quick files =
   let bad = ref 0 in
   List.iter
     (fun path ->
@@ -141,7 +121,6 @@ let replay parallel quick files =
               Printf.printf "MISMATCH %s: %s\n" path msg))
     files;
   if !bad = 0 then 0 else 1
-  end
 
 let list_workloads () =
   List.iter
@@ -152,16 +131,6 @@ let list_workloads () =
   0
 
 (* ---------------------------------------------------------------- *)
-
-let parallel_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "parallel" ] ~docv:"DOMAINS"
-        ~doc:
-          "Rejected: exploration and replay are deterministic-only. This \
-           flag exists so the mistake fails with a clear diagnostic (exit \
-           2) rather than a hang.")
 
 let seeds_arg =
   Arg.(
@@ -213,14 +182,14 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:"Run workloads under many seeded schedules and check invariants.")
     Term.(
-      const explore $ parallel_arg $ seeds_arg $ faults_arg $ quick_arg
+      const explore $ seeds_arg $ faults_arg $ quick_arg
       $ workloads_arg $ csv_arg $ save_arg)
 
 let replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Replay corpus traces and check them against their expectations.")
-    Term.(const replay $ parallel_arg $ quick_arg $ files_arg)
+    Term.(const replay $ quick_arg $ files_arg)
 
 let list_cmd =
   Cmd.v

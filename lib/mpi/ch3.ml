@@ -168,7 +168,7 @@ let isend t ~dst ~tag ~context ?(mode = Standard) source =
     ~op:(if eager then "isend" else "isend/rndv")
     ~detail:(fun () -> Printf.sprintf "dst=%d tag=%d %dB" dst tag len);
   if eager then begin
-    Trace.span_begin t.env ~rank:t.rank ~cat:"ch3" ~name:"eager"
+    Simtime.Probe.span_begin t.env ~rank:t.rank ~cat:"ch3" ~name:"eager"
       ~args:(fun () ->
         [ ("dst", string_of_int dst); ("bytes", string_of_int len) ])
       ();
@@ -180,14 +180,14 @@ let isend t ~dst ~tag ~context ?(mode = Standard) source =
     let dt = Simtime.Env.now_ns t.env -. t0 in
     Simtime.Env.observe t.env Key.h_ch3_send dt;
     Simtime.Env.observe t.env Key.h_ch3_eager dt;
-    Trace.span_end t.env ~rank:t.rank ~cat:"ch3" ~name:"eager" ();
+    Simtime.Probe.span_end t.env ~rank:t.rank ~cat:"ch3" ~name:"eager" ();
     req
   end
   else begin
     let id = t.fresh_id () in
     Hashtbl.replace t.pending_sends id
       { ps_source = source; ps_dst = dst; ps_ctx = context; ps_req = req };
-    Trace.span_begin t.env ~id ~rank:t.rank ~cat:"ch3" ~name:"rndv"
+    Simtime.Probe.span_begin t.env ~id ~rank:t.rank ~cat:"ch3" ~name:"rndv"
       ~args:(fun () ->
         [ ("dst", string_of_int dst); ("bytes", string_of_int len) ])
       ();
@@ -197,7 +197,8 @@ let isend t ~dst ~tag ~context ?(mode = Standard) source =
         let dt = Simtime.Env.now_ns t.env -. t0 in
         Simtime.Env.observe t.env Key.h_ch3_send dt;
         Simtime.Env.observe t.env Key.h_ch3_rndv dt;
-        Trace.span_end t.env ~id ~rank:t.rank ~cat:"ch3" ~name:"rndv" ());
+        Simtime.Probe.span_end t.env ~id ~rank:t.rank ~cat:"ch3" ~name:"rndv"
+          ());
     t.chan.Channel.send ~src:t.rank ~dst (Packet.Rts (envelope, id));
     Simtime.Env.count t.env Key.rndv_sends;
     ignore (track t req);

@@ -122,7 +122,7 @@ let finish sc =
       Ch3.remove_progress_hook sc.sc_dev id;
       sc.sc_hook <- None
   | None -> ());
-  Trace.span_end (Ch3.env sc.sc_dev)
+  Simtime.Probe.span_end (Ch3.env sc.sc_dev)
     ~id:(Request.id sc.sc_req)
     ~rank:(Ch3.rank sc.sc_dev) ~cat:"coll" ~name:sc.sc_name ();
   Trace.record (Ch3.env sc.sc_dev) ~rank:(Ch3.rank sc.sc_dev) ~op:"sched/done"
@@ -287,7 +287,7 @@ let start b =
     }
   in
   Ch3.track_request b.b_dev req;
-  Trace.span_begin (Ch3.env b.b_dev) ~id:(Request.id req)
+  Simtime.Probe.span_begin (Ch3.env b.b_dev) ~id:(Request.id req)
     ~rank:(Ch3.rank b.b_dev) ~cat:"coll" ~name:sc.sc_name
     ~args:(fun () -> [ ("steps", string_of_int (Array.length steps)) ])
     ();

@@ -344,8 +344,9 @@ and dispatch win =
     post_service win
   end
 
-(* The window's service hook is never quiet, so these waits declare the
-   device's idle poll but still poll one by one. *)
+(* Waits on RMA progress declare the device's idle poll: while the
+   service receive is posted and unmatched the window's hook is quiet,
+   so a wait on the wire fast-forwards like any other MPI wait. *)
 let pump_until p ~label pred =
   Mpi.poll_until p ~label ~op:"Rma" ~idle:(Ch3.idle_poll (Mpi.device p)) pred
 
@@ -450,8 +451,14 @@ let win_create ?(eager_apply = false) ?sub p ~comm buf =
     }
   in
   post_service win;
-  win.w_hook <-
-    Ch3.add_progress_hook ~ctx ~quiet:(fun () -> false) d (fun () -> handle win);
+  (* [handle] acts only on a matched service receive, and a match needs
+     an arrival, which the channel's horizon already covers. *)
+  let quiet () =
+    match win.w_service with
+    | Some req -> not (Request.is_complete req)
+    | None -> true
+  in
+  win.w_hook <- Ch3.add_progress_hook ~ctx ~quiet d (fun () -> handle win);
   win
 
 (* ------------------------------------------------------------------ *)

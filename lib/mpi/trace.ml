@@ -19,23 +19,6 @@ type t = {
   mutable open_spans : int;  (* begins minus ends, ever *)
 }
 
-(* Traces attach to environments by identity; environments are few and
-   long-lived, so a small association list is enough. Atomic so that
-   under parallel execution each domain can look up its own trace while
-   another domain enables/disables one — each [t] itself is still
-   written by its environment's domain only, giving per-domain buffers
-   with a stable merge on read (DESIGN.md §15). *)
-let registry : (Simtime.Env.t * t) list Atomic.t = Atomic.make []
-
-let rec registry_update f =
-  let cur = Atomic.get registry in
-  if not (Atomic.compare_and_set registry cur (f cur)) then registry_update f
-
-let find env =
-  List.find_map
-    (fun (e, t) -> if e == env then Some t else None)
-    (Atomic.get registry)
-
 let push t ev =
   t.buf.(t.next mod t.capacity) <- Some ev;
   t.next <- t.next + 1
@@ -45,26 +28,27 @@ let pp_args = function
   | args ->
       String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) args)
 
-(* The Probe sink: spans emitted anywhere below us (GC, serializer, call
-   gates) land in the same ring buffer as device events. *)
+(* The environment's Probe sink: spans emitted anywhere below us (GC,
+   serializer, call gates) and device events ([record], an [Instant]
+   whose one arg is its detail) land in one ring buffer. *)
 let sink t ~kind ~id ~rank ~cat ~name ~args =
   let args = args () in
-  let kind =
-    match kind with
-    | Simtime.Probe.Begin ->
+  let kind, detail, args =
+    match (kind : Simtime.Probe.kind) with
+    | Begin ->
         t.open_spans <- t.open_spans + 1;
-        Span_begin
-    | Simtime.Probe.End ->
+        (Span_begin, pp_args args, args)
+    | End ->
         t.open_spans <- t.open_spans - 1;
-        Span_end
-    | Simtime.Probe.Instant -> Instant
+        (Span_end, pp_args args, args)
+    | Instant -> (Instant, String.concat " " (List.map snd args), [])
   in
   push t
     {
       t_us = Simtime.Env.now_us t.env;
       rank;
       op = name;
-      detail = pp_args args;
+      detail;
       kind;
       cat;
       args;
@@ -72,50 +56,20 @@ let sink t ~kind ~id ~rank ~cat ~name ~args =
     }
 
 let enable ?(capacity = 4096) env =
-  match find env with
-  | Some t -> t
-  | None ->
-      let t =
-        {
-          env;
-          capacity;
-          buf = Array.make capacity None;
-          next = 0;
-          open_spans = 0;
-        }
-      in
-      registry_update (fun l -> (env, t) :: l);
-      Simtime.Probe.set_sink env (fun ~kind ~id ~rank ~cat ~name ~args ->
-          sink t ~kind ~id ~rank ~cat ~name ~args);
-      t
+  let t =
+    { env; capacity; buf = Array.make capacity None; next = 0; open_spans = 0 }
+  in
+  Simtime.Probe.set_sink env (sink t);
+  t
 
-let disable env =
-  Simtime.Probe.clear_sink env;
-  registry_update (List.filter (fun (e, _) -> not (e == env)))
+let disable = Simtime.Probe.clear_sink
 
-let registered () = List.length (Atomic.get registry)
-
-let record env ~rank ~op ~detail =
-  match find env with
+let record (env : Simtime.Env.t) ~rank ~op ~detail =
+  match env.sink with
   | None -> ()
-  | Some t ->
-      push t
-        {
-          t_us = Simtime.Env.now_us env;
-          rank;
-          op;
-          detail = detail ();
-          kind = Instant;
-          cat = "";
-          args = [];
-          span_id = None;
-        }
-
-(* Span emission delegates to Probe so the MPI layers and the VM share one
-   path (and one no-op fast path when tracing is off). *)
-let span_begin = Simtime.Probe.span_begin
-let span_end = Simtime.Probe.span_end
-let with_span = Simtime.Probe.with_span
+  | Some sink ->
+      sink ~kind:Instant ~id:None ~rank ~cat:"" ~name:op ~args:(fun () ->
+          [ ("detail", detail ()) ])
 
 let open_spans t = t.open_spans
 let length t = min t.next t.capacity

@@ -6,9 +6,12 @@
     [chrome://tracing] and Perfetto, or handed to tests.
 
     Tracing is per-environment and off by default; enabling it attaches a
-    bounded ring buffer (oldest events are dropped once full) and installs
-    the environment's {!Simtime.Probe} sink, so spans emitted by the VM
-    and serializer layers land in the same buffer as device events. *)
+    bounded ring buffer (oldest events are dropped once full) as the
+    environment's {!Simtime.Probe} sink, so spans emitted by the VM and
+    serializer layers land in the same buffer as device events. The
+    environment holds the sink; nothing else refers to it, so a trace
+    lives exactly as long as its environment keeps it. Spans are emitted
+    with {!Simtime.Probe} directly. *)
 
 type kind = Instant | Span_begin | Span_end
 
@@ -28,62 +31,23 @@ type event = {
 type t
 
 val enable : ?capacity:int -> Simtime.Env.t -> t
-(** Attach a trace (default capacity 4096 events) to an environment.
-    Subsequent device activity in any world sharing the environment is
-    recorded. Enabling twice returns the existing trace. *)
+(** Attach a fresh trace (default capacity 4096 events) to an
+    environment, replacing any sink it had. Subsequent device activity in
+    any world sharing the environment is recorded. Enable and {!disable}
+    only while no domain is running the environment's ranks. *)
 
 val disable : Simtime.Env.t -> unit
-(** Detach the environment's trace (if any) from the global registry and
-    remove its probe sink, so long simulation campaigns that enable
-    tracing per world do not accumulate dead environments. No-op if
-    tracing was never enabled. *)
+(** Leave the environment with no sink ({!Simtime.Probe.clear_sink}); the
+    trace keeps the events it holds. No-op if tracing was never
+    enabled. *)
 
-val registered : unit -> int
-(** Number of environments currently holding a trace (leak tests). *)
-
-val find : Simtime.Env.t -> t option
 val record :
   Simtime.Env.t -> rank:int -> op:string -> detail:(unit -> string) -> unit
-(** Record an instant event. [detail] is called exactly once when the
-    environment has a trace and never otherwise, so a call with tracing
-    off costs one registry miss and formats nothing — safe on hot paths. *)
-
-(** {1 Spans}
-
-    Thin wrappers over {!Simtime.Probe}: no-ops unless tracing is enabled
-    on the environment. Pass [id] for async spans (operations that overlap
-    other activity on the same rank); omit it for scoped sync spans.
-    [args] is a thunk, called once by the trace's sink and never while no
-    sink is installed. *)
-
-val span_begin :
-  Simtime.Env.t ->
-  ?id:int ->
-  rank:int ->
-  cat:string ->
-  name:string ->
-  ?args:(unit -> (string * string) list) ->
-  unit ->
-  unit
-
-val span_end :
-  Simtime.Env.t ->
-  ?id:int ->
-  rank:int ->
-  cat:string ->
-  name:string ->
-  ?args:(unit -> (string * string) list) ->
-  unit ->
-  unit
-
-val with_span :
-  Simtime.Env.t ->
-  rank:int ->
-  cat:string ->
-  name:string ->
-  ?args:(unit -> (string * string) list) ->
-  (unit -> 'a) ->
-  'a
+(** Record an instant event through the environment's sink. [detail] is
+    called at most once, by a sink that records args (a trace does), and
+    never while the environment has no sink, so a call with tracing off
+    reads one field, allocates nothing and formats nothing — safe on hot
+    paths. *)
 
 val open_spans : t -> int
 (** Span begins minus span ends ever recorded: 0 when every span emitted

@@ -1,11 +1,23 @@
+type span_kind = Begin | End | Instant
+
+type sink =
+  kind:span_kind ->
+  id:int option ->
+  rank:int ->
+  cat:string ->
+  name:string ->
+  args:(unit -> (string * string) list) ->
+  unit
+
 type t = {
   clock : Clock.t;
   cost : Cost.t;
   stats : Stats.t;
+  mutable sink : sink option;
 }
 
 let create ?(cost = Cost.motor) () =
-  { clock = Clock.create (); cost; stats = Stats.create () }
+  { clock = Clock.create (); cost; stats = Stats.create (); sink = None }
 
 let now_us t = Clock.now_us t.clock
 let now_ns t = Clock.now_ns t.clock

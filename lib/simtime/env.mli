@@ -1,18 +1,41 @@
-(** Simulation environment: one clock + one cost model + one counter set.
+(** Simulation environment: one clock + one cost model + one counter set
+    + at most one span sink.
 
     A single [Env.t] is threaded through a whole simulated world (all ranks of
     one run share the clock; per-rank state lives in the VM and MPI layers).
     The [charge_*] helpers are the only way subsystems spend virtual time, so
-    every cost is attributable to a named mechanism. *)
+    every cost is attributable to a named mechanism. The environment is the
+    only owner of its observability state: its counters and its sink travel
+    with it, and no process-wide table maps an environment to either. *)
+
+type span_kind = Begin | End | Instant
+(** Re-exported as {!Probe.kind}. *)
+
+type sink =
+  kind:span_kind ->
+  id:int option ->
+  rank:int ->
+  cat:string ->
+  name:string ->
+  args:(unit -> (string * string) list) ->
+  unit
+(** Re-exported as {!Probe.sink}, which documents it. *)
 
 type t = {
   clock : Clock.t;
   cost : Cost.t;
   stats : Stats.t;
+  mutable sink : sink option;
+      (** Where {!Probe} emission goes; [None] (the default) drops every
+          event after one field read. Set it with {!Probe.set_sink} or
+          [Mpi_core.Trace.enable], and only while no domain is running
+          this environment's ranks: the field is read without
+          synchronisation by the domain that owns the environment. *)
 }
 
 val create : ?cost:Cost.t -> unit -> t
-(** Fresh environment; the cost model defaults to {!Cost.motor}. *)
+(** Fresh environment with no sink; the cost model defaults to
+    {!Cost.motor}. *)
 
 
 val now_us : t -> float

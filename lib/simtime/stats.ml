@@ -164,7 +164,7 @@ let reset t =
 
 (* Fold [from] into [t]: counters add; histogram counts, sums and buckets
    add, extrema combine. The parallel execution mode gives each domain
-   its own accumulator and merges on snapshot, so hot-path increments
+   its own accumulator and merges after the run, so hot-path increments
    never cross domains (DESIGN.md §15). Call only when [from]'s owning
    domain is quiescent (after the run joins). *)
 let absorb t ~from =
@@ -246,10 +246,9 @@ let to_alist t =
   listed (Atomic.get Registry.names).counters (fun c -> c >= 0) Fun.id
     t.counts
 
-let hists_with f t =
-  listed (Atomic.get Registry.names).hists (fun h -> h != absent) f t.hists
-
-let hists_alist t = hists_with summarize t
+let hists_alist t =
+  listed (Atomic.get Registry.names).hists (fun h -> h != absent) summarize
+    t.hists
 
 let pp ppf t =
   Format.pp_open_vbox ppf 0;
@@ -263,77 +262,6 @@ let pp ppf t =
         k s.n s.sum s.min s.max s.p50 s.p99)
     (hists_alist t);
   Format.pp_close_box ppf ()
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type snapshot = {
-  snap_counters : (string * int) list;  (* sorted by key *)
-  snap_hists : (string * hist) list;  (* sorted by key; private copies *)
-}
-
-let copy_hist h =
-  {
-    h_n = h.h_n;
-    h_m = { h.h_m with m_sum = h.h_m.m_sum };
-    h_buckets = Array.copy h.h_buckets;
-  }
-
-let snapshot t =
-  { snap_counters = to_alist t; snap_hists = hists_with copy_hist t }
-
-(* Merge two sorted assoc lists over the union of their keys. *)
-let rec merge_assoc f xs ys =
-  match (xs, ys) with
-  | [], [] -> []
-  | (k, x) :: xs', [] -> (k, f (Some x) None) :: merge_assoc f xs' []
-  | [], (k, y) :: ys' -> (k, f None (Some y)) :: merge_assoc f [] ys'
-  | (kx, x) :: xs', (ky, y) :: ys' ->
-      let c = String.compare kx ky in
-      if c = 0 then (kx, f (Some x) (Some y)) :: merge_assoc f xs' ys'
-      else if c < 0 then (kx, f (Some x) None) :: merge_assoc f xs' ys
-      else (ky, f None (Some y)) :: merge_assoc f xs ys'
-
-(* [diff later earlier]: counter and histogram deltas. A histogram delta
-   keeps the later snapshot's min/max (the deltas of extrema are not
-   recoverable from summaries); count, sum and the buckets — hence
-   p50/p99 — are true deltas. *)
-let diff later earlier =
-  let counters =
-    merge_assoc
-      (fun l e ->
-        Option.value ~default:0 l - Option.value ~default:0 e)
-      later.snap_counters earlier.snap_counters
-  in
-  let hists =
-    merge_assoc
-      (fun l e ->
-        match (l, e) with
-        | Some l, None -> copy_hist l
-        | None, Some _ -> fresh_hist ()
-        | None, None -> fresh_hist ()
-        | Some l, Some e ->
-            let h = copy_hist l in
-            h.h_n <- l.h_n - e.h_n;
-            h.h_m.m_sum <- l.h_m.m_sum -. e.h_m.m_sum;
-            Array.iteri
-              (fun i v -> h.h_buckets.(i) <- v - e.h_buckets.(i))
-              l.h_buckets;
-            h)
-      later.snap_hists earlier.snap_hists
-  in
-  { snap_counters = counters; snap_hists = hists }
-
-let snapshot_hists s = List.map (fun (k, h) -> (k, summarize h)) s.snap_hists
-
-let counter_value s k =
-  match List.assoc_opt (counter_name k) s.snap_counters with
-  | Some v -> v
-  | None -> 0
-
-let hist_summary s k =
-  Option.map summarize (List.assoc_opt (histogram_name k) s.snap_hists)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -357,24 +285,23 @@ let json_escape s =
 
 (* Field order and float formatting are fixed so the output is stable
    across runs: tests golden-compare it and parse it back. *)
-let to_json s =
+let to_json t =
   let buf = Buffer.create 1024 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   out "{\n  \"counters\": {";
   List.iteri
     (fun i (k, v) ->
       out "%s\n    \"%s\": %d" (if i = 0 then "" else ",") (json_escape k) v)
-    s.snap_counters;
+    (to_alist t);
   out "\n  },\n  \"histograms\": {";
   List.iteri
-    (fun i (k, h) ->
-      let sm = summarize h in
+    (fun i (k, s) ->
       out
         "%s\n    \"%s\": {\"count\": %d, \"sum\": %.3f, \"min\": %.3f, \
          \"max\": %.3f, \"p50\": %.3f, \"p99\": %.3f}"
         (if i = 0 then "" else ",")
-        (json_escape k) sm.n sm.sum sm.min sm.max sm.p50 sm.p99)
-    s.snap_hists;
+        (json_escape k) s.n s.sum s.min s.max s.p50 s.p99)
+    (hists_alist t);
   out "\n  }\n}\n";
   Buffer.contents buf
 

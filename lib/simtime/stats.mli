@@ -48,8 +48,8 @@ val incr : t -> counter -> unit
 
 val add : t -> counter -> int -> unit
 (** Add [n] (which may be any non-negative int) to a counter. A counter
-    is listed (by {!to_alist}, snapshots and JSON) once it has been
-    touched, even by [add t k 0]. *)
+    is listed (by {!to_alist} and {!to_json}) once it has been touched,
+    even by [add t k 0]. *)
 
 val get : t -> counter -> int
 (** Current value, 0 if the counter was never touched. *)
@@ -100,30 +100,12 @@ val hists_alist : t -> (string * summary) list
 
 val pp : Format.formatter -> t -> unit
 
-(** {1 Snapshots}
-
-    An immutable copy of every counter and histogram, cheap enough to take
-    around a region of interest. [diff] turns two snapshots into the
-    activity between them; [to_json] is the stable machine-readable form
-    written to [results/profile_snapshot.json]. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-
-val diff : snapshot -> snapshot -> snapshot
-(** [diff later earlier] subtracts counter values, histogram counts, sums
-    and buckets (so quantiles of a diff describe only the interval).
-    Histogram min/max are carried from [later] — interval extrema are not
-    recoverable from two endpoint summaries. *)
-
-val snapshot_hists : snapshot -> (string * summary) list
-val counter_value : snapshot -> counter -> int
-val hist_summary : snapshot -> histogram -> summary option
-
-val to_json : snapshot -> string
-(** Stable field order (keys sorted, fixed float formatting): suitable for
-    golden tests and machine parsing. *)
+val to_json : t -> string
+(** Every counter and histogram summary (as {!to_alist} and
+    {!hists_alist} list them) in a stable form: keys sorted, fixed field
+    order and float formatting. Suitable for golden tests and machine
+    parsing; [figures profile] writes it to
+    [results/profile_snapshot.json]. *)
 
 val json_escape : string -> string
 (** The body of a JSON string literal for [s] (no surrounding quotes):

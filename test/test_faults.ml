@@ -289,19 +289,23 @@ let test_trace_records_retx_and_ack () =
   Alcotest.(check bool) "drops traced" true (List.mem "drop" ops);
   Trace.disable env
 
-let test_trace_disable_releases_registry () =
-  let before = Trace.registered () in
-  let env = Env.create () in
-  ignore (Trace.enable env);
-  Alcotest.(check int) "enable registers" (before + 1) (Trace.registered ());
-  ignore (Trace.enable env);
-  Alcotest.(check int) "double enable is idempotent" (before + 1)
-    (Trace.registered ());
+(* Enabling a trace on one environment leaves another one alone;
+   disabling leaves the environment with no sink, twice over. *)
+let test_trace_disable_clears_sink () =
+  let env = Env.create () and other = Env.create () in
+  let trace = Trace.enable env in
+  Alcotest.(check bool) "enable installs a sink" true
+    (Option.is_some env.Env.sink);
+  Alcotest.(check bool) "the other env has none" true
+    (Option.is_none other.Env.sink);
+  Trace.record other ~rank:0 ~op:"drop" ~detail:(fun () -> "loss");
+  Alcotest.(check int) "nothing from the other env" 0 (Trace.length trace);
   Trace.disable env;
-  Alcotest.(check int) "disable releases" before (Trace.registered ());
-  Alcotest.(check bool) "trace detached" true (Trace.find env = None);
+  Alcotest.(check bool) "disable clears the sink" true
+    (Option.is_none env.Env.sink);
   Trace.disable env;
-  Alcotest.(check int) "double disable is a no-op" before (Trace.registered ())
+  Alcotest.(check bool) "double disable is a no-op" true
+    (Option.is_none env.Env.sink)
 
 (* ------------------------------------------------------------------ *)
 (* The loss-sweep experiment end to end (small)                        *)
@@ -361,8 +365,8 @@ let () =
         [
           Alcotest.test_case "trace records retx/ack/drop" `Quick
             test_trace_records_retx_and_ack;
-          Alcotest.test_case "trace disable releases registry" `Quick
-            test_trace_disable_releases_registry;
+          Alcotest.test_case "trace disable clears the sink" `Quick
+            test_trace_disable_clears_sink;
           Alcotest.test_case "loss sweep digests agree" `Quick
             test_loss_sweep_digests_agree;
         ] );

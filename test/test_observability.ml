@@ -1,8 +1,8 @@
 (* The observability layer end to end: the Chrome-trace exporter's exact
    output (golden), its pair-repair under ring-buffer overflow, lazy
    event details, a pinned export of a world that reaches every device
-   trace point, snapshot diffing, and the enable/disable lifecycle of the
-   probe sinks. *)
+   trace point, the stable JSON form of the counters, and the ownership
+   of a sink by its environment. *)
 
 module Env = Simtime.Env
 module Stats = Simtime.Stats
@@ -37,17 +37,17 @@ let golden =
 let test_chrome_golden () =
   let env = fresh_env () in
   let trace = Trace.enable env in
-  Trace.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager"
+  Probe.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager"
     ~args:(fun () -> [ ("dst", "1"); ("bytes", "64") ]) ();
   Env.charge env 1000.0;
-  Trace.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ();
-  Trace.span_begin env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
+  Probe.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ();
+  Probe.span_begin env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
   Env.charge env 500.0;
   Trace.record env ~rank:1 ~op:"recv" ~detail:(fun () -> "tag=3");
-  Trace.span_end env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
-  Trace.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
+  Probe.span_end env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
+  Probe.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
   Env.charge env 250.0;
-  Trace.span_end env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
+  Probe.span_end env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
   Alcotest.(check string) "golden chrome json" (golden ^ "\n")
     (Trace.to_chrome_json trace);
   Trace.disable env
@@ -80,13 +80,13 @@ let test_chrome_golden_topo () =
   Trace.record env ~rank:1 ~op:"send" ~detail:(fun () -> "tag=1");
   Env.charge env 500.0;
   Trace.record env ~rank:2 ~op:"recv" ~detail:(fun () -> "tag=1");
-  Trace.span_begin env ~rank:3 ~cat:"ch3" ~name:"eager"
+  Probe.span_begin env ~rank:3 ~cat:"ch3" ~name:"eager"
     ~args:(fun () -> [ ("dst", "0") ]) ();
   Env.charge env 1000.0;
-  Trace.span_end env ~rank:3 ~cat:"ch3" ~name:"eager" ();
-  Trace.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
+  Probe.span_end env ~rank:3 ~cat:"ch3" ~name:"eager" ();
+  Probe.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
   Env.charge env 250.0;
-  Trace.span_end env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
+  Probe.span_end env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
   Alcotest.(check string) "golden chrome json with topology"
     (golden_topo ^ "\n")
     (Trace.to_chrome_json ~topo:(Simtime.Topology.make ~nodes:2 ~cores:2)
@@ -113,17 +113,17 @@ let test_overflow_pairs () =
   (* 20 sync spans + 10 async spans: far more than 8 slots, so the
      buffer wraps and orphan ends land at the front of the window. *)
   for i = 1 to 20 do
-    Trace.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager" ();
+    Probe.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager" ();
     Env.charge env (float_of_int i);
-    Trace.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ()
+    Probe.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ()
   done;
   for i = 1 to 10 do
-    Trace.span_begin env ~id:i ~rank:1 ~cat:"coll" ~name:"bcast" ();
+    Probe.span_begin env ~id:i ~rank:1 ~cat:"coll" ~name:"bcast" ();
     Env.charge env 10.0;
-    Trace.span_end env ~id:i ~rank:1 ~cat:"coll" ~name:"bcast" ()
+    Probe.span_end env ~id:i ~rank:1 ~cat:"coll" ~name:"bcast" ()
   done;
   (* A dangling begin: the exporter must close it, not drop the pair. *)
-  Trace.span_begin env ~rank:0 ~cat:"ch3" ~name:"rndv" ();
+  Probe.span_begin env ~rank:0 ~cat:"ch3" ~name:"rndv" ();
   Alcotest.(check bool) "buffer overflowed" true (Trace.dropped trace > 0);
   let json = Trace.to_chrome_json trace in
   Alcotest.(check int) "sync begins match ends"
@@ -137,69 +137,66 @@ let test_overflow_pairs () =
   Trace.disable env
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot diff                                                        *)
+(* Stats JSON: the accumulator's own listings, in a stable form.       *)
 (* ------------------------------------------------------------------ *)
 
-let test_snapshot_diff () =
+let test_stats_json_stable () =
   let msgs = Stats.counter "msgs" and other = Stats.counter "other" in
   let lat = Stats.histogram "lat" in
   let stats = Stats.create () in
   Stats.add stats msgs 5;
-  Stats.observe stats lat 100.0;
-  Stats.observe stats lat 200.0;
-  let before = Stats.snapshot stats in
-  Stats.add stats msgs 3;
   Stats.incr stats other;
+  Stats.observe stats lat 100.0;
   Stats.observe stats lat 400.0;
-  let after = Stats.snapshot stats in
-  let d = Stats.diff after before in
-  Alcotest.(check int) "counter delta" 3 (Stats.counter_value d msgs);
-  Alcotest.(check int) "new counter" 1 (Stats.counter_value d other);
-  (match Stats.hist_summary d lat with
-  | None -> Alcotest.fail "lat histogram missing from diff"
-  | Some s ->
-      Alcotest.(check int) "hist count delta" 1 s.Stats.n;
-      Alcotest.(check (float 0.001)) "hist sum delta" 400.0 s.Stats.sum);
-  (* A self-diff is all zeros. *)
-  let z = Stats.diff after after in
-  Alcotest.(check int) "self-diff counter" 0 (Stats.counter_value z msgs);
-  (match Stats.hist_summary z lat with
-  | Some s -> Alcotest.(check int) "self-diff hist" 0 s.Stats.n
-  | None -> ());
-  (* The JSON form is stable and mentions both sections. *)
-  let json = Stats.to_json after in
+  let json = Stats.to_json stats in
   Alcotest.(check bool) "json has counters" true
     (count_substring json "\"counters\"" = 1);
   Alcotest.(check bool) "json has histograms" true
     (count_substring json "\"histograms\"" = 1);
-  Alcotest.(check string) "json deterministic" json (Stats.to_json after)
+  Alcotest.(check bool) "json lists the counter" true
+    (count_substring json "\"msgs\": 5" = 1);
+  Alcotest.(check bool) "json summarises the histogram" true
+    (count_substring json "\"lat\": {\"count\": 2, \"sum\": 500.000" = 1);
+  Alcotest.(check string) "json deterministic" json (Stats.to_json stats)
 
 (* ------------------------------------------------------------------ *)
-(* Lifecycle: enabling tracing installs a probe sink; disabling must   *)
-(* remove both registrations, and balanced spans leave no residue.     *)
+(* Ownership: a sink lives in its environment and nowhere else.        *)
 (* ------------------------------------------------------------------ *)
 
-let test_no_leaks () =
-  let traces0 = Trace.registered () in
-  let sinks0 = Probe.installed () in
-  for _ = 1 to 50 do
-    let env = fresh_env () in
-    let trace = Trace.enable env in
-    Trace.with_span env ~rank:0 ~cat:"ch3" ~name:"eager" (fun () ->
+(* Two environments in one process: a trace on one records nothing the
+   other emits, balanced spans leave no residue, and disabling leaves
+   the environment with no sink. *)
+let test_sink_belongs_to_env () =
+  let a = fresh_env () and b = fresh_env () in
+  let emit env =
+    Trace.record env ~rank:0 ~op:"isend" ~detail:(fun () -> "dst=1");
+    Probe.with_span env ~rank:0 ~cat:"ch3" ~name:"eager" (fun () ->
         Env.charge env 10.0);
-    Trace.span_begin env ~id:1 ~rank:0 ~cat:"coll" ~name:"bcast" ();
-    Trace.span_end env ~id:1 ~rank:0 ~cat:"coll" ~name:"bcast" ();
-    Alcotest.(check int) "spans balanced" 0 (Trace.open_spans trace);
-    Trace.disable env
-  done;
-  Alcotest.(check int) "traces released" traces0 (Trace.registered ());
-  Alcotest.(check int) "probe sinks released" sinks0 (Probe.installed ())
+    Probe.span_begin env ~id:1 ~rank:0 ~cat:"coll" ~name:"bcast" ();
+    Probe.span_end env ~id:1 ~rank:0 ~cat:"coll" ~name:"bcast" ()
+  in
+  let trace = Trace.enable a in
+  emit b;
+  Alcotest.(check int) "nothing from the other env" 0 (Trace.length trace);
+  Alcotest.(check bool) "the other env has no sink" true
+    (Option.is_none b.Env.sink);
+  emit a;
+  Alcotest.(check int) "own events recorded" 5 (Trace.length trace);
+  Alcotest.(check int) "spans balanced" 0 (Trace.open_spans trace);
+  Trace.disable a;
+  Alcotest.(check bool) "disable leaves no sink" true
+    (Option.is_none a.Env.sink);
+  emit a;
+  Alcotest.(check int) "nothing after disable" 5 (Trace.length trace);
+  Trace.disable a;
+  Alcotest.(check bool) "double disable is a no-op" true
+    (Option.is_none a.Env.sink)
 
 let test_with_span_on_raise () =
   let env = fresh_env () in
   let trace = Trace.enable env in
   (try
-     Trace.with_span env ~rank:0 ~cat:"ch3" ~name:"eager" (fun () ->
+     Probe.with_span env ~rank:0 ~cat:"ch3" ~name:"eager" (fun () ->
          failwith "boom")
    with Failure _ -> ());
   Alcotest.(check int) "span closed on raise" 0 (Trace.open_spans trace);
@@ -216,18 +213,18 @@ let test_thunks_forced_only_when_traced () =
     Trace.record env ~rank:0 ~op:"isend" ~detail:(fun () ->
         incr details;
         "dst=1");
-    Trace.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager"
+    Probe.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager"
       ~args:(fun () ->
         incr args;
         [ ("dst", "1") ])
       ();
-    Trace.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ()
+    Probe.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ()
   in
   emit ();
   Alcotest.(check (pair int int)) "untraced: never forced" (0, 0)
     (!details, !args);
   (* A sink that ignores args (as the benchmark's does) never forces them
-     either; Trace.record has no trace to write to. *)
+     either, Trace.record's detail included. *)
   Probe.set_sink env (fun ~kind:_ ~id:_ ~rank:_ ~cat:_ ~name:_ ~args:_ -> ());
   emit ();
   Probe.clear_sink env;
@@ -348,10 +345,11 @@ let () =
           Alcotest.test_case "traced world parity" `Quick test_trace_parity;
         ] );
       ( "stats",
-        [ Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff ] );
+        [ Alcotest.test_case "json is stable" `Quick test_stats_json_stable ] );
       ( "lifecycle",
         [
-          Alcotest.test_case "no trace/probe leaks" `Quick test_no_leaks;
+          Alcotest.test_case "a sink belongs to its env" `Quick
+            test_sink_belongs_to_env;
           Alcotest.test_case "with_span closes on raise" `Quick
             test_with_span_on_raise;
         ] );

@@ -35,7 +35,8 @@ let test_trace_records_device_events () =
 
 let test_trace_off_by_default () =
   let env = Simtime.Env.create ~cost:Simtime.Cost.native_cpp () in
-  Alcotest.(check bool) "no trace attached" true (Trace.find env = None);
+  Alcotest.(check bool) "no sink attached" true
+    (Option.is_none env.Simtime.Env.sink);
   (* Recording without a trace must be a harmless no-op. *)
   Trace.record env ~rank:0 ~op:"x" ~detail:(fun () -> "y")
 
@@ -137,7 +138,7 @@ let test_gate_stats_round_trip () =
   Simtime.Stats.incr stats (Simtime.Stats.counter "quote\"d\\key");
   Simtime.Stats.observe stats (Simtime.Stats.histogram "send_ns") 1500.0;
   let json =
-    Gate.parse (Simtime.Stats.to_json (Simtime.Stats.snapshot stats))
+    Gate.parse (Simtime.Stats.to_json stats)
   in
   let counters =
     match Gate.member "counters" json with
@@ -473,6 +474,60 @@ let test_experiment_index_modules_exist () =
     "every module DESIGN.md section 3 names exists" []
     (List.map (fun (lib, m) -> lib ^ "." ^ m) missing)
 
+(* ------------------------------------------------------------------ *)
+(* results/MANIFEST.tsv: every artifact, its command and its clock     *)
+(* ------------------------------------------------------------------ *)
+
+let manifest_name = "MANIFEST.tsv"
+
+(* (file, clock, command) per line that is neither blank nor a comment. *)
+let manifest () =
+  In_channel.with_open_text ("../results/" ^ manifest_name)
+    In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.map (fun l ->
+         match String.split_on_char '\t' l with
+         | file :: clock :: command :: _ -> (file, clock, command)
+         | _ -> Alcotest.failf "manifest line %S lacks a field" l)
+
+(* Every file under results/ is listed once with a known clock, and
+   every virtual-clock file is regenerated and cmp-ed by CI. *)
+let test_results_manifest () =
+  let entries = manifest () in
+  let listed = List.map (fun (f, _, _) -> f) entries in
+  let files =
+    Sys.readdir "../results" |> Array.to_list
+    |> List.filter (fun f -> f <> manifest_name)
+    |> List.sort String.compare
+  in
+  Alcotest.(check (list string)) "every results/ file listed once" files
+    (List.sort String.compare listed);
+  let cmp_lines =
+    In_channel.with_open_text "../.github/workflows/ci.yml"
+      In_channel.input_all
+    |> String.split_on_char '\n' |> List.map String.trim
+    |> List.filter (String.starts_with ~prefix:"cmp ")
+  in
+  List.iter
+    (fun (file, clock, command) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: clock %S is virtual or host" file clock)
+        true
+        (clock = "virtual" || clock = "host");
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the command writes it" file)
+        true
+        (find_sub command ("results/" ^ file) 0 <> None);
+      if clock = "virtual" then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: CI cmp-s it" file)
+          true
+          (List.exists
+             (String.ends_with ~suffix:(" results/" ^ file))
+             cmp_lines))
+    entries
+
 let () =
   Alcotest.run "tools"
     [
@@ -507,6 +562,8 @@ let () =
             test_module_map_matches_lib;
           Alcotest.test_case "experiment index names real modules" `Quick
             test_experiment_index_modules_exist;
+          Alcotest.test_case "results manifest is complete" `Quick
+            test_results_manifest;
         ] );
       ( "trace",
         [
