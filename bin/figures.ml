@@ -884,7 +884,7 @@ let report_cmd =
   let path =
     Arg.(
       value
-      & opt string "RESULTS.md"
+      & opt string "results/RESULTS.md"
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Where to write the report.")
   in
   cmd_of "report" "Write a markdown report of every measured result."

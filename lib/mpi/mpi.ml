@@ -322,22 +322,20 @@ let irecv p ~comm ~src ~tag buf =
   in
   Ch3.irecv p.dev ~src ~tag ~context:comm.Comm.ctx buf
 
-exception No_progress of { op : string; rank : int }
-
 (* The one polling wait: each poll runs [poll], pumps the device's
-   progress engine, then tests [ready]. Inside a fiber scheduler it
-   suspends, declaring [idle] so quiet scans can be skipped. Plain code
-   (unit tests, self-sends) has no scheduler to suspend into, so it polls
-   in place: a failed poll with packets in flight fast-forwards to the
-   next arrival by the scheduler's own rule, and the safety bound counts
-   only polls that neither handled a packet nor skipped any time.
+   progress engine, then tests [ready]. It suspends, declaring [idle] so
+   quiet scans can be skipped. Plain code (unit tests, self-sends) has no
+   scheduler to suspend into, so it runs the wait as a one-fiber run of
+   its own: a hang is then the same [Fiber.Deadlock], with the world's
+   pending dump, at the first scan that finds nothing in flight. The run
+   passes its own policy, so an ambient driver records no decisions.
 
    Another rank's poll can complete this wait partway through a scan (a
    detection failing its requests, a collective abort flood). A wait
    that is [ready] wakes on its next poll, so no scan may be skipped past
    it: its horizon becomes unknown. [ready] runs in scheduler context,
    where an exception would abort the whole run, so it must not raise. *)
-let poll_until p ~label ~op ?idle ?(poll = ignore) ready =
+let poll_until p ~label ?idle ?(poll = ignore) ready =
   let idle =
     Option.map
       (fun (i : Fiber.idle) ->
@@ -347,25 +345,16 @@ let poll_until p ~label ~op ?idle ?(poll = ignore) ready =
         })
       idle
   in
-  if Fiber.in_scheduler () then
+  let wait () =
     Fiber.wait_until ~label ?idle (fun () ->
         poll ();
         ignore (Ch3.progress p.dev);
         ready ())
+  in
+  if Fiber.in_scheduler () then wait ()
   else
-    let rec go spins =
-      poll ();
-      let did = Ch3.progress p.dev in
-      if not (ready ()) then begin
-        let skipped =
-          match idle with Some i -> Fiber.fast_forward [ i ] | None -> 0
-        in
-        let spins = if did || skipped > 0 then 0 else spins + 1 in
-        if spins > 1_000_000 then raise (No_progress { op; rank = p.prank });
-        go spins
-      end
-    in
-    go 0
+    Fiber.run ~policy:Fiber.Round_robin ~pending:(describe_pending p.world)
+      [ (label, wait) ]
 
 (* A doomed rank (its kill time passed) wakes from the wait and dies via
    [check_self], in fiber context. In plain code a wait on a request
@@ -374,7 +363,7 @@ let wait_with p ?idle ?poll req =
   check_self p;
   let ready () = Request.is_complete req || self_doomed p in
   if Fiber.in_scheduler () || not (ready ()) then
-    poll_until p ~label:"mpi-wait" ~op:"Mpi.wait" ?idle ?poll ready;
+    poll_until p ~label:"mpi-wait" ?idle ?poll ready;
   check_self p;
   match Request.reason req with
   | Some reason -> raise_reason reason
@@ -395,8 +384,7 @@ let wait_any p reqs =
   if reqs = [] then invalid_arg "Mpi.wait_any: empty request list";
   check_self p;
   let found = ref None in
-  poll_until p ~label:"mpi-waitany" ~op:"Mpi.wait_any"
-    ~idle:(Ch3.idle_poll p.dev) (fun () ->
+  poll_until p ~label:"mpi-waitany" ~idle:(Ch3.idle_poll p.dev) (fun () ->
       found := List.find_opt Request.is_complete reqs;
       Option.is_some !found || self_doomed p);
   check_self p;
@@ -416,8 +404,7 @@ let wait_some p reqs =
   let ready () = List.exists Request.is_complete reqs || self_doomed p in
   ignore (Ch3.progress p.dev);
   if not (ready ()) then
-    poll_until p ~label:"mpi-waitsome" ~op:"Mpi.wait_some"
-      ~idle:(Ch3.idle_poll p.dev) ready;
+    poll_until p ~label:"mpi-waitsome" ~idle:(Ch3.idle_poll p.dev) ready;
   check_self p;
   List.filter Request.is_complete reqs
 

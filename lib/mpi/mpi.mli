@@ -205,43 +205,35 @@ val recv :
   proc -> comm:Comm.t -> src:int -> tag:int -> Buffer_view.t -> Status.t
 (** The returned status's [source] is a communicator rank. *)
 
-exception No_progress of { op : string; rank : int }
-(** A blocking wait called outside a fiber scheduler (plain code: unit
-    tests, self-sends) polled the progress engine 10^6 times in a row
-    without handling a packet or anything in flight to wait for, so the
-    request never completes — e.g. a receive with no matching send. A
-    packet merely in flight is not a hang: the wait fast-forwards the
-    clock to its arrival instead. [op] names the operation (["Mpi.wait"],
-    ["Mpi.wait_any"], ["Mpi.wait_some"], ["Rma"]) and [rank] is the
-    calling world rank. Inside a scheduler the same situation is a
-    {!Fiber.Deadlock} instead. *)
-
 val poll_until :
   proc ->
   label:string ->
-  op:string ->
   ?idle:Fiber.idle ->
   ?poll:(unit -> unit) ->
   (unit -> bool) ->
   unit
-(** [poll_until p ~label ~op ?idle ?poll ready] is the polling wait every
+(** [poll_until p ~label ?idle ?poll ready] is the polling wait every
     blocking call is built on: each poll runs [poll ()] (default: nothing)
-    and one progress pump, then tests [ready ()]. Inside a fiber
-    scheduler it suspends under [label], declaring [idle] (with its
-    horizon unknown once [ready ()] holds); in plain code it polls in
-    place, fast-forwarding over quiet polls, and raises {!No_progress}
-    with [op] after 10^6 polls that did nothing. [ready] must not
-    raise. *)
+    and one progress pump, then tests [ready ()]. It suspends under
+    [label] with {!Fiber.wait_until}, declaring [idle] (with its horizon
+    unknown once [ready ()] holds). Outside a fiber scheduler (plain
+    code: unit tests, self-sends) it runs that wait as a one-fiber
+    round-robin {!Fiber.run} of its own, so a wait that can never
+    complete raises {!Fiber.Deadlock} there too, naming [label]/[label]
+    and carrying {!describe_pending}'s dump; the run records no
+    decisions into an ambient {!Fiber.with_policy} trace. [ready] must
+    not raise. *)
 
 val wait : proc -> Request.t -> Status.t option
 (** Polling wait: pumps progress until the request completes. The optional
     [poll] hook of {!wait_poll} is how Motor injects GC yields. Raises
     {!Ch3.Mpi_error} if the request completed with a categorized failure
-    (truncation, rendezvous refused), and {!No_progress} if it can never
-    complete outside a scheduler. The wait declares its idle poll
-    ({!Ch3.idle_poll}), so the clock jumps over polls that provably find
-    nothing — with the same virtual time and counters as polling them
-    (DESIGN.md §17). Once another rank's poll has completed the request
+    (truncation, rendezvous refused), and {!Fiber.Deadlock} if it can
+    never complete, inside a scheduler or not ({!poll_until}); in plain
+    code a request that is already complete returns without a poll. The
+    wait declares its idle poll ({!Ch3.idle_poll}), so the clock jumps
+    over polls that provably find nothing — with the same virtual time
+    and counters as polling them (DESIGN.md §17). Once another rank's poll has completed the request
     (a failure detection, a collective abort), the wait's horizon is
     unknown until it wakes. *)
 
@@ -263,7 +255,7 @@ val wait_all : proc -> Request.t list -> unit
 val wait_any : proc -> Request.t list -> Request.t
 (** Block until at least one of the requests completes; returns the first
     complete one in list order ([MPI_Waitany]). The list must not be
-    empty. Raises {!No_progress} as {!wait} does. *)
+    empty. Raises {!Fiber.Deadlock} as {!wait} does. *)
 
 val test_all : proc -> Request.t list -> bool
 (** One progress pump, then [true] iff every request is complete
@@ -276,7 +268,7 @@ val test_any : proc -> Request.t list -> Request.t option
 val wait_some : proc -> Request.t list -> Request.t list
 (** Block until at least one request completes; returns {e all} the
     complete ones, in list order ([MPI_Waitsome]). The list must not be
-    empty. Raises {!No_progress} as {!wait} does. *)
+    empty. Raises {!Fiber.Deadlock} as {!wait} does. *)
 
 val sendrecv :
   proc ->

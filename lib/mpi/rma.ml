@@ -348,7 +348,28 @@ and dispatch win =
    service receive is posted and unmatched the window's hook is quiet,
    so a wait on the wire fast-forwards like any other MPI wait. *)
 let pump_until p ~label pred =
-  Mpi.poll_until p ~label ~op:"Rma" ~idle:(Ch3.idle_poll (Mpi.device p)) pred
+  Mpi.poll_until p ~label ~idle:(Ch3.idle_poll (Mpi.device p)) pred
+
+(* One 8-byte value with every other member of a window's group, in a
+   round of its own [tag]: member [s] gets [value s], and the result holds
+   what each member sent us ([value me] at [me]). Per peer the receive is
+   built before the send, and one [wait_all] completes both, so no member
+   returns before every other member has entered the round. *)
+let exchange p ~ctx ~tag ~world_rank ~me ~n value =
+  let d = Mpi.device p in
+  let slots = Array.init n (fun _ -> Bytes.create 8) in
+  let reqs = ref [] in
+  for s = 0 to n - 1 do
+    if s <> me then
+      reqs :=
+        Ch3.irecv d ~src:(world_rank s) ~tag ~context:ctx
+          (Buffer_view.of_bytes slots.(s))
+        :: Ch3.isend d ~dst:(world_rank s) ~tag ~context:ctx
+             (Buffer_view.of_bytes (i64 (value s)))
+        :: !reqs
+  done;
+  Mpi.wait_all p !reqs;
+  Array.init n (fun s -> if s = me then value me else of_i64 slots.(s))
 
 (* ------------------------------------------------------------------ *)
 (* RDMA cost modelling (only on worlds built with the [`Rdma] channel)  *)
@@ -387,32 +408,13 @@ let win_create ?(eager_apply = false) ?sub p ~comm buf =
   let ctx =
     Mpi.alloc_context w ~key:(Printf.sprintf "rma/%d/%d" comm.Comm.ctx e)
   in
-  let d = Mpi.device p in
   (* Exchange window sizes so remote ranges are origin-checked; this also
      means no member returns before every other member has entered the
      call. *)
-  let sizes = Array.make n 0 in
-  sizes.(me) <- len;
-  let slots = Array.init n (fun _ -> Bytes.create 8) in
-  let reqs = ref [] in
-  for s = 0 to n - 1 do
-    if s <> me then begin
-      reqs :=
-        Ch3.irecv d
-          ~src:(Comm.world_rank_of comm s)
-          ~tag:tag_size ~context:ctx
-          (Buffer_view.of_bytes slots.(s))
-        :: Ch3.isend d
-             ~dst:(Comm.world_rank_of comm s)
-             ~tag:tag_size ~context:ctx
-             (Buffer_view.of_bytes (i64 sizes.(me)))
-        :: !reqs
-    end
-  done;
-  Mpi.wait_all p !reqs;
-  for s = 0 to n - 1 do
-    if s <> me then sizes.(s) <- of_i64 slots.(s)
-  done;
+  let sizes =
+    exchange p ~ctx ~tag:tag_size ~world_rank:(Comm.world_rank_of comm) ~me
+      ~n (fun _ -> len)
+  in
   let rdma = Mpi.rdma_handle w in
   (match rdma with
   | Some h when len > 0 ->
@@ -458,7 +460,8 @@ let win_create ?(eager_apply = false) ?sub p ~comm buf =
     | Some req -> not (Request.is_complete req)
     | None -> true
   in
-  win.w_hook <- Ch3.add_progress_hook ~ctx ~quiet d (fun () -> handle win);
+  win.w_hook <-
+    Ch3.add_progress_hook ~ctx ~quiet (Mpi.device p) (fun () -> handle win);
   win
 
 (* ------------------------------------------------------------------ *)
@@ -482,20 +485,36 @@ let epoch_for win ~target =
       win.w_out.(target) <- win.w_out.(target) + 1;
       win.w_fence_no
 
-let send_update win ~kind ~code ~target ~target_off buf ~off ~len =
-  let epoch = epoch_for win ~target in
-  let payload = Bytes.sub buf off len in
-  let msg =
-    encode ~kind ~code ~origin:win.w_me ~seq:(next_seq win) ~off:target_off
-      ~len ~aux:epoch payload
+(* The one way to ask [target]'s service: take the next sequence number,
+   post the reply receive ([reply seq] names its tag and landing buffer)
+   before the request can be served, send the request under [tag_ops],
+   and wait for the send and then for the reply. *)
+let call win ~target ~kind ?(code = 0) ?(off = 0) ?(len = 0) ?(aux = 0)
+    ?reply payload =
+  let seq = next_seq win in
+  let dst = world_rank win target in
+  let rreq =
+    Option.map
+      (fun reply ->
+        let tag, view = reply seq in
+        Ch3.irecv (dev win) ~src:dst ~tag ~context:win.w_ctx view)
+      reply
   in
-  rdma_transfer win buf ~off ~len;
+  let msg = encode ~kind ~code ~origin:win.w_me ~seq ~off ~len ~aux payload in
   ignore
     (Mpi.wait win.w_proc
-       (Ch3.isend (dev win)
-          ~dst:(world_rank win target)
-          ~tag:tag_ops ~context:win.w_ctx
-          (Buffer_view.of_bytes msg)))
+       (Ch3.isend (dev win) ~dst ~tag:tag_ops ~context:win.w_ctx
+          (Buffer_view.of_bytes msg)));
+  Option.iter (fun r -> ignore (Mpi.wait win.w_proc r)) rreq
+
+(* A lock grant or unlock ack: 8 bytes under a fixed tag. *)
+let ack_reply tag _ = (tag, Buffer_view.of_bytes (Bytes.create 8))
+
+let send_update win ~kind ~code ~target ~target_off buf ~off ~len =
+  let aux = epoch_for win ~target in
+  let payload = Bytes.sub buf off len in
+  rdma_transfer win buf ~off ~len;
+  call win ~target ~kind ~code ~off:target_off ~len ~aux payload
 
 let put win ~target ~target_off buf ~off ~len =
   check_target win ~target ~target_off ~len;
@@ -526,26 +545,11 @@ let get win ~target ~target_off buf ~off ~len =
     invalid_arg "Rma.get: local range outside the buffer";
   Env.count (wenv win) Key.rma_gets;
   rdma_transfer win buf ~off ~len;
-  let seq = next_seq win in
-  let rtag = tag_reply_base + seq in
-  let epoch = if Hashtbl.mem win.w_held target then -1 else win.w_fence_no in
-  let rreq =
-    Ch3.irecv (dev win)
-      ~src:(world_rank win target)
-      ~tag:rtag ~context:win.w_ctx
-      (Buffer_view.of_bytes_sub buf ~off ~len)
-  in
-  let msg =
-    encode ~kind:k_get ~code:0 ~origin:win.w_me ~seq ~off:target_off ~len
-      ~aux:epoch Bytes.empty
-  in
-  ignore
-    (Mpi.wait win.w_proc
-       (Ch3.isend (dev win)
-          ~dst:(world_rank win target)
-          ~tag:tag_ops ~context:win.w_ctx
-          (Buffer_view.of_bytes msg)));
-  ignore (Mpi.wait win.w_proc rreq)
+  let aux = if Hashtbl.mem win.w_held target then -1 else win.w_fence_no in
+  call win ~target ~kind:k_get ~off:target_off ~len ~aux
+    ~reply:(fun seq ->
+      (tag_reply_base + seq, Buffer_view.of_bytes_sub buf ~off ~len))
+    Bytes.empty
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization                                                     *)
@@ -555,27 +559,12 @@ let get win ~target ~target_off buf ~off ~len =
    update addressed to us in that round has arrived. Shared by
    [win_fence] and the pre-free barrier. *)
 let fence_exchange win =
-  let p = win.w_proc in
-  let d = dev win in
-  let tag = tag_fence_base + win.w_fence_no in
-  let announced = Array.make win.w_n 0 in
-  announced.(win.w_me) <- win.w_out.(win.w_me);
-  let slots = Array.init win.w_n (fun _ -> Bytes.create 8) in
-  let reqs = ref [] in
-  for s = 0 to win.w_n - 1 do
-    if s <> win.w_me then
-      reqs :=
-        Ch3.irecv d ~src:(world_rank win s) ~tag ~context:win.w_ctx
-          (Buffer_view.of_bytes slots.(s))
-        :: Ch3.isend d ~dst:(world_rank win s) ~tag ~context:win.w_ctx
-             (Buffer_view.of_bytes (i64 win.w_out.(s)))
-        :: !reqs
-  done;
-  Mpi.wait_all p !reqs;
-  for s = 0 to win.w_n - 1 do
-    if s <> win.w_me then announced.(s) <- of_i64 slots.(s)
-  done;
   let round = win.w_fence_no in
+  let announced =
+    exchange win.w_proc ~ctx:win.w_ctx ~tag:(tag_fence_base + round)
+      ~world_rank:(world_rank win) ~me:win.w_me ~n:win.w_n (fun s ->
+        win.w_out.(s))
+  in
   let drained () =
     let row = got_row win round in
     let ok = ref true in
@@ -584,7 +573,7 @@ let fence_exchange win =
     done;
     !ok
   in
-  pump_until p ~label:"rma-fence" drained
+  pump_until win.w_proc ~label:"rma-fence" drained
 
 (* Serve reads that were waiting for the window to close into their
    round (now that its updates are committed). *)
@@ -626,22 +615,9 @@ let win_lock ?(exclusive = true) win ~target =
   if Hashtbl.mem win.w_held target then
     invalid_arg "Rma.win_lock: already holding this window's lock";
   Env.count (wenv win) Key.rma_locks;
-  let d = dev win in
-  let ack = Bytes.create 8 in
-  let rreq =
-    Ch3.irecv d ~src:(world_rank win target) ~tag:tag_grant
-      ~context:win.w_ctx (Buffer_view.of_bytes ack)
-  in
-  let msg =
-    encode ~kind:k_lock
-      ~code:(if exclusive then 1 else 0)
-      ~origin:win.w_me ~seq:(next_seq win) ~off:0 ~len:0 ~aux:0 Bytes.empty
-  in
-  ignore
-    (Mpi.wait win.w_proc
-       (Ch3.isend d ~dst:(world_rank win target) ~tag:tag_ops
-          ~context:win.w_ctx (Buffer_view.of_bytes msg)));
-  ignore (Mpi.wait win.w_proc rreq);
+  call win ~target ~kind:k_lock
+    ~code:(if exclusive then 1 else 0)
+    ~reply:(ack_reply tag_grant) Bytes.empty;
   Hashtbl.replace win.w_held target (ref 0)
 
 let win_unlock win ~target =
@@ -651,21 +627,8 @@ let win_unlock win ~target =
     | Some c -> !c
     | None -> invalid_arg "Rma.win_unlock: lock not held"
   in
-  let d = dev win in
-  let ack = Bytes.create 8 in
-  let rreq =
-    Ch3.irecv d ~src:(world_rank win target) ~tag:tag_ack ~context:win.w_ctx
-      (Buffer_view.of_bytes ack)
-  in
-  let msg =
-    encode ~kind:k_unlock ~code:0 ~origin:win.w_me ~seq:(next_seq win) ~off:0
-      ~len:0 ~aux:ops Bytes.empty
-  in
-  ignore
-    (Mpi.wait win.w_proc
-       (Ch3.isend d ~dst:(world_rank win target) ~tag:tag_ops
-          ~context:win.w_ctx (Buffer_view.of_bytes msg)));
-  ignore (Mpi.wait win.w_proc rreq);
+  call win ~target ~kind:k_unlock ~aux:ops ~reply:(ack_reply tag_ack)
+    Bytes.empty;
   Hashtbl.remove win.w_held target
 
 let win_free win =
@@ -676,26 +639,20 @@ let win_free win =
     invalid_arg "Rma.win_free: a lock is still held by this process";
   if Array.exists (fun c -> c > 0) win.w_out then
     invalid_arg "Rma.win_free: unfenced one-sided operations outstanding";
+  (* Synchronize all members (a zero-count fence round) so nothing can
+     still be in flight toward this window: a peer's lock epoch on it has
+     closed by the time that peer joins the round. Only then can this
+     window's own lock and queues be judged. Retire the service with a
+     self-addressed FREE — completing the posted receive and removing the
+     progress hook, so quiescence checks stay clean. *)
+  fence_exchange win;
   if win.w_lock <> Unlocked || not (Queue.is_empty win.w_waiters) then
     invalid_arg "Rma.win_free: this window's lock is held or contended";
   if Array.exists (fun c -> !c <> []) win.w_queued then
     invalid_arg "Rma.win_free: queued updates never applied by a sync";
-  (* Synchronize all members (a zero-count fence round) so nothing can
-     still be in flight toward this window, then retire the service with
-     a self-addressed FREE — completing the posted receive and removing
-     the progress hook, so quiescence checks stay clean. *)
-  fence_exchange win;
   win.w_fence_no <- win.w_fence_no + 1;
   serve_gets win;
-  let msg =
-    encode ~kind:k_free ~code:0 ~origin:win.w_me ~seq:(next_seq win) ~off:0
-      ~len:0 ~aux:0 Bytes.empty
-  in
-  ignore
-    (Mpi.wait win.w_proc
-       (Ch3.isend (dev win)
-          ~dst:(world_rank win win.w_me)
-          ~tag:tag_ops ~context:win.w_ctx (Buffer_view.of_bytes msg)));
+  call win ~target:win.w_me ~kind:k_free Bytes.empty;
   pump_until win.w_proc ~label:"rma-free" (fun () -> win.w_service = None);
   (match win.w_rdma with
   | Some h when win.w_len > 0 ->

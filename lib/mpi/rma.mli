@@ -79,10 +79,12 @@ val win_free : win -> unit
 (** Collective. Synchronizes members (so no one-sided traffic can still
     be in flight toward the caller), retires the service receive and its
     progress hook, and — on an RDMA world — unpins the window's
-    registration. Freeing a window with an {e open epoch} (a lock held
-    by or on the caller, unfenced outbound operations, or queued
-    unapplied updates) raises [Invalid_argument] instead of leaving a
-    dangling registration. *)
+    registration. Freeing a window with an {e open epoch} raises
+    [Invalid_argument] instead of leaving a dangling registration: a
+    lock the caller holds or unfenced outbound operations on entry; a
+    lock held on the caller's window or queued unapplied updates once
+    the members have synchronized, so a peer's epoch that closes before
+    that peer frees is no error. *)
 
 val put :
   win -> target:int -> target_off:int -> Bytes.t -> off:int -> len:int -> unit

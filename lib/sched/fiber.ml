@@ -331,8 +331,7 @@ let rec least_horizon clock h = function
    Commit the most scans whose end stays strictly before the horizon [h],
    so no skipped poll could have seen an arrival. A scan that would not
    move the clock skips nothing. Each wait's counters learn when its poll
-   in the last skipped scan ended, by replaying that scan once more.
-   Returns the number of scans skipped. *)
+   in the last skipped scan ended, by replaying that scan once more. *)
 let skip_scans clock h idles =
   let per_scan = Array.concat (List.map (fun i -> i.charges) idles) in
   let now = ref (Simtime.Clock.now_ns clock) and k = ref 0 in
@@ -358,26 +357,21 @@ let skip_scans clock h idles =
         Array.iter (fun c -> at := !at +. c) i.charges;
         i.count !k ~at:!at)
       idles
-  end;
-  !k
-
-(* An infinite horizon skips nothing: with nothing in flight, only the
-   deadlock detector may end the wait. *)
-let fast_forward idles =
-  match idles with
-  | [] -> 0
-  | { clock; _ } :: _ -> (
-      match least_horizon clock Float.infinity idles with
-      | Some h when h < Float.infinity -> skip_scans clock h idles
-      | _ -> 0)
+  end
 
 (* After a scan that woke nobody, the next scans repeat it exactly until
-   some horizon passes — provided every blocked wait is quiet. *)
+   some horizon passes — provided every blocked wait is quiet. An
+   infinite horizon skips nothing: with nothing in flight, only the
+   deadlock detector may end the wait. *)
 let fast_forward_blocked sched =
   if List.for_all (fun b -> Option.is_some b.idle) sched.blocked then
     (* [blocked] is newest first; scans run oldest first. *)
-    ignore
-      (fast_forward (List.rev_map (fun b -> Option.get b.idle) sched.blocked))
+    match List.rev_map (fun b -> Option.get b.idle) sched.blocked with
+    | [] -> ()
+    | { clock; _ } :: _ as idles -> (
+        match least_horizon clock Float.infinity idles with
+        | Some h when h < Float.infinity -> skip_scans clock h idles
+        | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Cooperative (deterministic) main loop                               *)

@@ -142,7 +142,12 @@ val yield : unit -> unit
     waits wakes nobody and every wait is declared, the scheduler skips the
     scans that would repeat it exactly, and keeps the virtual clock and
     the counters bit for bit where polling one by one would have left
-    them (DESIGN.md §17). *)
+    them (DESIGN.md §17): it commits the most scans whose end stays
+    strictly before the least horizon. It skips nothing when a horizon
+    is [None], when the least one is infinite (only the deadlock
+    detector may end such a scan), or when the waits charge different
+    clocks. Plain code reaches the same rule by running its wait as a
+    one-fiber {!run} ([Mpi.poll_until]). *)
 
 type idle = {
   clock : Simtime.Clock.t;  (** the clock the poll charges *)
@@ -170,18 +175,6 @@ val idle_seq : idle -> idle -> idle option
     [b]'s: charges concatenated, counters both, the lesser horizon.
     Both counters see the combined poll's end as [at], so only [b]'s may
     read it. [None] when the two charge different clocks. *)
-
-val fast_forward : idle list -> int
-(** [fast_forward idles] skips whole quiet scans over [idles], polled in
-    list order: it replays each scan's charges as the same float
-    additions on a local copy of the clock, commits the most scans whose
-    end stays strictly before the least horizon, and bumps each wait's
-    counters by that number, which it returns; [at] replays the last
-    skipped scan. It skips nothing when a
-    horizon is [None], when the least one is infinite, or when the waits
-    charge different clocks. Polling loops outside a scheduler call it
-    after every failed poll; the cooperative scheduler applies the same
-    rule after every scan that wakes nobody. *)
 
 val wait_until : ?label:string -> ?idle:idle -> (unit -> bool) -> unit
 (** [wait_until pred] suspends until [pred ()] is true. [pred] runs in

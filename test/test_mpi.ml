@@ -243,23 +243,53 @@ let test_deadlock_detected () =
 
 let test_no_progress_outside_scheduler () =
   (* Plain code, no fibers: a receive nobody sends to can never complete,
-     so each wait flavour must give up with the typed error. *)
+     so each wait flavour runs into the scheduler's deadlock report at
+     its first quiet scan, naming its wait and the stuck request. The
+     clock moves by the wait's first poll and that scan's, plus the one
+     pump [wait_some] makes before it waits. *)
   let w = Mpi.create_world ~n:2 () in
   let p = Mpi.proc w 1 in
   let comm = Mpi.comm_world w in
   let req = Mpi.irecv p ~comm ~src:0 ~tag:0 (Bv.of_bytes (Bytes.create 8)) in
+  let poll_ns = Simtime.Cost.motor.progress_poll_ns in
   List.iter
-    (fun (op, wait) ->
+    (fun (label, polls, wait) ->
+      let before = Simtime.Env.now_ns (Mpi.env w) in
       match wait () with
-      | () -> Alcotest.failf "%s returned" op
-      | exception Mpi.No_progress { op = got; rank } ->
-          Alcotest.(check string) "operation" op got;
-          Alcotest.(check int) "rank" 1 rank)
+      | () -> Alcotest.failf "%s returned" label
+      | exception Fiber.Deadlock { waiting; pending; _ } ->
+          Alcotest.(check (list string))
+            (label ^ ": waiting") [ label ^ "/" ^ label ] waiting;
+          Alcotest.(check (list string))
+            (label ^ ": pending")
+            [ "rank 1: recv req#1 src=0 tag=0 ctx=0 (posted)" ]
+            pending;
+          let moved = Simtime.Env.now_ns (Mpi.env w) -. before in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: clock moved %.0f ns, at most %d polls" label
+               moved polls)
+            true
+            (moved <= float polls *. poll_ns))
     [
-      ("Mpi.wait", fun () -> ignore (Mpi.wait p req));
-      ("Mpi.wait_any", fun () -> ignore (Mpi.wait_any p [ req ]));
-      ("Mpi.wait_some", fun () -> ignore (Mpi.wait_some p [ req ]));
+      ("mpi-wait", 2, fun () -> ignore (Mpi.wait p req));
+      ("mpi-waitany", 2, fun () -> ignore (Mpi.wait_any p [ req ]));
+      ("mpi-waitsome", 3, fun () -> ignore (Mpi.wait_some p [ req ]));
     ]
+
+(* Plain code inside an ambient recording policy: the wait's own run
+   passes its policy, so the explorer's trace sees no decision of it. *)
+let test_plain_wait_records_nothing () =
+  let tr = Fiber.new_trace () in
+  Fiber.with_policy ~record:tr (Fiber.Seeded_random 3) (fun () ->
+      let w = Mpi.create_world ~n:1 () in
+      let p = Mpi.proc w 0 in
+      let comm = Mpi.comm_world w in
+      let buf = Bytes.create 8 in
+      let r = Mpi.irecv p ~comm ~src:0 ~tag:5 (Bv.of_bytes buf) in
+      ignore (Mpi.isend p ~comm ~dst:0 ~tag:5 (Bv.of_bytes (payload 8)));
+      ignore (Mpi.wait p r);
+      Alcotest.(check bytes) "payload" (payload 8) buf);
+  Alcotest.(check int) "decisions recorded" 0 (Fiber.trace_length tr)
 
 (* Plain code: a self-send merely in flight for longer than 10^6 polls
    (~150 ms virtual at 150 ns a poll) is not a hang. Each wait flavour
@@ -912,6 +942,8 @@ let () =
             test_no_progress_outside_scheduler;
           Alcotest.test_case "slow wire outside a scheduler" `Quick
             test_slow_wire_outside_scheduler;
+          Alcotest.test_case "plain wait records no decisions" `Quick
+            test_plain_wait_records_nothing;
           Alcotest.test_case "deadlock after fast-forward" `Quick
             test_deadlock_after_fast_forward;
           Alcotest.test_case "virtual time advances" `Quick

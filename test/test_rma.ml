@@ -331,6 +331,36 @@ let test_free_with_held_lock () =
   check_quiescent w;
   Alcotest.(check bool) "free with held lock raises" true !raised
 
+(* A peer's lock epoch on this window is the peer's to close: a target
+   that reaches [win_free] while rank 1 still holds its exclusive lock
+   synchronizes first, so the epoch ends and the put lands before the
+   lock is judged. *)
+let test_free_waits_for_peer_lock () =
+  let seen = ref Bytes.empty in
+  let w =
+    Mpi.run ~n:2 (fun p ->
+        let comm = Mpi.comm_world (Mpi.world_of p) in
+        let buf = Bytes.make 16 '\000' in
+        let win = Rma.win_create p ~comm buf in
+        let token = Bytes.create 1 in
+        if Mpi.rank p = 1 then begin
+          Rma.win_lock win ~target:0;
+          Mpi.send p ~comm ~dst:0 ~tag:7 (Mpi_core.Buffer_view.of_bytes token);
+          Rma.put win ~target:0 ~target_off:4 (Bytes.make 8 'z') ~off:0 ~len:8;
+          Rma.win_unlock win ~target:0
+        end
+        else
+          ignore
+            (Mpi.recv p ~comm ~src:1 ~tag:7
+               (Mpi_core.Buffer_view.of_bytes token));
+        Rma.win_free win;
+        if Mpi.rank p = 0 then seen := Bytes.copy buf)
+  in
+  check_quiescent w;
+  Alcotest.(check string) "put visible after free"
+    (String.make 4 '\000' ^ String.make 8 'z' ^ String.make 4 '\000')
+    (Bytes.to_string !seen)
+
 let test_freed_window_rejects_ops () =
   let w =
     Mpi.run ~n:2 (fun p ->
@@ -592,6 +622,8 @@ let () =
             test_free_with_unfenced_put;
           Alcotest.test_case "free with held lock" `Quick
             test_free_with_held_lock;
+          Alcotest.test_case "free waits for a peer's lock epoch" `Quick
+            test_free_waits_for_peer_lock;
           Alcotest.test_case "freed window rejects ops" `Quick
             test_freed_window_rejects_ops;
           Alcotest.test_case "out-of-range put" `Quick test_out_of_range_put;

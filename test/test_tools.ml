@@ -528,6 +528,83 @@ let test_results_manifest () =
              cmp_lines))
     entries
 
+(* ------------------------------------------------------------------ *)
+(* One wait path                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let read_lib rel =
+  In_channel.with_open_text (Filename.concat "../lib" rel) In_channel.input_all
+
+(* Every .ml and .mli file of lib/, relative to it. *)
+let lib_sources () =
+  Sys.readdir "../lib" |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun dir ->
+         let path = Filename.concat "../lib" dir in
+         if not (Sys.is_directory path) then []
+         else
+           Sys.readdir path |> Array.to_list |> List.sort compare
+           |> List.filter (fun f ->
+                  Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
+           |> List.map (Filename.concat dir))
+
+(* A source's top-level definitions as (name, text), each running from
+   a line that opens with [let] or [and] to the next such line. *)
+let definitions src =
+  let name l =
+    match String.split_on_char ' ' l with
+    | ("let" | "and") :: "rec" :: n :: _ | ("let" | "and") :: n :: _ -> Some n
+    | _ -> None
+  in
+  String.split_on_char '\n' src
+  |> List.fold_left
+       (fun acc l ->
+         match (name l, acc) with
+         | Some n, _ -> (n, [ l ]) :: acc
+         | None, (n, ls) :: rest -> (n, l :: ls) :: rest
+         | None, [] -> acc)
+       []
+  |> List.rev_map (fun (n, ls) -> (n, String.concat "\n" (List.rev ls)))
+
+let mentions s sub = find_sub s sub 0 <> None
+
+(* Blocking has one path: every wait suspends through [Mpi.poll_until]
+   (plain code too) or the spawn rendezvous, no spin bound is left, and
+   RMA makes a request in one place and exchanges per-peer values in
+   one place. *)
+let test_one_wait_path () =
+  let files = lib_sources () in
+  Alcotest.(check bool) "lib/ has sources" true (List.length files > 50);
+  let defining file sub =
+    definitions (read_lib file)
+    |> List.filter_map (fun (n, text) ->
+           if mentions text sub then Some (file ^ ": " ^ n) else None)
+  in
+  Alcotest.(check (list string))
+    "Fiber.wait_until callers"
+    [ "mpi/dynamic.ml: spawn"; "mpi/mpi.ml: poll_until" ]
+    (List.concat_map
+       (fun f ->
+         if Filename.check_suffix f ".ml" then defining f "Fiber.wait_until"
+         else [])
+       files);
+  List.iter
+    (fun banned ->
+      Alcotest.(check (list string))
+        (banned ^ " in lib/") []
+        (List.filter (fun f -> mentions (read_lib f) banned) files))
+    [ "No_progress"; "1_000_000" ];
+  let rma = definitions (read_lib "mpi/rma.ml") in
+  let with_both a b =
+    List.filter_map
+      (fun (n, text) -> if mentions text a && mentions text b then Some n else None)
+      rma
+  in
+  Alcotest.(check (list string)) "rma.ml sends to tag_ops in" [ "call" ]
+    (with_both "Ch3.isend" "tag_ops");
+  Alcotest.(check (list string)) "rma.ml waits on a request set in"
+    [ "exchange" ]
+    (with_both "Mpi.wait_all" "Ch3.irecv")
+
 let () =
   Alcotest.run "tools"
     [
@@ -564,6 +641,8 @@ let () =
             test_experiment_index_modules_exist;
           Alcotest.test_case "results manifest is complete" `Quick
             test_results_manifest;
+          Alcotest.test_case "blocking has one wait path" `Quick
+            test_one_wait_path;
         ] );
       ( "trace",
         [
