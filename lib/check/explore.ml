@@ -1,11 +1,8 @@
 module Mpi = Mpi_core.Mpi
-module Collectives = Mpi_core.Collectives
 module Fault = Mpi_core.Fault
 module Ft = Mpi_core.Ft
-module Comm = Mpi_core.Comm
 module Bv = Mpi_core.Buffer_view
-module Rma = Mpi_core.Rma
-module Tm = Mpi_core.Tag_match
+module C = Catalogue
 module World = Motor.World
 module Ot = Motor.Object_transport
 module Smp = Motor.System_mp
@@ -25,277 +22,33 @@ let name w = w.w_name
 let faultable w = w.w_faultable
 
 (* ------------------------------------------------------------------ *)
-(* Workload: point-to-point ring (eager sendrecv + rendezvous ssend)   *)
+(* Catalogue entries under the monitor                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Payload evolves every round as a function of what was received, so any
-   reordering or corruption the stack fails to mask changes the digest.
-   The final exchange uses synchronous mode in parity order (even ranks
-   send first), covering the RTS/CTS rendezvous path without deadlock. *)
-let ring_run ~fault ~quick =
-  let n = if quick then 3 else 4 in
-  let rounds = if quick then 3 else 5 in
-  let size = 48 in
-  let w = Mpi.create_world ?fault ~n () in
+let check_entry e spec =
+  let w = C.world spec in
   let mon = Invariant.attach w in
-  let comm = Mpi.comm_world w in
-  let finals = Array.make n Bytes.empty in
-  let body r () =
-    let p = Mpi.proc w r in
-    let buf = Bytes.init size (fun i -> Char.chr ((r + i) land 0xff)) in
-    let inb = Bytes.create size in
-    let mix round =
-      for i = 0 to size - 1 do
-        Bytes.set buf i
-          (Char.chr
-             ((Char.code (Bytes.get buf i)
-              + (Char.code (Bytes.get inb i) * 31)
-              + round)
-             land 0xff))
-      done
-    in
-    for round = 1 to rounds do
-      ignore
-        (Mpi.sendrecv p ~comm
-           ~dst:((r + 1) mod n)
-           ~send_tag:round ~send:(Bv.of_bytes buf)
-           ~src:((r + n - 1) mod n)
-           ~recv_tag:round ~recv:(Bv.of_bytes inb));
-      mix round
-    done;
-    (if r mod 2 = 0 then begin
-       Mpi.ssend p ~comm ~dst:((r + 1) mod n) ~tag:99 (Bv.of_bytes buf);
-       ignore
-         (Mpi.recv p ~comm ~src:((r + n - 1) mod n) ~tag:99
-            (Bv.of_bytes inb))
-     end
-     else begin
-       ignore
-         (Mpi.recv p ~comm ~src:((r + n - 1) mod n) ~tag:99
-            (Bv.of_bytes inb));
-       Mpi.ssend p ~comm ~dst:((r + 1) mod n) ~tag:99 (Bv.of_bytes buf)
-     end);
-    mix 0;
-    finals.(r) <- Bytes.copy buf
-  in
-  Fiber.run ~pending:(Mpi.describe_pending w)
-    (List.init n (fun r -> (Printf.sprintf "ring%d" r, body r)));
-  let digest =
-    Digest.to_hex
-      (Digest.bytes (Bytes.concat Bytes.empty (Array.to_list finals)))
-  in
-  let bad = Invariant.order_violations mon @ Invariant.quiescence w in
+  let digest, oracle = C.launch e w () in
+  let bad = Invariant.order_violations mon @ Invariant.quiescence w @ oracle in
   Invariant.detach mon;
   (digest, bad)
 
-(* ------------------------------------------------------------------ *)
-(* Workload: chained allreduce + non-commutative reduce                *)
-(* ------------------------------------------------------------------ *)
+(* [plan spec fault] is the fault plan the entry's world gets (the kill
+   workloads extend it with a kill). *)
+let of_entry ?name ?(faultable = true) ?(default = true)
+    ?(plan = fun _ fault -> fault) entry =
+  let w_run ~fault ~quick =
+    let e = entry ~quick in
+    check_entry e { e.C.spec with fault = plan e.C.spec fault }
+  in
+  {
+    w_name = Option.value name ~default:(entry ~quick:false).C.name;
+    w_faultable = faultable;
+    w_default = default;
+    w_run;
+  }
 
-(* 2x2 matrix multiply over Z/256: associative, not commutative — the
-   binomial reduce must fold in rank order under every schedule. *)
-let matmul acc x =
-  let g b i = Char.code (Bytes.get b i) in
-  let a0 = g acc 0 and a1 = g acc 1 and a2 = g acc 2 and a3 = g acc 3 in
-  let b0 = g x 0 and b1 = g x 1 and b2 = g x 2 and b3 = g x 3 in
-  Bytes.set acc 0 (Char.chr (((a0 * b0) + (a1 * b2)) land 0xff));
-  Bytes.set acc 1 (Char.chr (((a0 * b1) + (a1 * b3)) land 0xff));
-  Bytes.set acc 2 (Char.chr (((a2 * b0) + (a3 * b2)) land 0xff));
-  Bytes.set acc 3 (Char.chr (((a2 * b1) + (a3 * b3)) land 0xff))
-
-let matrix_of_rank r =
-  Bytes.init 4 (fun i -> Char.chr (((r * 5) + (i * 3) + 1) land 0xff))
-
-let seq_product lo hi =
-  let acc = Bytes.copy (matrix_of_rank lo) in
-  for r = lo + 1 to hi do
-    matmul acc (matrix_of_rank r)
-  done;
-  acc
-
-let allreduce_chain_run ~fault ~quick =
-  let n = if quick then 3 else 4 in
-  let rounds = if quick then 2 else 4 in
-  let w = Mpi.create_world ?fault ~n () in
-  let mon = Invariant.attach w in
-  let comm = Mpi.comm_world w in
-  let finals = Array.make n 0L in
-  let reduced = Array.make n Bytes.empty in
-  let body r () =
-    let p = Mpi.proc w r in
-    let acc = ref (Int64.of_int (r + 1)) in
-    for round = 1 to rounds do
-      let b = Bytes.create 8 in
-      Bytes.set_int64_le b 0
-        (Int64.add !acc (Int64.of_int (round * (r + 1))));
-      let out = Collectives.allreduce p comm ~op:Collectives.sum_i64 b in
-      acc := Bytes.get_int64_le out 0
-    done;
-    finals.(r) <- !acc;
-    match Collectives.reduce p comm ~root:0 ~op:matmul (matrix_of_rank r) with
-    | Some res -> reduced.(r) <- Bytes.copy res
-    | None -> ()
-  in
-  Fiber.run ~pending:(Mpi.describe_pending w)
-    (List.init n (fun r -> (Printf.sprintf "chain%d" r, body r)));
-  let semantic = ref [] in
-  Array.iteri
-    (fun r f ->
-      if f <> finals.(0) then
-        semantic :=
-          Invariant.v "agreement" "rank %d ended with %Ld, rank 0 with %Ld" r
-            f finals.(0)
-          :: !semantic)
-    finals;
-  if not (Bytes.equal reduced.(0) (seq_product 0 (n - 1))) then
-    semantic :=
-      Invariant.v "reduce-order"
-        "non-commutative reduce result differs from the rank-order fold"
-      :: !semantic;
-  let digest =
-    Digest.to_hex
-      (Digest.string
-         (String.concat ","
-            (Array.to_list (Array.map Int64.to_string finals))
-         ^ "|"
-         ^ Bytes.to_string reduced.(0)))
-  in
-  let bad =
-    Invariant.order_violations mon @ Invariant.quiescence w
-    @ List.rev !semantic
-  in
-  Invariant.detach mon;
-  (digest, bad)
-
-(* ------------------------------------------------------------------ *)
-(* Workload: two-level collectives on a multi-node topology            *)
-(* ------------------------------------------------------------------ *)
-
-(* A 2x2-node world, so [`Auto] routes every collective through the
-   hierarchical (shard + leader) algorithms: chained allreduces, an
-   explicit `Hier-vs-`Linear cross-check, a non-commutative fold and a
-   bcast from a non-leader root, digested for schedule invariance. *)
-let hier_allreduce_run ~fault ~quick =
-  let nodes = 2 and cores = 2 in
-  let n = nodes * cores in
-  let rounds = if quick then 2 else 4 in
-  let w =
-    Mpi.create_world ?fault
-      ~topology:(Simtime.Topology.make ~nodes ~cores)
-      ~n ()
-  in
-  let mon = Invariant.attach w in
-  let comm = Mpi.comm_world w in
-  let finals = Array.make n 0L in
-  let bcasts = Array.make n Bytes.empty in
-  let semantic = ref [] in
-  let body r () =
-    let p = Mpi.proc w r in
-    let acc = ref (Int64.of_int ((r * 3) + 1)) in
-    for round = 1 to rounds do
-      let b = Bytes.create 8 in
-      Bytes.set_int64_le b 0
-        (Int64.add !acc (Int64.of_int (round * (r + 2))));
-      (* `Auto: hierarchical, multi-node topology. *)
-      let out = Collectives.allreduce p comm ~op:Collectives.sum_i64 b in
-      acc := Bytes.get_int64_le out 0
-    done;
-    finals.(r) <- !acc;
-    (* The two-level result must equal the flat oracle's, including for
-       a non-commutative operator (rank-order fold across shards). *)
-    let hier =
-      Collectives.allreduce ~algo:`Hier ~commutative:false p comm
-        ~op:matmul (matrix_of_rank r)
-    in
-    let flat =
-      Collectives.allreduce ~algo:`Linear ~commutative:false p comm
-        ~op:matmul (matrix_of_rank r)
-    in
-    if not (Bytes.equal hier flat) then
-      semantic :=
-        Invariant.v "hier-oracle"
-          "rank %d: hierarchical allreduce differs from the flat oracle" r
-        :: !semantic;
-    Collectives.barrier p comm;
-    (* Bcast from a non-leader root exercises the relocation hop. *)
-    let bb =
-      if r = n - 1 then
-        Bytes.init 12 (fun i -> Char.chr (((i * 13) + 5) land 0xff))
-      else Bytes.create 12
-    in
-    Collectives.bcast p comm ~root:(n - 1) (Bv.of_bytes bb);
-    bcasts.(r) <- Bytes.copy bb
-  in
-  Fiber.run ~pending:(Mpi.describe_pending w)
-    (List.init n (fun r -> (Printf.sprintf "hier%d" r, body r)));
-  Array.iteri
-    (fun r f ->
-      if f <> finals.(0) then
-        semantic :=
-          Invariant.v "agreement" "rank %d ended with %Ld, rank 0 with %Ld"
-            r f finals.(0)
-          :: !semantic)
-    finals;
-  let digest =
-    Digest.to_hex
-      (Digest.string
-         (String.concat ","
-            (Array.to_list (Array.map Int64.to_string finals))
-         ^ "|"
-         ^ String.concat "," (Array.to_list (Array.map Bytes.to_string bcasts))))
-  in
-  let bad =
-    Invariant.order_violations mon @ Invariant.quiescence w
-    @ List.rev !semantic
-  in
-  Invariant.detach mon;
-  (digest, bad)
-
-(* ------------------------------------------------------------------ *)
-(* Workload: overlapping nonblocking collectives + point-to-point      *)
-(* ------------------------------------------------------------------ *)
-
-let icoll_overlap_run ~fault ~quick =
-  let n = if quick then 3 else 4 in
-  let w = Mpi.create_world ?fault ~n () in
-  let mon = Invariant.attach w in
-  let comm = Mpi.comm_world w in
-  let per_rank = Array.make n "" in
-  let body r () =
-    let p = Mpi.proc w r in
-    let rb = Collectives.ibarrier p comm in
-    let bbuf =
-      Bytes.init 16 (fun i ->
-          if r = 0 then Char.chr (((i * 11) + 3) land 0xff) else '\000')
-    in
-    let rbc = Collectives.ibcast p comm ~root:0 (Bv.of_bytes bbuf) in
-    let ab = Bytes.create 8 in
-    Bytes.set_int64_le ab 0 (Int64.of_int ((r + 1) * 1000));
-    let rar, asum =
-      Collectives.iallreduce p comm ~op:Collectives.sum_i64 ab
-    in
-    let out = Bytes.init 24 (fun i -> Char.chr (((r * 17) + i) land 0xff)) in
-    let inb = Bytes.create 24 in
-    let rs =
-      Mpi.isend p ~comm ~dst:((r + 1) mod n) ~tag:77 (Bv.of_bytes out)
-    in
-    let rr =
-      Mpi.irecv p ~comm ~src:((r + n - 1) mod n) ~tag:77 (Bv.of_bytes inb)
-    in
-    Mpi.wait_all p [ rb; rbc; rar; rs; rr ];
-    per_rank.(r) <-
-      Printf.sprintf "%s|%s|%Ld" (Bytes.to_string bbuf)
-        (Bytes.to_string inb)
-        (Bytes.get_int64_le asum 0)
-  in
-  Fiber.run ~pending:(Mpi.describe_pending w)
-    (List.init n (fun r -> (Printf.sprintf "icoll%d" r, body r)));
-  let digest =
-    Digest.to_hex (Digest.string (String.concat "#" (Array.to_list per_rank)))
-  in
-  let bad = Invariant.order_violations mon @ Invariant.quiescence w in
-  Invariant.detach mon;
-  (digest, bad)
+let ranks ~quick = if quick then 3 else 4
 
 (* ------------------------------------------------------------------ *)
 (* Workload: object transport with collections forced mid-flight       *)
@@ -410,257 +163,8 @@ let osend_gc_run ~fault:_ ~quick:_ =
   (digest, bad)
 
 (* ------------------------------------------------------------------ *)
-(* Workload: one-sided fence epochs (put/accumulate/get + oracles)     *)
-(* ------------------------------------------------------------------ *)
-
-let rma_pattern ~rank ~len =
-  Bytes.init len (fun i -> Char.chr (((rank * 37) + i + 5) land 0xff))
-
-(* Active-target RMA on the RDMA channel: three fence epochs covering an
-   eager put ring, accumulates into rank 0 (a commutative sum and a
-   non-commutative matmul that must fold in rank order), a
-   rendezvous-sized put ring (above the CH3 eager threshold, so a fault
-   plan exercises RTS/CTS retransmission under the reliable layer and
-   the RDMA rendezvous cost path), and a get ring. The epoch-discipline
-   invariant: a probe between the puts and the closing fence must find
-   the local window untouched — updates become visible only at the
-   sync. *)
-let rma_fence_run ~fault ~quick =
-  let n = if quick then 3 else 4 in
-  let small = 2048 in
-  let big = if quick then 66_000 else 80_000 in
-  let blk = 4096 + big in
-  let w = Mpi.create_world ?fault ~channel:`Rdma ~n () in
-  let mon = Invariant.attach w in
-  let comm = Mpi.comm_world w in
-  let semantic = ref [] in
-  let finals = Array.make n "" in
-  let flag inv r fmt = semantic := Invariant.v inv fmt r :: !semantic in
-  let body r () =
-    let p = Mpi.proc w r in
-    let right = (r + 1) mod n and left = (r + n - 1) mod n in
-    let mine = Bytes.make blk '\000' in
-    if r = 0 then begin
-      (* Matmul identity at the accumulate cell. *)
-      Bytes.set mine 8 '\001';
-      Bytes.set mine 11 '\001'
-    end;
-    let win = Rma.win_create p ~comm mine in
-    let before = Bytes.copy mine in
-    (* Epoch 0: eager put ring + accumulates into rank 0. *)
-    Rma.put win ~target:right ~target_off:1024 (rma_pattern ~rank:r ~len:small)
-      ~off:0 ~len:small;
-    let contrib = Bytes.create 8 in
-    Bytes.set_int64_le contrib 0 (Int64.of_int ((r + 1) * 11));
-    Rma.accumulate win ~target:0 ~target_off:0 ~op:Rma.Sum contrib ~off:0
-      ~len:8;
-    Rma.accumulate win ~target:0 ~target_off:8 ~op:Rma.Matmul
-      (matrix_of_rank r) ~off:0 ~len:4;
-    (* The epoch invariant: nothing is visible before the closing sync,
-       under any schedule (iprobe pumps progress, so arrived updates
-       would have their chance to leak here if the target applied them
-       eagerly). *)
-    ignore (Mpi.iprobe p ~comm ~src:Tm.any_source ~tag:424242);
-    if not (Bytes.equal mine before) then
-      flag "rma-epoch" r "rank %d: window mutated before win_fence";
-    Rma.win_fence win;
-    if
-      not
-        (Bytes.equal
-           (Bytes.sub mine 1024 small)
-           (rma_pattern ~rank:left ~len:small))
-    then flag "rma-put" r "rank %d: fence did not deliver the put ring";
-    if r = 0 then begin
-      let expect_sum =
-        Int64.of_int (11 * (n * (n + 1) / 2))
-      in
-      if Bytes.get_int64_le mine 0 <> expect_sum then
-        flag "rma-acc" r "rank %d: commutative accumulate sum wrong";
-      if not (Bytes.equal (Bytes.sub mine 8 4) (seq_product 0 (n - 1))) then
-        flag "rma-order" r
-          "rank %d: non-commutative accumulate broke rank order"
-    end;
-    (* Epoch 1: rendezvous-sized put ring. *)
-    Rma.put win ~target:right ~target_off:4096 (rma_pattern ~rank:(r + n) ~len:big)
-      ~off:0 ~len:big;
-    Rma.win_fence win;
-    if
-      not
-        (Bytes.equal (Bytes.sub mine 4096 big)
-           (rma_pattern ~rank:(left + n) ~len:big))
-    then flag "rma-rndv" r "rank %d: rendezvous put ring wrong";
-    (* Epoch 2: read the right neighbour's small slot back. *)
-    let fetched = Bytes.create small in
-    Rma.get win ~target:right ~target_off:1024 fetched ~off:0 ~len:small;
-    if not (Bytes.equal fetched (rma_pattern ~rank:r ~len:small)) then
-      flag "rma-get" r "rank %d: get disagrees with the committed window";
-    Rma.win_fence win;
-    finals.(r) <-
-      Digest.to_hex (Digest.bytes mine) ^ Digest.to_hex (Digest.bytes fetched);
-    Rma.win_free win
-  in
-  Fiber.run ~pending:(Mpi.describe_pending w)
-    (List.init n (fun r -> (Printf.sprintf "rmaf%d" r, body r)));
-  let digest =
-    Digest.to_hex (Digest.string (String.concat "#" (Array.to_list finals)))
-  in
-  let bad =
-    Invariant.order_violations mon @ Invariant.quiescence w
-    @ List.rev !semantic
-  in
-  Invariant.detach mon;
-  (digest, bad)
-
-(* ------------------------------------------------------------------ *)
-(* Workload: passive-target lock/unlock mutual exclusion               *)
-(* ------------------------------------------------------------------ *)
-
-(* Every rank runs two exclusive-lock read-modify-write sessions against
-   rank 0's window (get the counter, add, put it back — the put applies
-   at unlock, before the next grant, so the increments are atomic under
-   every grant order), writes its own slot, and finally checks the
-   total under a shared lock. Grant order varies with the schedule; the
-   final state must not. *)
-let rma_lock_run ~fault ~quick =
-  let n = if quick then 3 else 4 in
-  let rounds = 2 in
-  let blk = 8 * (n + 1) in
-  let w = Mpi.create_world ?fault ~n () in
-  let mon = Invariant.attach w in
-  let comm = Mpi.comm_world w in
-  let semantic = ref [] in
-  let finals = Array.make n "" in
-  let body r () =
-    let p = Mpi.proc w r in
-    let mine = Bytes.make blk '\000' in
-    let win = Rma.win_create p ~comm mine in
-    let cell = Bytes.create 8 in
-    for round = 1 to rounds do
-      Rma.win_lock win ~target:0;
-      Rma.get win ~target:0 ~target_off:0 cell ~off:0 ~len:8;
-      Bytes.set_int64_le cell 0
-        (Int64.add (Bytes.get_int64_le cell 0) (Int64.of_int (r + 1)));
-      Rma.put win ~target:0 ~target_off:0 cell ~off:0 ~len:8;
-      if round = 1 then begin
-        (* My slot, same session: applied atomically at the unlock. *)
-        Bytes.set_int64_le cell 0 (Int64.of_int ((r * 1000) + 7));
-        Rma.put win ~target:0 ~target_off:(8 * (r + 1)) cell ~off:0 ~len:8
-      end;
-      Rma.win_unlock win ~target:0
-    done;
-    (* Everyone waits for all sessions, then audits under a shared
-       lock. *)
-    Rma.win_fence win;
-    Rma.win_lock ~exclusive:false win ~target:0;
-    let audit = Bytes.create blk in
-    Rma.get win ~target:0 ~target_off:0 audit ~off:0 ~len:blk;
-    Rma.win_unlock win ~target:0;
-    (* Second barrier: rank 0 must not reach win_free while a delayed
-       audit lock from another rank is still held on its window. *)
-    Rma.win_fence win;
-    let expect = Int64.of_int (rounds * (n * (n + 1) / 2)) in
-    if Bytes.get_int64_le audit 0 <> expect then
-      semantic :=
-        Invariant.v "rma-lock-atomic"
-          "rank %d read counter %Ld, expected %Ld (lost update under \
-           lock)"
-          r
-          (Bytes.get_int64_le audit 0)
-          expect
-        :: !semantic;
-    for s = 0 to n - 1 do
-      if Bytes.get_int64_le audit (8 * (s + 1)) <> Int64.of_int ((s * 1000) + 7)
-      then
-        semantic :=
-          Invariant.v "rma-lock-slot" "rank %d sees a corrupted slot %d" r s
-          :: !semantic
-    done;
-    finals.(r) <- Digest.to_hex (Digest.bytes audit);
-    Rma.win_free win
-  in
-  Fiber.run ~pending:(Mpi.describe_pending w)
-    (List.init n (fun r -> (Printf.sprintf "rmal%d" r, body r)));
-  let digest =
-    Digest.to_hex (Digest.string (String.concat "#" (Array.to_list finals)))
-  in
-  let bad =
-    Invariant.order_violations mon @ Invariant.quiescence w
-    @ List.rev !semantic
-  in
-  Invariant.detach mon;
-  (digest, bad)
-
-(* ------------------------------------------------------------------ *)
-(* Workload: the planted epoch bug (one-sided self-test)               *)
-(* ------------------------------------------------------------------ *)
-
-(* A window created with [eager_apply] applies updates the moment they
-   arrive instead of at the closing fence. Whether the probe between a
-   neighbour's put and the fence can see the leak depends on virtual
-   time: the 4 KiB puts have an arrival floor well past the charges a
-   rank accumulates before its probe, so strict round-robin always
-   probes too early and stays clean — only a perturbed schedule lets
-   the clock (driven by the other ranks' charges) pass the floor before
-   some rank's probe pumps its device. The fixed variant defers (the
-   production path) and is clean under every schedule. *)
-let rma_epoch_run ~buggy ~fault:_ ~quick =
-  let n = if quick then 3 else 4 in
-  let blk = 4096 in
-  let w = Mpi.create_world ~n () in
-  let mon = Invariant.attach w in
-  let comm = Mpi.comm_world w in
-  let semantic = ref [] in
-  let finals = Array.make n "" in
-  let body r () =
-    let p = Mpi.proc w r in
-    let right = (r + 1) mod n and left = (r + n - 1) mod n in
-    let mine = Bytes.make blk '\000' in
-    let win = Rma.win_create ~eager_apply:buggy p ~comm mine in
-    let before = Bytes.copy mine in
-    Rma.put win ~target:right ~target_off:0 (rma_pattern ~rank:r ~len:blk)
-      ~off:0 ~len:blk;
-    (* One pre-fence probe, directly after the put: it pumps the device
-       once, so an arrived eager-applied update gets exactly one chance
-       to leak here. Under round-robin the probe runs before the
-       neighbour's put has crossed its virtual-time arrival floor; a
-       perturbed schedule can park this rank while the others' charges
-       (or a blocked-world clock leap) pass the floor first. *)
-    ignore (Mpi.iprobe p ~comm ~src:Tm.any_source ~tag:424242);
-    if not (Bytes.equal mine before) then
-      semantic :=
-        Invariant.v "rma-epoch"
-          "rank %d: put visible before win_fence (eager apply)" r
-        :: !semantic;
-    Rma.win_fence win;
-    if not (Bytes.equal mine (rma_pattern ~rank:left ~len:blk)) then
-      semantic :=
-        Invariant.v "rma-put" "rank %d: fence did not deliver the put" r
-        :: !semantic;
-    finals.(r) <- Digest.to_hex (Digest.bytes mine);
-    Rma.win_free win
-  in
-  Fiber.run ~pending:(Mpi.describe_pending w)
-    (List.init n (fun r -> (Printf.sprintf "rmab%d" r, body r)));
-  let digest =
-    Digest.to_hex (Digest.string (String.concat "#" (Array.to_list finals)))
-  in
-  let bad =
-    Invariant.order_violations mon @ Invariant.quiescence w
-    @ List.rev !semantic
-  in
-  Invariant.detach mon;
-  (digest, bad)
-
-(* ------------------------------------------------------------------ *)
 (* Workloads: rank death under the ULFM recovery loop                  *)
 (* ------------------------------------------------------------------ *)
-
-(* A detector fast enough that detecting a death costs microseconds of
-   virtual time, not the default milliseconds — the kill sweep runs
-   hundreds of worlds. *)
-let sweep_detector = { Ft.hb_period_ns = 5_000.0; hb_timeout_ns = 200_000.0 }
-
-let kill_ranks = 4
 
 (* Victim and kill time come from the fault seed, so a seed sweep
    exercises deaths in every phase of the workload: before the victim's
@@ -689,163 +193,25 @@ let kill_of_fault ?victims ~seed ~n () =
       in
       Fault.kill ~rank:(List.nth candidates idx) ~at_ns ()
 
-(* The uniform ULFM recovery loop: attempt the work, agree on whether
-   every member succeeded, and on any failure revoke, shrink and retry
-   over the survivors. The unilateral revoke in the failure arm matters
-   for point-to-point work: a survivor blocked on a pairwise operation
-   with a live partner that already bailed out would otherwise hang. *)
-let recover p comm work =
-  let rec attempt () =
-    let ok =
-      match work !comm with
-      | () -> 1
-      | exception (Ft.Proc_failed _ | Ft.Revoked _) ->
-          Mpi.comm_revoke p !comm;
-          0
-    in
-    if Mpi.comm_agree p !comm ~value:ok <> 1 then begin
-      Mpi.comm_revoke p !comm;
-      comm := Mpi.comm_shrink p !comm;
-      attempt ()
-    end
-  in
-  attempt ()
+(* The shard leaders of kill_hier_leader's 2x2-node topology: killing
+   one tears the two-level schedule at its fan-in point; after the
+   shrink the survivors form either an uneven contiguous communicator
+   (victim 0 -> {1,2,3}, still hierarchical with a short first shard) or
+   a non-contiguous one (victim 2 -> {0,1,3}, which falls back to the
+   flat algorithms) — the recovery retry must converge on both shapes. *)
+let hier_leader_victims = [ 0; 2 ]
 
-(* Shared driver: run [work] (which must leave this rank's converged
-   value in a string) under the recovery loop on every rank, then check
-   survivor convergence plus a per-workload oracle tying the value to the
-   final membership. The digest is constant: which ranks survive depends
-   on the fault seed, so correctness is judged by the invariants, not by
-   comparing against the no-fault baseline digest. *)
-let kill_run ?topology ?victims ~wname ~work ~oracle ~fault ~quick:_ () =
-  let n = kill_ranks in
+(* The spec's fault plan, extended with the kill the fault seed implies. *)
+let kill_plan ?victims (spec : C.spec) fault =
   let kill =
     kill_of_fault ?victims
       ~seed:(Option.map (fun p -> p.Fault.seed) fault)
-      ~n ()
+      ~n:spec.n ()
   in
-  let plan =
-    match fault with
+  Some
+    (match fault with
     | Some p -> { p with Fault.kills = [ kill ] }
-    | None -> Fault.plan ~kills:[ kill ] ()
-  in
-  let w =
-    Mpi.create_world ?topology ~fault:plan ~detector:sweep_detector ~n ()
-  in
-  let mon = Invariant.attach w in
-  let reports = ref [] in
-  let semantic = ref [] in
-  let body r () =
-    let p = Mpi.proc w r in
-    let comm = ref (Mpi.comm_world w) in
-    let value = ref 0L in
-    recover p comm (fun c -> work p c value);
-    let members = Comm.members !comm in
-    let expect = oracle members in
-    if !value <> expect then
-      semantic :=
-        Invariant.v "oracle"
-          "rank %d converged to %Ld but its membership implies %Ld" r !value
-          expect
-        :: !semantic;
-    reports := (r, members, Int64.to_string !value) :: !reports
-  in
-  Fiber.run ~pending:(Mpi.describe_pending w)
-    (List.init n (fun r ->
-         ( Printf.sprintf "%s%d" wname r,
-           fun () -> Mpi.rank_guard w r (body r) )));
-  (* "Survivor" means the rank finished alive: a victim killed after
-     its last operation is torn down but never declared (nobody had to
-     detect it), so [dead_ranks] alone would under-count the dead. *)
-  let out =
-    match Mpi.ft_handle w with
-    | Some ft -> Ft.out_ranks ft
-    | None -> []
-  in
-  let survivors =
-    List.filter (fun r -> not (List.mem r out)) (List.init n Fun.id)
-  in
-  let bad =
-    Invariant.order_violations mon
-    @ Invariant.quiescence w
-    @ Invariant.survivor_convergence ~survivors !reports
-    @ List.rev !semantic
-  in
-  Invariant.detach mon;
-  ("converged", bad)
-
-(* Collective flavor: a summing allreduce; the aborted-schedule path,
-   the collective-failure flood and agreement over mixed outcomes. *)
-let kill_allreduce_run ~fault ~quick =
-  let work p c value =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int (Mpi.rank p + 1));
-    let out = Collectives.allreduce p c ~op:Collectives.sum_i64 b in
-    value := Bytes.get_int64_le out 0
-  in
-  let oracle members =
-    Array.fold_left
-      (fun acc m -> Int64.add acc (Int64.of_int (m + 1)))
-      0L members
-  in
-  kill_run ~wname:"killall" ~work ~oracle ~fault ~quick ()
-
-(* Point-to-point flavor: a ring allreduce by token passing, so failures
-   surface on pairwise operations (and on ranks not adjacent to the
-   victim only via the revoke flood). *)
-let kill_p2p_run ~fault ~quick =
-  let work p c value =
-    let size = Comm.size c in
-    let me = Mpi.comm_rank p c in
-    let cur = ref (Int64.of_int ((Mpi.rank p + 1) * 7)) in
-    let acc = ref !cur in
-    let sbuf = Bytes.create 8 and rbuf = Bytes.create 8 in
-    for _ = 1 to size - 1 do
-      Bytes.set_int64_le sbuf 0 !cur;
-      ignore
-        (Mpi.sendrecv p ~comm:c
-           ~dst:((me + 1) mod size)
-           ~send_tag:5 ~send:(Bv.of_bytes sbuf)
-           ~src:((me + size - 1) mod size)
-           ~recv_tag:5 ~recv:(Bv.of_bytes rbuf));
-      cur := Bytes.get_int64_le rbuf 0;
-      acc := Int64.add !acc !cur
-    done;
-    value := !acc
-  in
-  let oracle members =
-    Array.fold_left
-      (fun acc m -> Int64.add acc (Int64.of_int ((m + 1) * 7)))
-      0L members
-  in
-  kill_run ~wname:"killp2p" ~work ~oracle ~fault ~quick ()
-
-(* Hierarchical flavor: the summing allreduce again, but on a 2x2-node
-   topology with the victim drawn from the shard leaders (ranks 0 and 2).
-   Killing a leader tears the two-level schedule at its fan-in point;
-   after the shrink the survivors form either an uneven contiguous
-   communicator (victim 0 -> {1,2,3}, still hierarchical with a short
-   first shard) or a non-contiguous one (victim 2 -> {0,1,3}, which falls
-   back to the flat algorithms) — the recovery retry must converge on
-   both shapes. *)
-let hier_leader_victims = [ 0; 2 ]
-
-let kill_hier_leader_run ~fault ~quick =
-  let work p c value =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int (Mpi.rank p + 1));
-    let out = Collectives.allreduce p c ~op:Collectives.sum_i64 b in
-    value := Bytes.get_int64_le out 0
-  in
-  let oracle members =
-    Array.fold_left
-      (fun acc m -> Int64.add acc (Int64.of_int (m + 1)))
-      0L members
-  in
-  kill_run
-    ~topology:(Simtime.Topology.make ~nodes:2 ~cores:2)
-    ~victims:hier_leader_victims ~wname:"killhier" ~work ~oracle ~fault
-    ~quick ()
+    | None -> Fault.plan ~kills:[ kill ] ())
 
 (* ------------------------------------------------------------------ *)
 (* Workload: the planted detector bug (harness self-test)              *)
@@ -862,7 +228,7 @@ let kill_hier_leader_run ~fault ~quick =
    compute phase here. *)
 let planted_detector_run ~buggy ~fault:_ ~quick:_ =
   let detector =
-    if buggy then sweep_detector else Ft.default_detector
+    if buggy then C.sweep_detector else Ft.default_detector
   in
   let declared = ref None in
   let got = ref 0L in
@@ -984,12 +350,10 @@ let planted_bug ~buggy =
   }
 
 let rma_epoch_bug ~buggy =
-  {
-    w_name = (if buggy then "rma_fence_bug" else "rma_fence_bug_fixed");
-    w_faultable = false;
-    w_default = false;
-    w_run = rma_epoch_run ~buggy;
-  }
+  of_entry
+    ~name:(if buggy then "rma_fence_bug" else "rma_fence_bug_fixed")
+    ~faultable:false ~default:false
+    (fun ~quick -> C.rma_epoch ~eager_apply:buggy ~n:(ranks ~quick))
 
 let planted_detector_bug ~buggy =
   {
@@ -1005,73 +369,37 @@ let planted_detector_bug ~buggy =
    set stays kill-free so its digests keep comparing against the
    historical baselines. *)
 let kill_workload_entries =
-  [
-    {
-      w_name = "kill_allreduce";
-      w_faultable = true;
-      w_default = false;
-      w_run = kill_allreduce_run;
-    };
-    {
-      w_name = "kill_p2p";
-      w_faultable = true;
-      w_default = false;
-      w_run = kill_p2p_run;
-    };
-    {
-      w_name = "kill_hier_leader";
-      w_faultable = true;
-      w_default = false;
-      w_run = kill_hier_leader_run;
-    };
-  ]
+  List.map
+    (fun (victims, entry) ->
+      of_entry ~default:false ~plan:(kill_plan ?victims) (fun ~quick:_ ->
+          entry ()))
+    [
+      (None, C.kill_allreduce);
+      (None, C.kill_p2p);
+      (Some hier_leader_victims, C.kill_hier_leader);
+    ]
 
 let kill_workloads () = kill_workload_entries
 
 let registry =
   [
-    {
-      w_name = "ring";
-      w_faultable = true;
-      w_default = true;
-      w_run = ring_run;
-    };
-    {
-      w_name = "allreduce_chain";
-      w_faultable = true;
-      w_default = true;
-      w_run = allreduce_chain_run;
-    };
-    {
-      w_name = "hier_allreduce";
-      w_faultable = true;
-      w_default = true;
-      w_run = hier_allreduce_run;
-    };
-    {
-      w_name = "icoll_overlap";
-      w_faultable = true;
-      w_default = true;
-      w_run = icoll_overlap_run;
-    };
+    of_entry (fun ~quick ->
+        C.ring ~n:(ranks ~quick)
+          ~rounds:(if quick then 3 else 5)
+          ~size:48 ~ssend_tail:true);
+    of_entry (fun ~quick ->
+        C.allreduce_chain ~n:(ranks ~quick) ~rounds:(if quick then 2 else 4));
+    of_entry (fun ~quick -> C.hier_allreduce ~rounds:(if quick then 2 else 4));
+    of_entry (fun ~quick -> C.icoll_overlap ~n:(ranks ~quick));
     {
       w_name = "osend_gc";
       w_faultable = false;
       w_default = true;
       w_run = osend_gc_run;
     };
-    {
-      w_name = "rma_fence";
-      w_faultable = true;
-      w_default = true;
-      w_run = rma_fence_run;
-    };
-    {
-      w_name = "rma_lock";
-      w_faultable = true;
-      w_default = true;
-      w_run = rma_lock_run;
-    };
+    of_entry (fun ~quick ->
+        C.rma_fence ~n:(ranks ~quick) ~big:(if quick then 66_000 else 80_000));
+    of_entry (fun ~quick -> C.rma_lock ~n:(ranks ~quick));
     planted_bug ~buggy:true;
     planted_bug ~buggy:false;
     rma_epoch_bug ~buggy:true;

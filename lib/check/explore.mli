@@ -16,23 +16,20 @@ type workload
 val name : workload -> string
 val faultable : workload -> bool
 
+val check_entry :
+  Catalogue.entry -> Catalogue.spec -> string * Invariant.violation list
+(** Run a catalogue entry on the world [spec] describes, under the
+    match-order monitor: its digest, then the match-order, quiescence and
+    entry-oracle violations, in that order. Every explorer workload drawn
+    from the catalogue runs through this with its own spec and the
+    explorer's fault plan. *)
+
 val default_workloads : unit -> workload list
-(** The exploration set: [ring] (sendrecv rounds plus a synchronous-mode
-    neighbour exchange, so the rendezvous path is exercised),
-    [allreduce_chain] (chained allreduce plus a non-commutative reduce
-    against the rank-order oracle), [hier_allreduce] (two-level
-    collectives on a 2x2-node topology: chained [`Auto] allreduces that
-    route through the hierarchical algorithms, a [`Hier]-vs-[`Linear]
-    cross-check on a non-commutative operator, a barrier and a bcast from
-    a non-leader root), [icoll_overlap] (ibarrier + ibcast + iallreduce +
-    point-to-point all in flight, completed by one [wait_all]),
-    [osend_gc] (OSend/ORecv and zero-copy transfers with collections
-    forced mid-flight, checking the pin table drains), [rma_fence]
-    (one-sided put/get/accumulate rings on the RDMA channel across
-    three fence epochs, with eager and rendezvous transfer sizes and a
-    pre-fence visibility probe) and [rma_lock] (passive-target
-    lock/unlock: an exclusive-lock read-modify-write counter plus
-    per-rank slots, audited under a shared lock). *)
+(** The exploration set: the {!Catalogue} entries [ring] (with its
+    synchronous-mode tail), [allreduce_chain], [hier_allreduce],
+    [icoll_overlap], [rma_fence] and [rma_lock], each on its own world
+    spec, plus [osend_gc] (OSend/ORecv and zero-copy transfers with
+    collections forced mid-flight, checking the pin table drains). *)
 
 val all_workloads : unit -> workload list
 (** {!default_workloads} plus the planted-bug, rma-epoch-bug and
@@ -55,18 +52,12 @@ val planted_bug : buggy:bool -> workload
     inside the window and passes under every schedule. *)
 
 val rma_epoch_bug : buggy:bool -> workload
-(** The one-sided self-test: a ring of 4 KiB puts on windows created
-    with the [eager_apply] instrumentation, probed between the put and
-    the closing fence. With [~buggy:true] ("rma_fence_bug") the target
-    applies updates on arrival, so a put can become visible {e before}
-    [win_fence] — but only when the virtual clock passes the put's
-    arrival floor before some rank's pre-fence probe, which strict
-    round-robin never does (its probes run before the charges
-    accumulate) and perturbed schedules do: exactly the
-    schedule-dependent epoch violation the explorer must catch, shrink
-    and commit to the corpus. [~buggy:false] ("rma_fence_bug_fixed")
-    uses the production deferred-apply path and is clean under every
-    schedule. *)
+(** The one-sided self-test, {!Catalogue.rma_epoch}: with [~buggy:true]
+    ("rma_fence_bug") the windows apply puts on arrival, a
+    schedule-dependent epoch violation that strict round-robin never
+    shows and the explorer must catch, shrink and commit to the corpus;
+    [~buggy:false] ("rma_fence_bug_fixed") defers, as production does,
+    and is clean under every schedule. *)
 
 val planted_detector_bug : buggy:bool -> workload
 (** The failure-detector self-test: a two-rank exchange whose busy rank
@@ -79,21 +70,12 @@ val planted_detector_bug : buggy:bool -> workload
     compute phase, and passes under every schedule. *)
 
 val kill_workloads : unit -> workload list
-(** The rank-death workloads ("kill_allreduce", "kill_p2p",
-    "kill_hier_leader" — the latter on a 2x2-node topology with the
-    victim drawn from the shard leaders, so the two-level schedule is
-    torn at its fan-in point and the shrunken communicator exercises
-    both the uneven-shard and flat-fallback paths): [4]-rank
-    jobs that run their work inside the uniform ULFM recovery loop
-    (attempt, [comm_agree] on the outcome, on failure revoke + shrink +
-    retry over the survivors) under a fault plan extended with one
-    {!Mpi_core.Fault.kill} whose victim and time derive from the fault
-    seed ({!kill_of_fault}). Checked with
-    {!Invariant.survivor_convergence} plus a membership-implies-value
-    oracle; the digest is the constant ["converged"], since which ranks
-    survive legitimately varies with the fault seed. Not in the default
-    exploration set — the kill sweep ([figures killsweep], CI) drives
-    them across seeds. *)
+(** The rank-death entries of {!Catalogue} ("kill_allreduce",
+    "kill_p2p", "kill_hier_leader"), each under a fault plan extended
+    with the {!Mpi_core.Fault.kill} its fault seed implies
+    ({!kill_of_fault}; "kill_hier_leader" draws its victim from
+    {!hier_leader_victims}). Not in the default exploration set: the
+    kill sweep ([figures killsweep], CI) drives them across seeds. *)
 
 val hier_leader_victims : int list
 (** The shard-leader ranks "kill_hier_leader" draws its victim from

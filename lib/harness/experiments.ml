@@ -374,10 +374,20 @@ let loss_sweep ?(n = 4) ?(rounds = 30) ?(size = 2048)
       (* The reliable layer is always on, so the zero-loss point pays the
          same framing/ack overhead and the sweep isolates the cost of the
          faults themselves. *)
-      let digest, w =
-        Workloads.ring ?fault ~reliable:Mpi_core.Reliable.default_config ~n
-          ~rounds ~size ()
+      let ring = Check.Catalogue.ring ~n ~rounds ~size ~ssend_tail:false in
+      let digest, bad, w =
+        Check.Catalogue.run ring
+          {
+            ring.spec with
+            fault;
+            reliable = Some Mpi_core.Reliable.default_config;
+          }
       in
+      if bad <> [] then
+        failwith
+          (Printf.sprintf "loss sweep at %g: %s" loss
+             (String.concat "; "
+                (List.map (Format.asprintf "%a" Check.Invariant.pp) bad)));
       let env = Mpi_core.Mpi.env w in
       let stats = env.Env.stats in
       let time_us = Env.now_us env in

@@ -8,15 +8,13 @@ type series = { system : string; points : point list }
 val fig9_sizes : int list
 (** 4 B … 256 KiB in powers of two — Figure 9's x axis. *)
 
-val fig10_objects : int list
-(** 2 … 8192 total objects in powers of two — Figure 10's x axis. *)
-
 val fig9 : ?protocol:Workloads.protocol -> unit -> series list
 (** Ping-pong of regular MPI operations, five systems. *)
 
 val fig10 : ?quick:bool -> unit -> series list
-(** Linked-list transport, four systems; mpiJava's line ends in a crash
-    past 1024 objects. [quick] trims the largest sizes (tests). *)
+(** Linked-list transport, four systems, at 2 … 8192 total objects in
+    powers of two; mpiJava's line ends in a crash past 1024 objects.
+    [quick] trims the largest sizes (tests). *)
 
 type taba_row = { metric : string; paper_pct : float; measured_pct : float }
 
@@ -76,9 +74,6 @@ type loss_point = {
   digest : string;  (** final application state; must match loss 0 *)
 }
 
-val default_losses : float list
-(** 0, 2, 5, 10, 20, 30 per cent. *)
-
 val loss_sweep :
   ?n:int ->
   ?rounds:int ->
@@ -86,11 +81,13 @@ val loss_sweep :
   ?losses:float list ->
   unit ->
   loss_point list
-(** Run {!Workloads.ring} (default 4 ranks, 30 rounds, 2 KiB messages)
-    under each loss rate, with duplication, corruption and delay scaled
+(** Run the catalogue's {!Check.Catalogue.ring} (default 4 ranks, 30
+    rounds, 2 KiB messages) under each loss rate (default 0, 2, 5, 10,
+    20 and 30 per cent), with duplication, corruption and delay scaled
     off the loss rate and the {!Mpi_core.Reliable} layer always on.
     Completion time grows with loss while the digest stays byte-identical
-    to the fault-free run — the correctness-under-loss claim. *)
+    to the fault-free run — the correctness-under-loss claim. Raises
+    [Failure] if the ring's oracle reports a violation. *)
 
 val abl_split_scatter :
   ?elements:int -> unit -> (int * float * float) list
@@ -111,12 +108,6 @@ type coll_point = {
   c_msgs : int;  (** point-to-point messages the algorithm issued *)
 }
 
-val default_coll_ranks : int list
-(** 2, 4, 8, 16, 32. *)
-
-val default_coll_sizes : int list
-(** 64 B, 1 KiB, 16 KiB, 256 KiB. *)
-
 (** {1 Communication/computation overlap} *)
 
 type overlap_point = {
@@ -133,13 +124,6 @@ type overlap_point = {
           compute) actually hidden: [(block - overlap) / hideable] *)
 }
 
-val default_overlap_ranks : int list
-(** 2, 4 — the wire-idle-dominated regime where overlap exists; past 8
-    members the serialized send-side work leaves nothing to hide. *)
-
-val default_overlap_sizes : int list
-(** 16 KiB, 64 KiB, 256 KiB. *)
-
 val overlap_sweep :
   ?ranks:int list -> ?sizes:int list -> unit -> overlap_point list
 (** The claim behind the nonblocking collectives: computing through an
@@ -147,8 +131,11 @@ val overlap_sweep :
     allreduce burns polling. Efficiency must be strictly positive at
     every point (asserted by a test and the CI smoke run); 1.0 would be
     perfect overlap. Per-member compute is sized to [comm / n] so the
-    aggregate compute equals the collective latency. Feeds
-    [figures.exe -- overlap] and [results/overlap_sweep.csv]. *)
+    aggregate compute equals the collective latency. Defaults: 2 and 4
+    ranks (the wire-idle-dominated regime where overlap exists; past 8
+    members the serialized send-side work leaves nothing to hide) x 16,
+    64 and 256 KiB. Feeds [figures.exe -- overlap] and
+    [results/overlap_sweep.csv]. *)
 
 val coll_sweep :
   ?ranks:int list -> ?sizes:int list -> unit -> coll_point list
@@ -157,7 +144,8 @@ val coll_sweep :
     pick), one fresh world per point, on the native-C++ cost model.
     Infeasible combinations are skipped (Rabenseifner needs one granule
     per member, recursive-doubling allgather needs a power-of-two
-    communicator). Feeds [figures.exe -- coll] and
+    communicator). Defaults: 2, 4, 8, 16 and 32 ranks x 64 B, 1 KiB,
+    16 KiB and 256 KiB. Feeds [figures.exe -- coll] and
     [results/coll_sweep.csv]. *)
 
 (** {1 Scale sweep: two-level collectives at 1k-64k simulated ranks} *)
@@ -180,16 +168,13 @@ val scale_ok : scale_point -> bool
 (** Measured traffic and rounds equal the analytic model — the gate the
     CI smoke run enforces on every row. *)
 
-val default_scale_ranks : int list
-(** 1024, 4096, 16384, 65536 — as 64-core nodes. *)
-
 val scale_sweep : ?quick:bool -> ?ranks:int list -> unit -> scale_point list
 (** One fresh [nodes x 64] world per point, one 8-byte allreduce per
     world: the two-level algorithm at every size, the flat recursive
     doubling oracle up to 4096 ranks. Every rank count must be a power
-    of two divisible by 64. [quick] sweeps 256 and 1024 ranks (CI
-    smoke). Feeds [figures.exe -- scale] and
-    [results/scale_sweep.csv]. *)
+    of two divisible by 64; the default is 1024, 4096, 16384 and 65536
+    ranks. [quick] sweeps 256 and 1024 ranks (CI smoke). Feeds
+    [figures.exe -- scale] and [results/scale_sweep.csv]. *)
 
 (** {1 One-sided RMA: put size x registration-cache capacity} *)
 
@@ -212,17 +197,12 @@ val rma_ok : rma_point -> bool
     evictions never exceed misses. The CI smoke run enforces this on
     every row. *)
 
-val default_rma_sizes : int list
-(** 1 KiB (eager), 8 KiB (RDMA-read rendezvous), 64 KiB and 256 KiB
-    (RDMA-write rendezvous). *)
-
-val default_rma_caches : int list
-(** 64 KiB, 256 KiB, 1 MiB. *)
-
 val rma_sweep :
   ?sizes:int list -> ?caches:int list -> unit -> rma_point list
 (** One fresh 2-rank [`Rdma] world per point: six fence epochs of puts
     from four distinct origin buffers per rank, so the origin working
     set (4 x size) against the cache capacity decides between amortized
-    pin-down (hits) and LRU thrash (evictions). Feeds
+    pin-down (hits) and LRU thrash (evictions). Defaults: 1 KiB
+    (eager), 8 KiB (RDMA-read rendezvous), 64 KiB and 256 KiB
+    (RDMA-write rendezvous) x caches of 64 KiB, 256 KiB and 1 MiB. Feeds
     [figures.exe -- rma] and [results/rma_sweep.csv]. *)

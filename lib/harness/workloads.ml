@@ -15,6 +15,11 @@ type protocol = { iters : int; timed : int; trials : int }
 
 let paper_protocol = { iters = 200; timed = 100; trials = 3 }
 
+(* Scaled-down protocol for Figure 10: the virtual clock is
+   deterministic, so extra repetitions only cost host time, and every
+   round trip builds, serializes and rebuilds the whole graph, so the
+   iteration count shrinks as graphs grow. The counts stay fixed so that
+   results/fig10.csv regenerates byte-identical. *)
 let fig10_protocol ~total_objects =
   if total_objects <= 256 then { iters = 20; timed = 10; trials = 1 }
   else if total_objects <= 2048 then { iters = 8; timed = 4; trials = 1 }
@@ -159,128 +164,6 @@ let make_linked_list gc registry ~elems ~total_data_bytes =
     head := node
   done;
   !head
-
-module Bv = Mpi_core.Buffer_view
-
-(* ------------------------------------------------------------------ *)
-(* Fault-tolerance workloads                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* A ring exchange whose payload evolves every round as a function of what
-   was received, so any lost, duplicated or corrupted delivery the
-   transport fails to mask changes the final digest. Deterministic: the
-   same n/rounds/size/fault seed always produces the same digest. *)
-let ring ?fault ?reliable ?parallel ~n ~rounds ~size () =
-  if n < 2 then invalid_arg "Workloads.ring: need at least two ranks";
-  if size < 1 then invalid_arg "Workloads.ring: need a positive size";
-  let finals = Array.make n Bytes.empty in
-  let w =
-    Mpi.run ?fault ?reliable ?parallel ~n (fun p ->
-        let comm = Mpi.comm_world (Mpi.world_of p) in
-        let rank = Mpi.rank p in
-        let buf =
-          Bytes.init size (fun i -> Char.chr ((rank + i) land 0xff))
-        in
-        let inb = Bytes.create size in
-        for round = 1 to rounds do
-          ignore
-            (Mpi.sendrecv p ~comm
-               ~dst:((rank + 1) mod n)
-               ~send_tag:round ~send:(Bv.of_bytes buf)
-               ~src:((rank + n - 1) mod n)
-               ~recv_tag:round ~recv:(Bv.of_bytes inb));
-          for i = 0 to size - 1 do
-            Bytes.set buf i
-              (Char.chr
-                 ((Char.code (Bytes.get buf i)
-                  + (Char.code (Bytes.get inb i) * 31)
-                  + round)
-                 land 0xff))
-          done
-        done;
-        finals.(rank) <- Bytes.copy buf)
-  in
-  let digest =
-    Digest.to_hex
-      (Digest.bytes (Bytes.concat Bytes.empty (Array.to_list finals)))
-  in
-  (digest, w)
-
-(* Collective counterpart: repeated allreduce whose input depends on the
-   previous round's result. Every rank must end with the same value. *)
-let allreduce_chain ?fault ?reliable ?parallel ~n ~rounds () =
-  if n < 2 then
-    invalid_arg "Workloads.allreduce_chain: need at least two ranks";
-  let finals = Array.make n 0L in
-  let w =
-    Mpi.run ?fault ?reliable ?parallel ~n (fun p ->
-        let comm = Mpi.comm_world (Mpi.world_of p) in
-        let rank = Mpi.rank p in
-        let acc = ref (Int64.of_int (rank + 1)) in
-        for round = 1 to rounds do
-          let b = Bytes.create 8 in
-          Bytes.set_int64_le b 0
-            (Int64.add !acc (Int64.of_int (round * (rank + 1))));
-          let out =
-            Mpi_core.Collectives.allreduce p comm
-              ~op:Mpi_core.Collectives.sum_i64 b
-          in
-          acc := Bytes.get_int64_le out 0
-        done;
-        finals.(rank) <- !acc)
-  in
-  let digest =
-    Digest.to_hex
-      (Digest.string
-         (String.concat ","
-            (Array.to_list (Array.map Int64.to_string finals))))
-  in
-  (digest, w)
-
-(* Compute-heavy collective workload for the wall-clock speedup sweep: a
-   vector allreduce (sum over i64 lanes) whose input each rank remixes
-   locally every round. Both the reduction and the remix are O(size) per
-   rank per round, so the work parallelizes across domains; the result
-   is schedule-independent (sums are deterministic, the remix is a pure
-   function of the previous result, the round and the rank), so the
-   digest must agree between cooperative and parallel executions. The
-   algorithm is pinned to recursive doubling to keep the communication
-   pattern identical at every domain count. *)
-let allreduce_bytes ?parallel ~n ~rounds ~size () =
-  if n < 2 then
-    invalid_arg "Workloads.allreduce_bytes: need at least two ranks";
-  if size < 8 || size mod 8 <> 0 then
-    invalid_arg "Workloads.allreduce_bytes: size must be a positive \
-                 multiple of 8";
-  let finals = Array.make n Bytes.empty in
-  let w =
-    Mpi.run ?parallel ~n (fun p ->
-        let comm = Mpi.comm_world (Mpi.world_of p) in
-        let rank = Mpi.rank p in
-        let buf =
-          Bytes.init size (fun i -> Char.chr (((rank * 7) + i) land 0xff))
-        in
-        for round = 1 to rounds do
-          let out =
-            Mpi_core.Collectives.allreduce ~algo:`Rd p comm
-              ~op:Mpi_core.Collectives.sum_i64 buf
-          in
-          for i = 0 to size - 1 do
-            Bytes.set buf i
-              (Char.chr
-                 (((Char.code (Bytes.get out i) * 31)
-                  + round
-                  + ((rank + 1) * (i + 1)))
-                 land 0xff))
-          done
-        done;
-        finals.(rank) <- Bytes.copy buf)
-  in
-  let digest =
-    Digest.to_hex
-      (Digest.bytes (Bytes.concat Bytes.empty (Array.to_list finals)))
-  in
-  (digest, w)
 
 type object_result = Time_us of float | Crashed of string
 

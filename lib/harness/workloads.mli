@@ -14,68 +14,10 @@ type protocol = {
 val paper_protocol : protocol
 (** 200 / 100 / 3 — used for Figure 9. *)
 
-val fig10_protocol : total_objects:int -> protocol
-(** Scaled-down protocol for the object-transport experiment: the virtual
-    clock is deterministic, so extra repetitions only cost host time, and
-    every round trip builds, serializes and rebuilds the whole graph, so
-    the iteration count shrinks as graphs grow. The counts stay fixed so
-    that [results/fig10.csv] regenerates byte-identical. *)
-
 val pingpong_bytes :
   ?protocol:protocol -> Systems.t -> size:int -> float
 (** Figure 9's unit: average microseconds per round-trip of a [size]-byte
     buffer under the given system's binding semantics. *)
-
-(** {1 Fault-tolerance workloads}
-
-    Both drivers return a digest of the final application state together
-    with the world (whose env carries the virtual clock and the fault /
-    reliability counters). Workloads and fault schedules are fully
-    deterministic, so for a fixed fault seed the digest must equal the
-    fault-free digest — the property the loss-sweep experiment and the
-    robustness tests assert. *)
-
-val ring :
-  ?fault:Mpi_core.Fault.plan ->
-  ?reliable:Mpi_core.Reliable.config ->
-  ?parallel:int ->
-  n:int ->
-  rounds:int ->
-  size:int ->
-  unit ->
-  string * Mpi_core.Mpi.world
-(** [rounds] neighbour exchanges around an [n]-rank ring of [size]-byte
-    messages; each rank folds what it received into what it sends next,
-    so any unmasked loss, duplication or corruption changes the digest.
-    The per-round byte-mixing fold is also real CPU work, which makes
-    this the reference workload for wall-clock speedup measurements:
-    with [?parallel:d] the ranks execute on [d] domains
-    ({!Mpi_core.Mpi.run}) and the digest must equal the cooperative
-    one — the result is schedule-independent. *)
-
-val allreduce_chain :
-  ?fault:Mpi_core.Fault.plan ->
-  ?reliable:Mpi_core.Reliable.config ->
-  ?parallel:int ->
-  n:int ->
-  rounds:int ->
-  unit ->
-  string * Mpi_core.Mpi.world
-(** Collective counterpart: [rounds] chained [allreduce] sums whose
-    inputs depend on the previous result. *)
-
-val allreduce_bytes :
-  ?parallel:int ->
-  n:int ->
-  rounds:int ->
-  size:int ->
-  unit ->
-  string * Mpi_core.Mpi.world
-(** Vector allreduce ([size]-byte payload, sum over i64 lanes, pinned to
-    recursive doubling) with a local O(size) remix between rounds: the
-    compute-heavy collective workload for wall-clock speedup runs.
-    [size] must be a positive multiple of 8. Digest is
-    schedule-independent, so parallel and cooperative runs must agree. *)
 
 type object_result = Time_us of float | Crashed of string
 

@@ -821,14 +821,9 @@ let rank_guard w rank body =
           Trace.record w.env ~rank ~op:"kill" ~detail:(fun () ->
               "fiber torn down"))
 
-let run ?channel ?cost ?env ?fault ?reliable ?detector ?topology ?parallel ~n
-    body =
-  let w =
-    create_world ?channel ?cost ?env ?fault ?reliable ?detector ?topology
-      ?parallel ~n ()
-  in
+let launch w body =
   let fibers =
-    List.init n (fun i ->
+    List.init w.initial_n (fun i ->
         ( Printf.sprintf "rank%d" i,
           fun () -> rank_guard w i (fun () -> body (proc w i)) ))
   in
@@ -836,5 +831,13 @@ let run ?channel ?cost ?env ?fault ?reliable ?detector ?topology ?parallel ~n
     Option.map (fun domains -> Fiber.Parallel { domains; place = w.place })
       w.parallel
   in
-  Fiber.run ?mode ~pending:(describe_pending w) fibers;
+  Fiber.run ?mode ~pending:(describe_pending w) fibers
+
+let run ?channel ?cost ?env ?fault ?reliable ?detector ?topology ?parallel ~n
+    body =
+  let w =
+    create_world ?channel ?cost ?env ?fault ?reliable ?detector ?topology
+      ?parallel ~n ()
+  in
+  launch w body;
   w

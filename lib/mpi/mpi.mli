@@ -150,9 +150,17 @@ val quiescence_report : world -> (int * string) list
 
 val describe_pending : world -> unit -> string list
 (** One line per incomplete operation on any device of the world
-    ({!Ch3.describe_pending}) — the [pending] dump {!run} hands
+    ({!Ch3.describe_pending}) — the [pending] dump {!launch} hands
     {!Fiber.run}, so a {!Fiber.Deadlock} names this world's requests
     only. Drivers that call {!Fiber.run} themselves pass it too. *)
+
+val launch : world -> (proc -> unit) -> unit
+(** [launch w body] runs [body] on every initial rank of [w] to
+    completion: one fiber per rank (["rank0"], ["rank1"], ...), each
+    under {!rank_guard}, with the world's {!describe_pending} dump, on
+    [d] real domains ({!Fiber.Parallel}) when [w] was built with
+    [?parallel:d] and cooperatively (under the ambient scheduling
+    policy) otherwise. *)
 
 val run :
   ?channel:[ `Shm | `Sock | `Rdma ] ->
@@ -166,13 +174,11 @@ val run :
   n:int ->
   (proc -> unit) ->
   world
-(** Create a world and run one fiber per rank to completion; returns the
-    world (whose env carries the clock and counters). [fault], [reliable]
-    and [detector] as in {!create_world}. Each rank's fiber runs under
-    {!rank_guard}, so a scheduled kill tears the rank down instead of
-    aborting the run. With [?parallel:d] the fibers execute on [d] real
-    domains ({!Fiber.Parallel}) — see {!create_world} for the
-    restrictions. *)
+(** [run ... ~n body] is {!create_world} followed by {!launch}; returns
+    the world (whose env carries the clock and counters). Each rank's
+    fiber runs under {!rank_guard}, so a scheduled kill tears the rank
+    down instead of aborting the run. See {!create_world} for the
+    restrictions on [?parallel]. *)
 
 val rank_guard : world -> int -> (unit -> unit) -> unit
 (** [rank_guard w rank body] runs [body], implementing fail-stop

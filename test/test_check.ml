@@ -224,6 +224,70 @@ let test_record_replay_reproduces_digest () =
     "replay reproduces the digest" original.E.o_digest replayed.E.o_digest
 
 (* ------------------------------------------------------------------ *)
+(* The channel matrix                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module C = Check.Catalogue
+
+(* Every catalogue entry on every modelled channel, under round-robin:
+   on a clean wire, and for the entries the explorer marks faultable
+   also under one fault plan (plus a kill for the rank-death entries).
+   A workload leaves the world out, so each run must be clean and give
+   the digest of the entry's own spec. *)
+let test_channel_matrix () =
+  let entries =
+    [
+      C.ring ~n:3 ~rounds:3 ~size:48 ~ssend_tail:true;
+      C.allreduce_chain ~n:3 ~rounds:2;
+      C.allreduce_bytes ~n:4 ~rounds:2 ~size:64;
+      C.hier_allreduce ~rounds:2;
+      C.icoll_overlap ~n:3;
+      C.rma_fence ~n:3 ~big:66_000;
+      C.rma_lock ~n:3;
+      C.rma_epoch ~eager_apply:false ~n:3;
+      C.kill_allreduce ();
+      C.kill_p2p ();
+      C.kill_hier_leader ();
+    ]
+  in
+  let faulty (e : C.entry) =
+    let plan =
+      Mpi_core.Fault.plan ~seed:11 ~drop:0.02 ~duplicate:0.01 ~corrupt:0.01
+        ~delay:0.05 ()
+    in
+    if String.starts_with ~prefix:"kill_" e.name then
+      { plan with kills = [ E.kill_of_fault ~seed:(Some 11) ~n:e.spec.n () ] }
+    else plan
+  in
+  List.iter
+    (fun (e : C.entry) ->
+      let base, bad = E.check_entry e e.spec in
+      Alcotest.(check (list string)) (e.name ^ " on its own spec") []
+        (List.map (Format.asprintf "%a" Check.Invariant.pp) bad);
+      let faultable =
+        match E.find e.name with Some w -> E.faultable w | None -> false
+      in
+      List.iter
+        (fun channel ->
+          List.iter
+            (fun fault ->
+              let what =
+                Printf.sprintf "%s on %s%s" e.name
+                  (match channel with
+                  | `Sock -> "sock"
+                  | `Shm -> "shm"
+                  | `Rdma -> "rdma")
+                  (if Option.is_none fault then "" else " with faults")
+              in
+              let digest, bad = E.check_entry e { e.spec with channel; fault } in
+              Alcotest.(check (list string)) what []
+                (List.map (Format.asprintf "%a" Check.Invariant.pp) bad);
+              Alcotest.(check string) (what ^ ": digest") base digest)
+            (None :: (if faultable then [ Some (faulty e) ] else [])))
+        [ `Sock; `Shm; `Rdma ])
+    entries
+
+(* ------------------------------------------------------------------ *)
 (* Shrinker                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -340,6 +404,8 @@ let () =
             `Quick test_explorer_clean_on_default_workloads;
           Alcotest.test_case "record/replay reproduces digest" `Quick
             test_record_replay_reproduces_digest;
+          Alcotest.test_case "every entry on every channel" `Quick
+            test_channel_matrix;
         ] );
       ( "shrinker",
         [

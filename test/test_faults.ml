@@ -13,7 +13,7 @@ module Request = Mpi_core.Request
 module Status = Mpi_core.Status
 module Trace = Mpi_core.Trace
 module Bv = Mpi_core.Buffer_view
-module W = Harness.Workloads
+module C = Check.Catalogue
 module Env = Simtime.Env
 module Key = Simtime.Stats.Key
 
@@ -28,6 +28,18 @@ let counters w =
       Key.corrupt_drops; Key.fault_drops; Key.fault_dups; Key.fault_delays;
       Key.fault_corrupts;
     ]
+
+(* Run a catalogue entry on its own world with [fault] added; an oracle
+   violation fails the test. *)
+let run_entry ?fault (e : C.entry) =
+  let digest, bad, w = C.run e { e.spec with fault } in
+  if bad <> [] then
+    Alcotest.failf "%s: %s" e.name
+      (String.concat "; "
+         (List.map (Format.asprintf "%a" Check.Invariant.pp) bad));
+  (digest, w)
+
+let ring ~n ~rounds ~size = C.ring ~n ~rounds ~size ~ssend_tail:false
 
 let lossy_plan ~seed ~loss =
   Fault.plan ~seed ~drop:loss ~duplicate:(loss /. 2.0)
@@ -76,13 +88,10 @@ let test_checksum_detects_bit_flip () =
 (* ------------------------------------------------------------------ *)
 
 let test_faulty_ring_matches_fault_free () =
-  let clean, _ = W.ring ~n:3 ~rounds:10 ~size:512 () in
-  let faulty, w1 =
-    W.ring ~fault:(lossy_plan ~seed:42 ~loss:0.15) ~n:3 ~rounds:10 ~size:512 ()
-  in
-  let faulty', w2 =
-    W.ring ~fault:(lossy_plan ~seed:42 ~loss:0.15) ~n:3 ~rounds:10 ~size:512 ()
-  in
+  let e = ring ~n:3 ~rounds:10 ~size:512 in
+  let clean, _ = run_entry e in
+  let faulty, w1 = run_entry ~fault:(lossy_plan ~seed:42 ~loss:0.15) e in
+  let faulty', w2 = run_entry ~fault:(lossy_plan ~seed:42 ~loss:0.15) e in
   Alcotest.(check string) "digest equals fault-free run" clean faulty;
   Alcotest.(check string) "same seed reproduces digest" faulty faulty';
   Alcotest.(check (list (pair string int)))
@@ -95,25 +104,23 @@ let test_faulty_ring_matches_fault_free () =
     (Simtime.Stats.get (stats w1) Key.retransmits > 0)
 
 let test_faulty_allreduce_matches_fault_free () =
-  let clean, _ = W.allreduce_chain ~n:4 ~rounds:6 () in
-  let faulty, w =
-    W.allreduce_chain ~fault:(lossy_plan ~seed:7 ~loss:0.1) ~n:4 ~rounds:6 ()
-  in
+  let e = C.allreduce_chain ~n:4 ~rounds:6 in
+  let clean, _ = run_entry e in
+  let faulty, w = run_entry ~fault:(lossy_plan ~seed:7 ~loss:0.1) e in
   Alcotest.(check string) "collective digest equals fault-free" clean faulty;
   Alcotest.(check bool)
     "faults were actually injected" true
     (Simtime.Stats.get (stats w) Key.fault_drops > 0)
 
 let prop_ring_digest_stable_across_seeds =
-  let clean = lazy (fst (W.ring ~n:2 ~rounds:6 ~size:256 ())) in
+  let e = ring ~n:2 ~rounds:6 ~size:256 in
+  let clean = lazy (fst (run_entry e)) in
   QCheck.Test.make
     ~name:"any seed/loss: faulty ring completes byte-identical" ~count:15
     QCheck.(pair (int_range 1 10_000) (int_range 0 25))
     (fun (seed, loss_pct) ->
       let loss = float_of_int loss_pct /. 100.0 in
-      let faulty, _ =
-        W.ring ~fault:(lossy_plan ~seed ~loss) ~n:2 ~rounds:6 ~size:256 ()
-      in
+      let faulty, _ = run_entry ~fault:(lossy_plan ~seed ~loss) e in
       faulty = Lazy.force clean)
 
 (* ------------------------------------------------------------------ *)
@@ -121,7 +128,8 @@ let prop_ring_digest_stable_across_seeds =
 (* ------------------------------------------------------------------ *)
 
 let test_partition_window_recovers () =
-  let clean, _ = W.ring ~n:2 ~rounds:5 ~size:128 () in
+  let e = ring ~n:2 ~rounds:5 ~size:128 in
+  let clean, _ = run_entry e in
   let cut src dst =
     {
       Fault.pt_src = src; pt_dst = dst; pt_from_ns = 0.0;
@@ -129,7 +137,7 @@ let test_partition_window_recovers () =
     }
   in
   let plan = Fault.plan ~partitions:[ cut 0 1; cut 1 0 ] () in
-  let faulty, w = W.ring ~fault:plan ~n:2 ~rounds:5 ~size:128 () in
+  let faulty, w = run_entry ~fault:plan e in
   Alcotest.(check string) "digest intact after the partition heals" clean
     faulty;
   Alcotest.(check bool)

@@ -5,7 +5,7 @@
    rejects everything that needs determinism or shared mutable state,
    and a parallel deadlock is detected and reported, never a hang. *)
 
-module W = Harness.Workloads
+module C = Check.Catalogue
 module Mpi = Mpi_core.Mpi
 module Spsc = Mpi_core.Spsc
 module Trace = Mpi_core.Trace
@@ -66,11 +66,25 @@ let test_spsc_cross_domain () =
 (* Digest equality: parallel == cooperative                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Run a catalogue entry on [spec] (default: its own world); an oracle
+   violation fails the test. *)
+let run ?spec (e : C.entry) =
+  let digest, bad, w = C.run e (Option.value spec ~default:e.spec) in
+  if bad <> [] then
+    Alcotest.failf "%s: %s" e.name
+      (String.concat "; "
+         (List.map (Format.asprintf "%a" Check.Invariant.pp) bad));
+  (digest, w)
+
+let on_domains d (e : C.entry) = run ~spec:{ e.spec with parallel = Some d } e
+let ring ~n ~rounds ~size = C.ring ~n ~rounds ~size ~ssend_tail:false
+
 let test_ring_digest_matches () =
-  let base, _ = W.ring ~n:8 ~rounds:6 ~size:256 () in
+  let e = ring ~n:8 ~rounds:6 ~size:256 in
+  let base, _ = run e in
   List.iter
     (fun d ->
-      let got, w = W.ring ~parallel:d ~n:8 ~rounds:6 ~size:256 () in
+      let got, w = on_domains d e in
       Alcotest.(check string)
         (Printf.sprintf "ring digest at %d domain(s)" d)
         base got;
@@ -81,18 +95,20 @@ let test_ring_digest_matches () =
     [ 1; 2; 4 ]
 
 let test_allreduce_bytes_digest_matches () =
-  let base, _ = W.allreduce_bytes ~n:8 ~rounds:4 ~size:512 () in
+  let e = C.allreduce_bytes ~n:8 ~rounds:4 ~size:512 in
+  let base, _ = run e in
   List.iter
     (fun d ->
-      let got, _ = W.allreduce_bytes ~parallel:d ~n:8 ~rounds:4 ~size:512 () in
+      let got, _ = on_domains d e in
       Alcotest.(check string)
         (Printf.sprintf "allreduce digest at %d domain(s)" d)
         base got)
     [ 2; 4 ]
 
 let test_parallel_run_repeatable () =
-  let a, _ = W.ring ~parallel:4 ~n:8 ~rounds:5 ~size:128 () in
-  let b, _ = W.ring ~parallel:4 ~n:8 ~rounds:5 ~size:128 () in
+  let e = ring ~n:8 ~rounds:5 ~size:128 in
+  let a, _ = on_domains 4 e in
+  let b, _ = on_domains 4 e in
   Alcotest.(check string) "two parallel runs agree" a b
 
 (* Asking for more domains than the placement can use: ranks are placed
@@ -100,40 +116,19 @@ let test_parallel_run_repeatable () =
    count at its node count (and a flat world at the rank count). The
    request is clamped, not rejected — and the run still matches the
    cooperative digest. *)
-let ring_digest ?topology ?parallel ~n () =
-  let rounds = 4 and size = 128 in
-  let finals = Array.make n Bytes.empty in
-  let w =
-    Mpi.run ?topology ?parallel ~n (fun p ->
-        let comm = Mpi.comm_world (Mpi.world_of p) in
-        let r = Mpi.rank p in
-        let buf = Bytes.init size (fun i -> Char.chr ((r + i) land 0xff)) in
-        for round = 0 to rounds - 1 do
-          let dst = (r + 1) mod n and src = (r + n - 1) mod n in
-          let incoming = Bytes.create size in
-          let rr =
-            Mpi.irecv p ~comm ~src ~tag:round
-              (Mpi_core.Buffer_view.of_bytes incoming)
-          in
-          Mpi.send p ~comm ~dst ~tag:round (Mpi_core.Buffer_view.of_bytes buf);
-          ignore (Mpi.wait p rr);
-          Bytes.blit incoming 0 buf 0 size
-        done;
-        finals.(r) <- Bytes.copy buf)
-  in
-  let d = Digest.to_hex (Digest.bytes (Bytes.concat Bytes.empty (Array.to_list finals))) in
-  (d, w)
-
 let test_domains_clamped_to_nodes () =
-  let topology = Simtime.Topology.make ~nodes:2 ~cores:4 in
-  let base, _ = ring_digest ~topology ~n:8 () in
+  let e = ring ~n:8 ~rounds:4 ~size:128 in
+  let spec =
+    { e.spec with topology = Some (Simtime.Topology.make ~nodes:2 ~cores:4) }
+  in
+  let base, _ = run ~spec e in
   (* 4 domains requested, but the 2-node placement can use only 2. *)
-  let got, w = ring_digest ~topology ~parallel:4 ~n:8 () in
+  let got, w = run ~spec:{ spec with parallel = Some 4 } e in
   Alcotest.(check (option int)) "clamped to the node count" (Some 2)
     (Mpi.parallelism w);
   Alcotest.(check string) "digest still matches cooperative" base got;
   (* Flat world: the cap is the rank count. *)
-  let _, w = ring_digest ~parallel:16 ~n:3 () in
+  let _, w = on_domains 16 (ring ~n:3 ~rounds:4 ~size:128) in
   Alcotest.(check (option int)) "clamped to the rank count" (Some 3)
     (Mpi.parallelism w)
 
@@ -143,7 +138,7 @@ let test_domains_clamped_to_nodes () =
 
 let test_merged_stats () =
   let n = 6 and rounds = 4 in
-  let _, w = W.ring ~parallel:2 ~n ~rounds ~size:64 () in
+  let _, w = on_domains 2 (ring ~n ~rounds ~size:64) in
   let merged = Mpi.merged_stats w in
   let sent = Simtime.Stats.get merged Simtime.Stats.Key.msgs_sent in
   (* every rank sends one message per round *)

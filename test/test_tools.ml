@@ -605,6 +605,32 @@ let test_one_wait_path () =
     [ "exchange" ]
     (with_both "Mpi.wait_all" "Ch3.irecv")
 
+(* Every MPI workload is written once, in the catalogue: the explorer
+   builds no world and writes no ring of its own, the harness drivers run
+   no MPI world of their own, and every MPI world in lib/check/ starts
+   through [Mpi.launch]. *)
+let test_one_workload_catalogue () =
+  List.iter
+    (fun (file, banned) ->
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s mentions %s" file sub)
+            false
+            (mentions (read_lib file) sub))
+        banned)
+    [
+      ("check/explore.ml", [ "Mpi.create_world"; "sendrecv" ]);
+      ("harness/workloads.ml", [ "Mpi.run"; "Mpi.sendrecv" ]);
+    ];
+  Alcotest.(check (list string))
+    "lib/check/ files that start fibers with ~pending" []
+    (List.filter
+       (fun f ->
+         String.starts_with ~prefix:"check/" f
+         && mentions (read_lib f) "Fiber.run ~pending")
+       (lib_sources ()))
+
 let () =
   Alcotest.run "tools"
     [
@@ -643,6 +669,8 @@ let () =
             test_results_manifest;
           Alcotest.test_case "blocking has one wait path" `Quick
             test_one_wait_path;
+          Alcotest.test_case "one workload catalogue" `Quick
+            test_one_workload_catalogue;
         ] );
       ( "trace",
         [
