@@ -59,44 +59,3 @@ let scatter_objects ~mech ~profile ctx ~comm ~root input =
     in
     Std_serializer.deserialize profile gc data
   end
-
-let gather_objects ~mech ~profile ctx ~comm ~root mine =
-  let gc = World.gc ctx in
-  let me = Mpi.comm_rank ctx.World.proc comm in
-  let n = Comm.size comm in
-  let data = Std_serializer.serialize profile gc mine in
-  if me = root then begin
-    (* Receive each member's atomic blob in rank order, rebuilding and
-       concatenating. *)
-    let parts =
-      List.init n (fun r ->
-          if r = me then Std_serializer.deserialize profile gc data
-          else
-            let blob =
-              Wrapper_transport.recv_serialized ~mech ctx ~comm ~src:r
-                ~tag:0x5348
-            in
-            Std_serializer.deserialize profile gc blob)
-    in
-    let total =
-      List.fold_left (fun acc o -> acc + Om.array_length gc o) 0 parts
-    in
-    let combined = Om.alloc_array gc (elem_type gc mine) total in
-    let pos = ref 0 in
-    List.iter
-      (fun part ->
-        for i = 0 to Om.array_length gc part - 1 do
-          let e = Om.get_elem_ref gc part i in
-          Om.set_elem_ref gc combined !pos e;
-          (match e with Some h -> Om.free gc h | None -> ());
-          incr pos
-        done;
-        Om.free gc part)
-      parts;
-    Some combined
-  end
-  else begin
-    Wrapper_transport.send_serialized ~mech ctx ~comm ~dst:root ~tag:0x5348
-      data;
-    None
-  end

@@ -20,14 +20,3 @@ val scatter_objects :
     fresh sub-array with its contiguous share. The root pays for
     materializing one managed sub-array per member plus one standard
     serialization each. *)
-
-val gather_objects :
-  mech:Call_gate.mechanism ->
-  profile:Std_serializer.profile ->
-  Motor.World.rank_ctx ->
-  comm:Comm.t ->
-  root:int ->
-  Vm.Object_model.obj ->
-  Vm.Object_model.obj option
-(** Dual direction: members serialize their arrays individually; the root
-    deserializes each and concatenates into one array. *)

@@ -21,9 +21,7 @@ let create_store ?(interval = 1) () =
   if interval < 1 then invalid_arg "Checkpoint.create_store: interval < 1";
   { s_interval = interval; latest = Hashtbl.create 8 }
 
-let interval s = s.s_interval
 let due s ~step = step mod s.s_interval = 0
-let latest s ~rank = Hashtbl.find_opt s.latest rank
 let digest data = Digest.to_hex (Digest.bytes data)
 
 (* The device-side half of a consistent checkpoint: a digest of the

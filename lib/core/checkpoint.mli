@@ -31,8 +31,6 @@ val create_store : ?interval:int -> unit -> store
 (** [interval] (default 1) is the checkpoint cadence in program steps,
     consulted by {!due}. Raises [Invalid_argument] if < 1. *)
 
-val interval : store -> int
-
 val due : store -> step:int -> bool
 (** [due store ~step] is true when [step] is on the store's cadence
     (i.e. [step mod interval = 0]). *)
@@ -42,8 +40,6 @@ val save :
 (** Serialize [root]'s object graph and record it as the rank's latest
     image (counted as [checkpoints], traced). The caller keeps ownership
     of [root]. *)
-
-val latest : store -> rank:int -> image option
 
 val restore : store -> World.rank_ctx -> Vm.Object_model.obj * int
 (** Rebuild the rank's latest image into its heap; returns a fresh root

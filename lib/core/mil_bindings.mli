@@ -3,16 +3,14 @@
     This is the last layer of the paper's architecture: a managed
     application, written in the portable assembly, calling message-passing
     internal calls that land in the runtime-resident MPI core (Figure 8's
-    Recv / InternalCall Recv / MP_Recv chain). All operations run on the
-    world communicator. *)
+    Recv / InternalCall Recv / MP_Recv chain). *)
 
 val load : World.rank_ctx -> ?entry:string -> string -> Vm.Interp.t
 (** Assemble a MIL program against this rank's runtime, register the base
     system library and the [mp.*] internal calls, verify, and return the
-    execution context — the one-stop way to run a managed MPI program. *)
+    execution context — the one-stop way to run a managed MPI program.
 
-val register : Vm.Interp.t -> World.rank_ctx -> unit
-(** Registers, in addition to the base system library:
+    The internal calls, in addition to the base system library:
     - [mp.rank : -> int64], [mp.size : -> int64]
     - [mp.send : object -> int64 -> int64 -> void] (dst, tag)
     - [mp.recv : object -> int64 -> int64 -> void] (src, tag)

@@ -49,7 +49,6 @@ val create :
 
 val env : t -> Simtime.Env.t
 val mpi : t -> Mpi_core.Mpi.world
-val size : t -> int
 val rank_ctx : t -> int -> rank_ctx
 val comm_world : t -> Comm.t
 

@@ -1,6 +1,10 @@
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@'; '%'; '&' |]
 
-let log_log ?(width = 72) ?(height = 20) ?(out = Format.std_formatter)
+(* The canvas, in characters. *)
+let width = 72
+let height = 20
+
+let log_log ?(out = Format.std_formatter)
     ~title ~xlabel ~ylabel ~series () =
   let points =
     List.concat_map

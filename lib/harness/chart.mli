@@ -2,8 +2,6 @@
     paper's Figures 9 and 10 in the terminal. *)
 
 val log_log :
-  ?width:int ->
-  ?height:int ->
   ?out:Format.formatter ->
   title:string ->
   xlabel:string ->
@@ -13,4 +11,4 @@ val log_log :
   unit
 (** Each series is a name plus (x, y) points; non-positive values are
     skipped (log scale). Series are drawn with distinct glyphs, legend
-    below the plot. Default canvas 72x20. *)
+    below the plot, on a 72x20 canvas. *)

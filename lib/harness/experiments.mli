@@ -5,9 +5,6 @@
 type point = { x : int; result : Workloads.object_result }
 type series = { system : string; points : point list }
 
-val fig9_sizes : int list
-(** 4 B … 256 KiB in powers of two — Figure 9's x axis. *)
-
 val fig9 : ?protocol:Workloads.protocol -> unit -> series list
 (** Ping-pong of regular MPI operations, five systems. *)
 

@@ -39,7 +39,5 @@ type outcome =
 
 val check : cores:int -> point list -> outcome
 
-val csv_header : string
-
 val write_csv : path:string -> point list -> unit
 (** Creates missing parent directories. *)

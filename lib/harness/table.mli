@@ -11,11 +11,11 @@ val print_table :
   unit
 (** Aligned columns; numeric cells are printed with one decimal. *)
 
-val csv_string : headers:string list -> rows:(string * cell list) list -> string
-
 val write_file : string -> string -> unit
 (** [write_file path contents], creating missing parent directories. *)
 
 val write_csv :
   path:string -> headers:string list -> rows:(string * cell list) list -> unit
-(** [csv_string] through {!write_file}. *)
+(** A header line (an empty label column, then [headers]) and one line
+    per row, cells quoted where they hold a comma, quote or newline,
+    written through {!write_file}. *)

@@ -39,7 +39,6 @@ let create p comm ~dims ~periodic =
 
 let comm t = t.grid_comm
 let ndims t = Array.length t.dims
-let dims t = Array.copy t.dims
 
 let coords t rank =
   if rank < 0 || rank >= Comm.size t.grid_comm then

@@ -19,16 +19,12 @@ val dims_create : nnodes:int -> ndims:int -> int array
 val comm : t -> Comm.t
 (** The grid communicator (a sub-communicator of the parent). *)
 
-val ndims : t -> int
-val dims : t -> int array
 val coords : t -> int -> int array
 (** Grid coordinates of a grid rank ([MPI_Cart_coords]). *)
 
 val rank_of_coords : t -> int array -> int option
 (** [MPI_Cart_rank]; [None] when a non-periodic coordinate is out of
     range, otherwise periodic dimensions wrap. *)
-
-val my_coords : t -> Mpi.proc -> int array
 
 val shift : t -> Mpi.proc -> dim:int -> disp:int -> int option * int option
 (** [MPI_Cart_shift]: (source, destination) grid ranks for a displacement

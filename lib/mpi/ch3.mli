@@ -141,12 +141,6 @@ val ctx_revoked : t -> int -> bool
     fail immediately with {!Request.Comm_revoked}; arriving traffic on
     one is refused. *)
 
-val peer_dead : t -> int -> bool
-(** Whether the world rank was declared dead. Sends to (and receives
-    from) a dead peer fail immediately with {!Request.Proc_failed} —
-    ULFM's [MPI_ERR_PROC_FAILED] — and stale in-flight traffic from one
-    is discarded. *)
-
 val fail_peer : t -> peer:int -> unit
 (** A peer was declared dead: complete every operation on this device
     that only [peer] could satisfy (rendezvous toward it, posted receives

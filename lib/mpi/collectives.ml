@@ -1097,8 +1097,12 @@ let sched_allreduce_hier b p comm ~op ~granule ~commutative send =
       (Buffer_view.of_bytes result);
   result
 
-let iallreduce ?(algo : allreduce_algo = `Auto) ?(granule = 8)
-    ?(commutative = true) p comm ~op send =
+(* The element size in bytes that Rabenseifner never splits: 8 is safe
+   for every predefined operator. *)
+let granule = 8
+
+let iallreduce ?(algo : allreduce_algo = `Auto) ?(commutative = true) p comm
+    ~op send =
   let n = Comm.size comm in
   let b = builder p comm Kind.allreduce in
   if n = 1 then (Coll_sched.start b, Bytes.copy send)
@@ -1129,8 +1133,8 @@ let iallreduce ?(algo : allreduce_algo = `Auto) ?(granule = 8)
     (Coll_sched.start b, out)
   end
 
-let allreduce ?algo ?granule ?commutative p comm ~op send =
-  let req, out = iallreduce ?algo ?granule ?commutative p comm ~op send in
+let allreduce ?algo ?commutative p comm ~op send =
+  let req, out = iallreduce ?algo ?commutative p comm ~op send in
   wait_sched p req;
   out
 

@@ -23,9 +23,9 @@
 
     Selection must {e agree} across the communicator: it depends only on
     the shared cost model, the communicator size and the payload length,
-    plus caller-supplied arguments ([algo], [block], [granule],
-    [commutative]) — every member must pass the same values for those,
-    exactly as every rank passes the same counts to an MPI collective. *)
+    plus caller-supplied arguments ([algo], [block], [commutative]) —
+    every member must pass the same values for those, exactly as every
+    rank passes the same counts to an MPI collective. *)
 
 (** {1 Algorithm choices} *)
 
@@ -78,15 +78,6 @@ val allreduce_algo_for :
   granule:int ->
   commutative:bool ->
   [ `Linear | `Rd | `Rabenseifner ]
-
-val bcast_algo_for :
-  Simtime.Cost.t -> n:int -> bytes:int -> [ `Binomial | `Scatter_allgather ]
-
-val allgather_algo_for :
-  Simtime.Cost.t -> n:int -> bytes:int -> [ `Ring | `Rd ]
-
-val fan_algo_for :
-  Simtime.Cost.t -> n:int -> block:int option -> [ `Linear | `Binomial ]
 
 val hier_applicable : Mpi.proc -> Comm.t -> bool
 (** Whether the two-level algorithms apply: the world's topology is
@@ -165,7 +156,6 @@ val ireduce :
 
 val iallreduce :
   ?algo:allreduce_algo ->
-  ?granule:int ->
   ?commutative:bool ->
   Mpi.proc ->
   Comm.t ->
@@ -251,7 +241,6 @@ val reduce :
 
 val allreduce :
   ?algo:allreduce_algo ->
-  ?granule:int ->
   ?commutative:bool ->
   Mpi.proc ->
   Comm.t ->
@@ -260,10 +249,10 @@ val allreduce :
   Bytes.t
 (** [`Auto] selects Rabenseifner for payloads of at least
     [coll_rabenseifner_min_bytes] when the operator is commutative and
-    the buffer splits into at least one [granule]-aligned piece per
-    member, recursive doubling otherwise. [granule] (default 8) is the
-    element size in bytes: Rabenseifner never splits the payload inside a
-    granule, so the default is safe for every predefined operator.
+    the buffer splits into at least one 8-byte-aligned piece per member,
+    recursive doubling otherwise. Rabenseifner never splits the payload
+    inside an 8-byte element, which is safe for every predefined
+    operator.
     [commutative] defaults to [true]; pass [~commutative:false] for
     order-sensitive operators — [`Auto] then stays on recursive doubling,
     which folds in rank order. *)

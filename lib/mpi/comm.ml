@@ -113,24 +113,3 @@ let range_info t =
   match t.membership with
   | Range { start; step; count } -> Some (start, step, count)
   | Enum _ -> None
-
-let is_range t = range_info t <> None
-
-(* A compact deterministic description of the membership, used in context
-   allocation keys: O(1) long for ranges, the member list otherwise. *)
-let descriptor t =
-  match t.membership with
-  | Range { start; step; count } ->
-      Printf.sprintf "r%d+%dx%d" start step count
-  | Enum { ranks; _ } ->
-      String.concat "," (List.map string_of_int (Array.to_list ranks))
-
-let pp ppf t =
-  match t.membership with
-  | Range { start; step; count } ->
-      Format.fprintf ppf "comm{ctx=%d; range start=%d step=%d count=%d}"
-        t.ctx start step count
-  | Enum { ranks; _ } ->
-      Format.fprintf ppf "comm{ctx=%d; members=[%s]}" t.ctx
-        (String.concat ";"
-           (Array.to_list (Array.map string_of_int ranks)))

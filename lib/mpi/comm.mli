@@ -77,13 +77,3 @@ val members : t -> int array
 
 val range_info : t -> (int * int * int) option
 (** [(start, step, count)] when the membership is a range descriptor. *)
-
-val is_range : t -> bool
-(** [true] iff the membership is an O(1) range descriptor — the
-    no-O(world)-arrays property tests assert for identity comms. *)
-
-val descriptor : t -> string
-(** Compact deterministic membership description for context-allocation
-    keys: O(1) characters for ranges, the member list otherwise. *)
-
-val pp : Format.formatter -> t -> unit

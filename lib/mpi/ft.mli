@@ -80,10 +80,6 @@ val mark_killed : t -> rank:int -> unit
 val finish : t -> rank:int -> unit
 (** Normal completion: the rank stops beating without being a failure. *)
 
-val declare_dead : t -> int -> unit
-(** Detector declaration (also exposed for tests): fires the on-death
-    subscribers once. No-op on [Finished] or already-[Dead] ranks. *)
-
 val revive : t -> rank:int -> unit
 (** Restart a down rank: state back to [Alive], heartbeat reset, on-revive
     subscribers fired. Raises [Invalid_argument] if the rank is not
@@ -104,11 +100,6 @@ val coll_failed : t -> ctx:int -> peer:int -> unit
     dead. Fires the subscribers only if [peer] is declared dead: a
     victim's own teardown also fails its schedules, and that must not
     outrun the detector. *)
-
-val pending_detection : t -> bool
-(** A kill has fired but not been declared (or is still scheduled): the
-    detector guarantees progress, so a blocked configuration is not yet a
-    deadlock. *)
 
 val tick : t -> rank:int -> unit
 (** One detector step, called from every progress pump: beat [rank],

@@ -176,7 +176,3 @@ let comm_create p comm group =
            Comm.range ~ctx ~step ~start ~count ()
        | Enum { ranks; _ } -> Comm.make ~ctx ~members:ranks)
   else None
-
-let pp ppf t =
-  Format.fprintf ppf "group[%s]"
-    (String.concat ";" (List.map string_of_int (Array.to_list (members t))))

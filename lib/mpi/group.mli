@@ -54,5 +54,3 @@ val comm_create : Mpi.proc -> Comm.t -> t -> Comm.t option
 (** Collective over [comm]: members of the group receive the new
     communicator, others get [None] ([MPI_Comm_create]). The group must be
     a subset of the communicator. *)
-
-val pp : Format.formatter -> t -> unit

@@ -401,10 +401,8 @@ let test_any p reqs =
 let wait_some p reqs =
   if reqs = [] then invalid_arg "Mpi.wait_some: empty request list";
   check_self p;
-  let ready () = List.exists Request.is_complete reqs || self_doomed p in
-  ignore (Ch3.progress p.dev);
-  if not (ready ()) then
-    poll_until p ~label:"mpi-waitsome" ~idle:(Ch3.idle_poll p.dev) ready;
+  poll_until p ~label:"mpi-waitsome" ~idle:(Ch3.idle_poll p.dev) (fun () ->
+      List.exists Request.is_complete reqs || self_doomed p);
   check_self p;
   List.filter Request.is_complete reqs
 

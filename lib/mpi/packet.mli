@@ -44,10 +44,6 @@ type t =
 val header_bytes : int
 (** Fixed per-packet header size used for wire-cost accounting. *)
 
-val frame_bytes : int
-(** Extra wire bytes a reliable-delivery {!Frame} adds to its inner
-    packet (sequence number + checksum). *)
-
 val wire_bytes : t -> int
 
 val checksum : t -> int

@@ -38,5 +38,3 @@ let wait t =
   match t.current with
   | None -> invalid_arg "Persistent.wait: never started"
   | Some req -> Mpi.wait t.p req
-
-let proc t = t.p

@@ -24,5 +24,3 @@ val wait : t -> Status.t option
 
 val is_active : t -> bool
 (** An instance is in flight and incomplete. *)
-
-val proc : t -> Mpi.proc

@@ -21,14 +21,9 @@ module Cache = struct
 
   type outcome = Hit | Miss of { evicted : (int * int) list }
 
-  let create ?capacity_bytes () =
-    let capacity =
-      match capacity_bytes with
-      | Some c -> c
-      | None -> Simtime.Cost.native_cpp.rdma_cache_capacity_bytes
-    in
+  let create ~capacity_bytes =
     {
-      capacity;
+      capacity = capacity_bytes;
       entries = [];
       bytes = 0;
       tick = 0;
@@ -113,7 +108,6 @@ module Cache = struct
   let mem t ~addr ~len = Option.is_some (covering t ~addr ~len)
   let entries t = List.length t.entries
   let registered_bytes t = t.bytes
-  let capacity_bytes t = t.capacity
 
   let pinned_bytes t =
     List.fold_left
@@ -128,7 +122,6 @@ end
 type t = {
   env : Env.t;
   chan : Channel.t;
-  cache_capacity : int;
   caches : (int, Cache.t) Hashtbl.t;
   mutable addrs : (Bytes.t * int) list;
   mutable next_addr : int;
@@ -136,7 +129,7 @@ type t = {
 
 let page = 4096
 
-let create ?topo ?capacity_bytes env ~n_ranks =
+let create ?topo env ~n_ranks =
   let cost = env.Env.cost in
   (* The fabric only carries inter-node traffic; same-node peers pay the
      shared-memory tier, as with the other channels. *)
@@ -146,15 +139,9 @@ let create ?topo ?capacity_bytes env ~n_ranks =
       ~intra:(cost.shm_per_msg_ns, cost.shm_ns_per_byte)
       ~syscall_fraction:0.05 ~env ~n_ranks ()
   in
-  let cache_capacity =
-    match capacity_bytes with
-    | Some c -> c
-    | None -> cost.rdma_cache_capacity_bytes
-  in
   {
     env;
     chan;
-    cache_capacity;
     caches = Hashtbl.create 16;
     addrs = [];
     next_addr = 0x1000_0000;
@@ -167,7 +154,9 @@ let cache t ~rank =
   match Hashtbl.find_opt t.caches rank with
   | Some c -> c
   | None ->
-      let c = Cache.create ~capacity_bytes:t.cache_capacity () in
+      let c =
+        Cache.create ~capacity_bytes:t.env.Env.cost.rdma_cache_capacity_bytes
+      in
       Hashtbl.add t.caches rank c;
       c
 

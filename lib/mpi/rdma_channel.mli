@@ -38,8 +38,7 @@ module Cache : sig
         (** Fresh registration; [evicted] lists the [(addr, len)] ranges
             deregistered (LRU-first) to fit under the capacity. *)
 
-  val create : ?capacity_bytes:int -> unit -> t
-  (** Default capacity is {!Cost.native_cpp}[.rdma_cache_capacity_bytes]. *)
+  val create : capacity_bytes:int -> t
 
   val access : t -> addr:int -> len:int -> outcome
   (** Look up (and on miss, insert) a registration for [addr, addr+len).
@@ -62,7 +61,6 @@ module Cache : sig
 
   val entries : t -> int
   val registered_bytes : t -> int
-  val capacity_bytes : t -> int
   val pinned_bytes : t -> int
   val hits : t -> int
   val misses : t -> int
@@ -71,15 +69,11 @@ end
 
 type t
 
-val create :
-  ?topo:Simtime.Topology.t ->
-  ?capacity_bytes:int ->
-  Simtime.Env.t ->
-  n_ranks:int ->
-  t
-(** [?capacity_bytes] overrides [Cost.rdma_cache_capacity_bytes] for every
-    per-rank cache. With [?topo], same-node endpoints are priced at the
-    shared-memory tier (the fabric only carries inter-node traffic). *)
+val create : ?topo:Simtime.Topology.t -> Simtime.Env.t -> n_ranks:int -> t
+(** Each per-rank registration cache holds
+    [Cost.rdma_cache_capacity_bytes]. With [?topo], same-node endpoints
+    are priced at the shared-memory tier (the fabric only carries
+    inter-node traffic). *)
 
 val channel : t -> Channel.t
 val eager_threshold : t -> int

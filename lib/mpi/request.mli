@@ -24,9 +24,6 @@ type reason =
       (** the operation's communicator (context id) was revoked —
           ULFM's [MPI_ERR_REVOKED] *)
 
-val reason_message : reason -> string
-(** Human-readable form (what {!error} returns for the reason). *)
-
 type t
 
 val create : id:int -> kind -> t

@@ -101,9 +101,7 @@ type win = {
   w_waiters : (int * bool) Queue.t; (* (origin, exclusive), FIFO *)
 }
 
-let local win = win.w_buf
 let exposed win = not win.w_freed
-let comm win = win.w_comm
 
 let size_of win ~rank =
   if rank < 0 || rank >= win.w_n then invalid_arg "Rma.size_of: bad rank";

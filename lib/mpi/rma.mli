@@ -135,14 +135,9 @@ val win_unlock : win -> target:int -> unit
 
 (** {1 Introspection} *)
 
-val local : win -> Bytes.t
-(** The caller's own window buffer (the one passed to {!win_create}). *)
-
 val exposed : win -> bool
 (** True until {!win_free} completes: the window's registration epoch,
     polled by the GC's conditional pin on the buffer. *)
 
 val size_of : win -> rank:int -> int
 (** The given member's window size in bytes. *)
-
-val comm : win -> Comm.t

@@ -40,9 +40,6 @@ let create ~capacity =
     tail = Atomic.make 0;
   }
 
-let capacity t = t.mask + 1
-let length t = Atomic.get t.tail - Atomic.get t.head
-
 let try_push t v =
   let tail = Atomic.get t.tail in
   let head = Atomic.get t.head in

@@ -11,11 +11,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** Capacity is rounded up to the next power of two (min 2). *)
 
-val capacity : 'a t -> int
-
-val length : 'a t -> int
-(** Racy snapshot — exact only when called by the producer or consumer. *)
-
 val try_push : 'a t -> 'a -> bool
 (** Producer side. False when the ring is full. *)
 

@@ -5,6 +5,3 @@ type t = {
 }
 
 let empty = { source = -1; tag = -1; bytes = 0 }
-
-let pp ppf t =
-  Format.fprintf ppf "{src=%d; tag=%d; bytes=%d}" t.source t.tag t.bytes

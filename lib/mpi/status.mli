@@ -7,4 +7,3 @@ type t = {
 }
 
 val empty : t
-val pp : Format.formatter -> t -> unit

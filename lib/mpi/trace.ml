@@ -83,19 +83,6 @@ let events t =
       | Some e -> e
       | None -> assert false)
 
-let clear t =
-  Array.fill t.buf 0 t.capacity None;
-  t.next <- 0;
-  t.open_spans <- 0
-
-(* Stable merge of several per-domain buffers by timestamp: events with
-   equal timestamps keep their per-buffer order, and buffers earlier in
-   the list sort first among ties — so merging a parallel run's traces
-   is deterministic given the buffers' contents. *)
-let merge_events ts =
-  List.concat_map events ts
-  |> List.stable_sort (fun a b -> Float.compare a.t_us b.t_us)
-
 let pp_timeline ppf t =
   List.iter
     (fun e ->

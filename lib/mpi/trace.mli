@@ -56,16 +56,8 @@ val open_spans : t -> int
 val events : t -> event list
 (** Oldest first. *)
 
-val merge_events : t list -> event list
-(** Stable merge of several buffers by timestamp (ties keep per-buffer
-    order, earlier buffers first): the read side of per-domain trace
-    accumulation under parallel execution. Call after the run joins. *)
-
-val length : t -> int
 val dropped : t -> int
 (** Events lost to the ring-buffer bound. *)
-
-val clear : t -> unit
 
 val pp_timeline : Format.formatter -> t -> unit
 (** One line per event: [  123.4us r0 isend    dst=1 tag=0 64B]; span

@@ -31,7 +31,6 @@ let trace_of_list l =
   { tr_buf = a; tr_len = Array.length a }
 
 let trace_to_list t = Array.to_list (Array.sub t.tr_buf 0 t.tr_len)
-let trace_length t = t.tr_len
 
 let trace_push t d =
   if t.tr_len = Array.length t.tr_buf then begin

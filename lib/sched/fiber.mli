@@ -31,7 +31,6 @@ type trace
 val new_trace : unit -> trace
 val trace_of_list : int list -> trace
 val trace_to_list : trace -> int list
-val trace_length : trace -> int
 
 (** {1 Scheduling policies} *)
 

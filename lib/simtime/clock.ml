@@ -13,6 +13,3 @@ let[@inline] advance t ns =
 let advance_to t ns =
   if ns < t.now then invalid_arg "Clock.advance_to: target lies in the past";
   t.now <- ns
-
-let reset t = t.now <- 0.0
-let elapsed_since t t0 = t.now -. t0

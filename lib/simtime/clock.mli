@@ -25,9 +25,3 @@ val advance_to : t -> float -> unit
 (** [advance_to clock ns] sets the clock to [ns], which must not lie in
     the past. The scheduler's idle fast-forward uses it to commit the
     exact value a run of skipped charges would have reached. *)
-
-val reset : t -> unit
-(** Rewind to time zero. *)
-
-val elapsed_since : t -> float -> float
-(** [elapsed_since clock t0] is [now_ns clock -. t0]. *)

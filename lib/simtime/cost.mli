@@ -13,10 +13,6 @@
     a Pentium M 1.7 GHz; shapes, not absolute values, are the reproduction
     target (DESIGN.md §4). *)
 
-(** SSCLI build flavour, per the paper's footnote 4: fastchecked builds make
-    pinning considerably more expensive than Free builds. *)
-type build = Free | Fastchecked
-
 type t = {
   name : string;
   (* Call mechanisms (per managed -> library crossing). *)
@@ -135,10 +131,3 @@ val indiana_dotnet : t
 val mpijava : t
 (** mpiJava 1.2.5 on Sun JDK 1.5: JNI with automatic pin/unpin and the
     standard Java serialization mechanism. *)
-
-val with_build : build -> t -> t
-(** Adjust a preset's pinning costs for the given SSCLI build flavour. *)
-
-val all_presets : t list
-
-val pp : Format.formatter -> t -> unit

@@ -28,21 +28,6 @@ val set_sink : Env.t -> sink -> unit
 val clear_sink : Env.t -> unit
 (** Leave the environment with no sink. *)
 
-val emit :
-  Env.t ->
-  kind:kind ->
-  ?id:int ->
-  rank:int ->
-  cat:string ->
-  name:string ->
-  ?args:(unit -> (string * string) list) ->
-  unit ->
-  unit
-(** Rank [-1] denotes the runtime itself (GC, serializer) rather than a
-    communicating rank. [args] (default: none) is called only by an
-    installed sink, so with no sink a call reads one field and formats
-    nothing. *)
-
 val span_begin :
   Env.t ->
   ?id:int ->

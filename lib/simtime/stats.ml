@@ -158,10 +158,6 @@ let with_timer t key ~now f =
     ~finally:(fun () -> observe t key (Float.max 0.0 (now () -. t0)))
     f
 
-let reset t =
-  Array.iteri (fun k c -> if c > 0 then t.counts.(k) <- 0) t.counts;
-  Array.fill t.hists 0 (Array.length t.hists) absent
-
 (* Fold [from] into [t]: counters add; histogram counts, sums and buckets
    add, extrema combine. The parallel execution mode gives each domain
    its own accumulator and merges after the run, so hot-path increments

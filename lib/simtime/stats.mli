@@ -64,16 +64,6 @@ val with_timer : t -> histogram -> now:(unit -> float) -> (unit -> 'a) -> 'a
     into [key] — including when [f] raises. [now] is typically the
     environment's virtual clock ({!Env.with_timer} wires that up). *)
 
-val reset : t -> unit
-(** Zero every touched counter (each stays listed) and drop every
-    histogram. *)
-
-val absorb : t -> from:t -> unit
-(** Fold [from]'s counters and histograms into [t] (counters and bucket
-    populations add; extrema combine). The merge half of per-domain
-    accumulation under parallel execution — call only once [from]'s
-    owning domain has quiesced (after the run joins). *)
-
 val merged : t list -> t
 (** A fresh accumulator absorbing each input in order. *)
 

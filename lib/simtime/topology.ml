@@ -27,8 +27,3 @@ let node_of t rank =
   min (rank / t.cores) (t.nodes - 1)
 
 let same_node t a b = node_of t a = node_of t b
-let leader_of t rank = node_of t rank * t.cores
-let is_leader t rank = rank = leader_of t rank
-
-let pp ppf t =
-  Format.fprintf ppf "topology{%d node(s) x %d core(s)}" t.nodes t.cores

@@ -27,8 +27,3 @@ val node_of : t -> int -> int
     [size] (dynamically spawned processes land on the last node). *)
 
 val same_node : t -> int -> int -> bool
-val leader_of : t -> int -> int
-(** World rank of the first (leader) rank on the argument's node. *)
-
-val is_leader : t -> int -> bool
-val pp : Format.formatter -> t -> unit

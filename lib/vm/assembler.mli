@@ -45,6 +45,3 @@ val assemble :
   Classes.t -> ?entry:string -> string -> Il.program
 (** Parse and resolve a program, registering its classes into the given
     registry. Raises {!Parse_error} with a line-numbered diagnostic. *)
-
-val parse_type : Classes.t -> string -> Types.field_type
-(** Parse a type word (exposed for tests and tooling). *)

@@ -147,9 +147,6 @@ let complete t id ?(transportable = false) ~fields () =
 
 let object_class t = t.tables.(0)
 
-let define t ~name ?(transportable = false) ~fields () =
-  make_class t ~name ~transportable ~fields
-
 let find t id =
   if id < 1 || id > Array.length t.tables then raise Not_found
   else t.tables.(id - 1)
@@ -220,5 +217,3 @@ let field_by_index mt i =
   if i < 0 || i >= Array.length mt.c_fields then
     invalid_arg "Classes.field_by_index";
   mt.c_fields.(i)
-
-let iter t f = Array.iter f t.tables

@@ -43,18 +43,6 @@ val create : unit -> t
 val object_class : t -> method_table
 (** The root class, id 1, no fields. *)
 
-val define :
-  t ->
-  name:string ->
-  ?transportable:bool ->
-  fields:(string * Types.field_type * bool) list ->
-  unit ->
-  method_table
-(** [define t ~name ~fields ()] lays out and registers a class. Each field is
-    [(name, type, transportable)]. Fields are packed in declaration order at
-    naturally aligned offsets. Raises [Invalid_argument] on duplicate class
-    or field names. *)
-
 val declare : t -> name:string -> Types.class_id
 (** Reserve an id for a class whose fields are not known yet (forward
     references between classes, e.g. a linked-list node). The placeholder
@@ -85,5 +73,3 @@ val field : method_table -> string -> field_desc
 (** Raises [Not_found]. *)
 
 val field_by_index : method_table -> int -> field_desc
-val elem_name : t -> Types.elem -> string
-val iter : t -> (method_table -> unit) -> unit

@@ -19,7 +19,6 @@ type t = {
   mutable next_handle : int;
   (* Roots. *)
   scanners : (int, (Heap.addr -> Heap.addr) -> unit) Hashtbl.t;
-  mutable next_scanner : int;
   remembered : (Heap.addr, unit) Hashtbl.t;  (* elder slots -> young *)
   (* Pins. *)
   sticky_pins : (int, int) Hashtbl.t;  (* handle index -> pin count *)
@@ -70,13 +69,7 @@ module Handle = struct
       invalid_arg "Gc.Handle.get: use after free";
     a
 
-  let set (gc : gc) i addr =
-    if gc.slots.(i) = freed_sentinel then
-      invalid_arg "Gc.Handle.set: use after free";
-    gc.slots.(i) <- addr
-
   let is_null (gc : gc) i = get gc i = Heap.null
-  let equal (a : t) (b : t) = a = b
 end
 
 let create heap registry =
@@ -88,7 +81,6 @@ let create heap registry =
     free_handles = [];
     next_handle = 0;
     scanners = Hashtbl.create 8;
-    next_scanner = 0;
     remembered = Hashtbl.create 64;
     sticky_pins = Hashtbl.create 16;
     conditional_pins = [];
@@ -102,15 +94,8 @@ let create heap registry =
 let heap t = t.heap
 let registry t = t.registry
 
-type scanner_id = int
-
 let add_scanner t scan =
-  let id = t.next_scanner in
-  t.next_scanner <- id + 1;
-  Hashtbl.replace t.scanners id scan;
-  id
-
-let remove_scanner t id = Hashtbl.remove t.scanners id
+  Hashtbl.replace t.scanners (Hashtbl.length t.scanners) scan
 
 let record_write t ~container ~value ~slot =
   if

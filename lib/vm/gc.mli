@@ -39,9 +39,7 @@ module Handle : sig
   val alloc : gc -> Heap.addr -> t
   val free : gc -> t -> unit
   val get : gc -> t -> Heap.addr
-  val set : gc -> t -> Heap.addr -> unit
   val is_null : gc -> t -> bool
-  val equal : t -> t -> bool
 end
 
 val create : Heap.t -> Classes.t -> t
@@ -57,14 +55,10 @@ val alloc : t -> mt:Classes.method_table -> data_bytes:int -> Heap.addr
 
 (** {1 Roots} *)
 
-type scanner_id
-
-val add_scanner : t -> ((Heap.addr -> Heap.addr) -> unit) -> scanner_id
+val add_scanner : t -> ((Heap.addr -> Heap.addr) -> unit) -> unit
 (** [add_scanner gc scan] registers a root enumerator. During collection the
     collector calls [scan visit]; the enumerator must apply [visit] to every
     root slot it owns and store the result back (objects may move). *)
-
-val remove_scanner : t -> scanner_id -> unit
 
 val record_write : t -> container:Heap.addr -> value:Heap.addr -> slot:Heap.addr -> unit
 (** Generational write barrier: remembers elder slots that point into the
@@ -117,10 +111,6 @@ val collection_epoch : t -> int
 val method_table_of : t -> Heap.addr -> Classes.method_table
 (** Raises {!Null_reference} on null and [Not_found] on a corrupted
     header. *)
-
-val iter_ref_slots : t -> Heap.addr -> (Heap.addr -> unit) -> unit
-(** Apply a function to the absolute address of every reference slot of an
-    object (class ref-fields or ref-array elements). *)
 
 val live_objects : t -> int
 (** Walk both generations and count live objects (young objects plus

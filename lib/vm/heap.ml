@@ -63,7 +63,6 @@ let create ?(arena_bytes = 32 * 1024 * 1024) ?(block_bytes = 256 * 1024) env =
 let env t = t.env
 let mem t = t.mem
 let block_bytes t = t.block
-let arena_bytes t = t.arena
 
 (* Header accessors. *)
 
@@ -89,7 +88,6 @@ let set_bit t a bit on =
   set_flags t a (if on then f lor bit else f land lnot bit)
 
 let set_marked t a on = set_bit t a flag_mark on
-let is_pinned_flag t a = flags t a land flag_pinned <> 0
 let set_pinned_flag t a on = set_bit t a flag_pinned on
 let is_forwarded t a = flags t a land flag_forwarded <> 0
 let forward_of t a = aux t a
@@ -125,7 +123,6 @@ let align n = (n + alignment - 1) land lnot (alignment - 1)
 let total_size_for ~data_bytes = align (header_bytes + data_bytes)
 let in_young t a = a >= t.young_base && a < t.young_ptr
 let young_used t = t.young_ptr - t.young_base
-let young_capacity t = t.young_limit - t.young_base
 
 let elder_used t =
   let total = List.fold_left (fun acc (_, len) -> acc + len) 0 t.regions in

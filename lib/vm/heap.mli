@@ -47,19 +47,16 @@ val mem : t -> Bytes.t
     must not read outside the objects they address. *)
 
 val block_bytes : t -> int
-val arena_bytes : t -> int
 
 (** {1 Object headers} *)
 
 val mt_id : t -> addr -> int
-val set_mt_id : t -> addr -> int -> unit
 val size_of : t -> addr -> int
 (** Total aligned size including header. *)
 
 val is_free_chunk : t -> addr -> bool
 val is_marked : t -> addr -> bool
 val set_marked : t -> addr -> bool -> unit
-val is_pinned_flag : t -> addr -> bool
 val set_pinned_flag : t -> addr -> bool -> unit
 val is_forwarded : t -> addr -> bool
 val forward_of : t -> addr -> addr
@@ -103,7 +100,6 @@ val in_young : t -> addr -> bool
     (Section 7.4). *)
 
 val young_used : t -> int
-val young_capacity : t -> int
 val elder_used : t -> int
 
 val try_alloc_young : t -> mt:int -> data_bytes:int -> addr option

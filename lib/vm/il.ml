@@ -64,9 +64,6 @@ type program = {
   entry : int;
 }
 
-let method_by_name p name =
-  Array.to_seq p.methods |> Seq.find (fun m -> m.m_name = name)
-
 let vtype_of_field_type = function
   | Types.Prim (Types.R4 | Types.R8) -> S_float
   | Types.Prim _ -> S_int

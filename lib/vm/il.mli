@@ -77,13 +77,8 @@ type program = {
   entry : int;  (** id of the entry method *)
 }
 
-val method_by_name : program -> string -> mth option
 val vtype_of_field_type : Types.field_type -> vtype
 val default_value : Types.field_type -> value
-val pp_instr : Format.formatter -> instr -> unit
 val pp_vtype : Format.formatter -> vtype -> unit
-
-val pp_method : Format.formatter -> mth -> unit
-(** Disassembly: one numbered instruction per line. *)
 
 val pp_program : Format.formatter -> program -> unit

@@ -14,11 +14,9 @@ type t = {
   gc : Gc.t;
   program : Il.program;
   intcalls : (string, Verifier.intcall_sig * intcall_impl) Hashtbl.t;
-  max_depth : int;
   fuel : int option;
   mutable frames : frame list;
   mutable executed : int;
-  scanner : Gc.scanner_id;
 }
 
 let err fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
@@ -38,30 +36,22 @@ let scan_frames ctx visit =
       scan_array f.stack f.sp)
     ctx.frames
 
-let create ?(max_depth = 1024) ?fuel gc program =
-  let ctx_ref = ref None in
-  let scanner =
-    Gc.add_scanner gc (fun visit ->
-        match !ctx_ref with
-        | Some ctx -> scan_frames ctx visit
-        | None -> ())
-  in
+(* Bound on the managed call stack. *)
+let max_depth = 1024
+
+let create ?fuel gc program =
   let ctx =
     {
       gc;
       program;
       intcalls = Hashtbl.create 32;
-      max_depth;
       fuel;
       frames = [];
       executed = 0;
-      scanner;
     }
   in
-  ctx_ref := Some ctx;
+  Gc.add_scanner gc (scan_frames ctx);
   ctx
-
-let dispose t = Gc.remove_scanner t.gc t.scanner
 
 let gc t = t.gc
 let program t = t.program
@@ -77,8 +67,6 @@ let intcall_sig t name =
 let verify t =
   Verifier.verify_program (Gc.registry t.gc) t.program
     ~intcall:(intcall_sig t)
-
-let instructions_executed t = t.executed
 
 (* Typed slot access for fields and array elements. *)
 
@@ -157,7 +145,7 @@ let as_ref = function
   | Il.V_int _ | Il.V_float _ -> err "expected ref on stack"
 
 let rec exec ctx depth (m : Il.mth) args =
-  if depth > ctx.max_depth then raise Managed_stack_overflow;
+  if depth > max_depth then raise Managed_stack_overflow;
   let registry = Gc.registry ctx.gc in
   let heap = Gc.heap ctx.gc in
   let env = Heap.env heap in
@@ -453,14 +441,8 @@ let rec exec ctx depth (m : Il.mth) args =
   ctx.frames <- List.tl ctx.frames;
   !result
 
-let run t name args =
-  match Il.method_by_name t.program name with
-  | None -> err "no such method %s" name
-  | Some m ->
-      if List.length args <> List.length m.Il.m_params then
-        err "%s expects %d arguments" name (List.length m.Il.m_params);
-      exec t 0 m (Array.of_list args)
-
 let run_entry t args =
   let m = t.program.Il.methods.(t.program.Il.entry) in
-  run t m.Il.m_name args
+  if List.length args <> List.length m.Il.m_params then
+    err "%s expects %d arguments" m.Il.m_name (List.length m.Il.m_params);
+  exec t 0 m (Array.of_list args)

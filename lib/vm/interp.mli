@@ -15,9 +15,9 @@ type intcall_impl = Il.value array -> Il.value option
     registered as GC roots while the call runs; implementations that may
     trigger a collection must re-read reference arguments after doing so. *)
 
-val create : ?max_depth:int -> ?fuel:int -> Gc.t -> Il.program -> t
-(** [max_depth] bounds the managed call stack (default 1024); [fuel] bounds
-    total instructions executed (default unlimited). *)
+val create : ?fuel:int -> Gc.t -> Il.program -> t
+(** [fuel] bounds total instructions executed (default unlimited); the
+    managed call stack is bounded at 1024 frames. *)
 
 val gc : t -> Gc.t
 val program : t -> Il.program
@@ -26,16 +26,9 @@ val register_intcall :
   t -> string -> Verifier.intcall_sig -> intcall_impl -> unit
 (** Raises [Invalid_argument] on duplicate names. *)
 
-val intcall_sig : t -> string -> Verifier.intcall_sig option
 val verify : t -> unit
 (** Verify the whole program against the registered internal calls. *)
 
 val run_entry : t -> Il.value list -> Il.value option
-val run : t -> string -> Il.value list -> Il.value option
-(** Run a method by name. Raises {!Runtime_error} on managed faults (null
+(** Run the entry method. Raises {!Runtime_error} on managed faults (null
     reference, index out of bounds, division by zero, fuel exhaustion). *)
-
-val instructions_executed : t -> int
-
-val dispose : t -> unit
-(** Unregister this context's GC root scanner. *)

@@ -92,20 +92,6 @@ let set_int gc o fd v =
   | Types.Prim (Types.R4 | Types.R8) | Types.Ref _ ->
       err "set_int: field %s is not integral" fd.Classes.f_name
 
-let get_int64 gc o fd =
-  let h = Gc.heap gc in
-  let slot = field_slot gc o fd in
-  match fd.Classes.f_type with
-  | Types.Prim Types.I8 -> Heap.get_i64 h slot
-  | _ -> Int64.of_int (get_int gc o fd)
-
-let set_int64 gc o fd v =
-  let h = Gc.heap gc in
-  let slot = field_slot gc o fd in
-  match fd.Classes.f_type with
-  | Types.Prim Types.I8 -> Heap.set_i64 h slot v
-  | _ -> set_int gc o fd (Int64.to_int v)
-
 let get_float gc o fd =
   let h = Gc.heap gc in
   let slot = field_slot gc o fd in
@@ -283,24 +269,6 @@ let md_flat_index gc o idx =
 (* ------------------------------------------------------------------ *)
 (* Raw regions                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let data_region gc o =
-  let addr = addr_of gc o in
-  if addr = Heap.null then raise Gc.Null_reference;
-  let h = Gc.heap gc in
-  let mt = Gc.method_table_of gc addr in
-  let data = Heap.data_of addr in
-  match mt.Classes.c_kind with
-  | Classes.K_class -> (data, mt.Classes.c_instance_size)
-  | Classes.K_array elem ->
-      let len = Heap.get_i32 h data in
-      (data, 4 + (len * Types.elem_size elem))
-  | Classes.K_md_array (elem, rank) ->
-      let n = ref 1 in
-      for d = 0 to rank - 1 do
-        n := !n * Heap.get_i32 h (data + (4 * d))
-      done;
-      (data, (4 * rank) + (!n * Types.elem_size elem))
 
 let payload_region gc o =
   let addr = addr_of gc o in

@@ -44,17 +44,12 @@ val get_int : Gc.t -> obj -> Classes.field_desc -> int
 (** Integral and boolean/char fields up to 32 bits (and I8 when it fits). *)
 
 val set_int : Gc.t -> obj -> Classes.field_desc -> int -> unit
-val get_int64 : Gc.t -> obj -> Classes.field_desc -> int64
-val set_int64 : Gc.t -> obj -> Classes.field_desc -> int64 -> unit
 val get_float : Gc.t -> obj -> Classes.field_desc -> float
 val set_float : Gc.t -> obj -> Classes.field_desc -> float -> unit
 
 val get_ref : Gc.t -> obj -> Classes.field_desc -> obj option
 (** Read a reference field; [Some] wraps a {e fresh} handle the caller must
     {!free}. *)
-
-val get_ref_addr : Gc.t -> obj -> Classes.field_desc -> Heap.addr
-(** Raw variant for runtime-internal code (serializer, GC tests). *)
 
 val set_ref : Gc.t -> obj -> Classes.field_desc -> obj option -> unit
 (** Write a reference field (with class compatibility check and write
@@ -80,10 +75,6 @@ val md_flat_index : Gc.t -> obj -> int array -> int
 (** Row-major flattening with per-dimension bounds checks. *)
 
 (** {1 Raw data regions (runtime-internal)} *)
-
-val data_region : Gc.t -> obj -> Heap.addr * int
-(** [(data_addr, data_bytes)] for the whole instance data: fields of a class
-    instance, or length/dims words plus elements for arrays. *)
 
 val payload_region : Gc.t -> obj -> Heap.addr * int
 (** The transportable payload: instance fields for a class instance, or the

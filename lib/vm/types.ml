@@ -25,15 +25,3 @@ let prim_name = function
   | Char -> "char"
 
 let elem_is_ref = function Eref _ -> true | Eprim _ -> false
-
-let equal_field_type a b =
-  match (a, b) with
-  | Prim p, Prim q -> p = q
-  | Ref c, Ref d -> c = d
-  | Prim _, Ref _ | Ref _, Prim _ -> false
-
-let pp_prim ppf p = Format.pp_print_string ppf (prim_name p)
-
-let pp_field_type ppf = function
-  | Prim p -> pp_prim ppf p
-  | Ref c -> Format.fprintf ppf "ref<%d>" c

@@ -26,6 +26,3 @@ val field_size : field_type -> int
 val ref_size : int
 val prim_name : prim -> string
 val elem_is_ref : elem -> bool
-val equal_field_type : field_type -> field_type -> bool
-val pp_prim : Format.formatter -> prim -> unit
-val pp_field_type : Format.formatter -> field_type -> unit

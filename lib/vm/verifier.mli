@@ -12,14 +12,5 @@ exception Verify_error of string
 type intcall_sig = Types.field_type list * Types.field_type option
 (** Parameter types and optional result type of an internal call. *)
 
-val verify_method :
-  Classes.t ->
-  Il.program ->
-  intcall:(string -> intcall_sig option) ->
-  Il.mth ->
-  unit
-(** Raises {!Verify_error} with a diagnostic naming the method and program
-    counter on the first violation. *)
-
 val verify_program :
   Classes.t -> Il.program -> intcall:(string -> intcall_sig option) -> unit

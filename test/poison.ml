@@ -24,7 +24,7 @@ module World = struct
 
   let create ?channel ?cost ?config ?fault ?detector ~n () =
     let w = create ?channel ?cost ?config ?fault ?detector ~n () in
-    for i = 0 to size w - 1 do
+    for i = 0 to n - 1 do
       poison_gc (gc (rank_ctx w i))
     done;
     w

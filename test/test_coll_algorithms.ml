@@ -496,8 +496,7 @@ let test_icoll_under_fault () =
 (* ------------------------------------------------------------------ *)
 
 (* 2x2 matrix multiply over Z/256: associative, NOT commutative. Each
-   matrix is 4 one-byte cells (granule 4 with a padded layout would also
-   work; one byte per cell keeps it simple). [op acc x] computes
+   matrix is 4 one-byte cells. [op acc x] computes
    acc := acc * x, matching the left-to-right rank order MPI requires for
    non-commutative operators. *)
 let matmul acc x =
@@ -546,7 +545,7 @@ let test_non_commutative_rank_order () =
              List.iter
                (fun algo ->
                  let r =
-                   Coll.allreduce ~algo ~granule:4 ~commutative:false p comm
+                   Coll.allreduce ~algo ~commutative:false p comm
                      ~op:matmul mine
                  in
                  Alcotest.(check bytes)

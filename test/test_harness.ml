@@ -88,10 +88,15 @@ let test_make_linked_list_distribution () =
   Alcotest.(check int) "payload split exactly" 4096 !total
 
 let test_fig9_sizes_and_systems () =
-  Alcotest.(check int) "17 sizes" 17 (List.length E.fig9_sizes);
-  Alcotest.(check int) "5 systems" 5 (List.length S.fig9_systems);
-  Alcotest.(check (list int)) "endpoints" [ 4; 262_144 ]
-    [ List.hd E.fig9_sizes; List.nth E.fig9_sizes 16 ]
+  let series = E.fig9 ~protocol:{ W.iters = 1; timed = 1; trials = 1 } () in
+  Alcotest.(check int) "5 systems" 5 (List.length series);
+  List.iter
+    (fun s ->
+      let xs = List.map (fun p -> p.E.x) s.E.points in
+      Alcotest.(check int) "17 sizes" 17 (List.length xs);
+      Alcotest.(check (list int)) "endpoints" [ 4; 262_144 ]
+        [ List.hd xs; List.nth xs 16 ])
+    series
 
 let test_taba_math () =
   (* Synthetic series where Motor is always 20% faster. *)
@@ -177,11 +182,16 @@ let test_abl_split_scatter () =
     rows
 
 let test_table_rendering () =
-  let s =
-    T.csv_string
-      ~headers:[ "a"; "b" ]
-      ~rows:[ ("row1", [ T.Num 1.5; T.Text "x,y" ]); ("row2", [ T.Missing; T.Num 2.0 ]) ]
-  in
+  let path = Filename.temp_file "motor_table" ".csv" in
+  T.write_csv ~path
+    ~headers:[ "a"; "b" ]
+    ~rows:
+      [
+        ("row1", [ T.Num 1.5; T.Text "x,y" ]);
+        ("row2", [ T.Missing; T.Num 2.0 ]);
+      ];
+  let s = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
   Alcotest.(check bool) "csv quotes commas" true
     (String.length s > 0
     && String.split_on_char '\n' s |> List.length >= 3

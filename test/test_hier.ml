@@ -35,9 +35,6 @@ let test_topology_model () =
   Alcotest.(check int) "node of 7" 2 (Topology.node_of t 7);
   Alcotest.(check bool) "same node" true (Topology.same_node t 3 5);
   Alcotest.(check bool) "node boundary" false (Topology.same_node t 2 3);
-  Alcotest.(check int) "leader of 8" 6 (Topology.leader_of t 8);
-  Alcotest.(check bool) "9 is leader" true (Topology.is_leader t 9);
-  Alcotest.(check bool) "10 is not" false (Topology.is_leader t 10);
   (* Ranks beyond the fabric (dynamic spawns) clamp to the last node. *)
   Alcotest.(check int) "overflow clamps" 3 (Topology.node_of t 40);
   let s = Topology.single ~n:5 in
@@ -57,7 +54,7 @@ let test_sparse_world_64k () =
     Mpi.create_world ~topology:(Topology.make ~nodes:1024 ~cores:64) ~n ()
   in
   let comm = Mpi.comm_world w in
-  Alcotest.(check bool) "world is a range" true (Comm.is_range comm);
+  Alcotest.(check bool) "world is a range" true (Comm.range_info comm <> None);
   Alcotest.(check int) "world size" n (Comm.size comm);
   Alcotest.(check (option (triple int int int)))
     "contiguous descriptor"
@@ -191,7 +188,7 @@ let test_hier_uneven_subcomm () =
          in
          if inside then begin
            Alcotest.(check bool)
-             "contiguous split is a range" true (Comm.is_range sub);
+             "contiguous split is a range" true (Comm.range_info sub <> None);
            Alcotest.(check bool)
              "hier applies" true (Coll.hier_applicable p sub);
            Alcotest.(check bool)

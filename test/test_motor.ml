@@ -115,7 +115,8 @@ let test_plain_object_roundtrip () =
       let gc = World.gc ctx in
       let comm = Smp.comm_world ctx in
       let mt =
-        Classes.define (World.registry ctx) ~name:"Vec3"
+        Classes.complete (World.registry ctx)
+          (Classes.declare (World.registry ctx) ~name:"Vec3")
           ~fields:
             [
               ("x", Types.Prim Types.R8, false);
@@ -368,6 +369,33 @@ let test_conditional_pin_protects_iallreduce () =
     "world quiescent" []
     (Mpi_core.Mpi.quiescence_report (World.mpi w))
 
+(* The managed API's rank, size, ibcast and ibarrier: every rank gets the
+   root's array in place, and the barrier completes on every rank. *)
+let test_managed_ibcast_ibarrier () =
+  let n = 4 in
+  let w = World.create ~n () in
+  let seen = Array.make n (-1, -1) in
+  World.run w (fun ctx ->
+      let gc = World.gc ctx in
+      let comm = Smp.comm_world ctx in
+      let me = Smp.rank ctx in
+      seen.(me) <- (me, Smp.size ctx comm);
+      let a = Om.alloc_array gc (Types.Eprim Types.I4) 16 in
+      if me = 2 then
+        for i = 0 to 15 do
+          Om.set_elem_int gc a i (100 + i)
+        done;
+      let bcast = Smp.ibcast ctx ~comm ~root:2 a in
+      let barrier = Smp.ibarrier ctx comm in
+      Ot.wait_all ctx [ bcast; barrier ];
+      for i = 0 to 15 do
+        Alcotest.(check int) (Printf.sprintf "rank %d elem %d" me i) (100 + i)
+          (Om.get_elem_int gc a i)
+      done);
+  Alcotest.(check (array (pair int int))) "rank and size"
+    (Array.init n (fun r -> (r, n)))
+    seen
+
 let test_no_pin_policy_corrupts () =
   (* The honest DMA model: without pinning, a collection during an
      outstanding receive moves the buffer and the data lands at the stale
@@ -547,11 +575,14 @@ let test_linear_visited_quadratic_probes () =
       let mt = linked_array_class registry in
       let env = Vm.Heap.env (Gc.heap gc) in
       (* [m] objects: [m / 2] nodes, each with its data array. *)
+      let probes () =
+        Simtime.Stats.get env.Simtime.Env.stats Key.visited_probes
+      in
       let probes_for m =
-        Simtime.Stats.reset env.Simtime.Env.stats;
+        let before = probes () in
         let head = build_list gc mt ~elems:(m / 2) ~ints_per_node:1 in
         ignore (Ser.serialize gc ~visited:Ser.Linear head);
-        Simtime.Stats.get env.Simtime.Env.stats Key.visited_probes
+        probes () - before
       in
       (* A list has no sharing, so every lookup misses and walks the whole
          newest-first list: 1 probe for the root (empty list), then
@@ -991,6 +1022,8 @@ let () =
             test_conditional_pin_protects_irecv;
           Alcotest.test_case "conditional pin protects in-flight iallreduce"
             `Quick test_conditional_pin_protects_iallreduce;
+          Alcotest.test_case "managed ibcast and ibarrier" `Quick
+            test_managed_ibcast_ibarrier;
           Alcotest.test_case "no-pin policy corrupts (DMA model)" `Quick
             test_no_pin_policy_corrupts;
           Alcotest.test_case "rendezvous send pins once" `Quick

@@ -273,7 +273,7 @@ let test_no_progress_outside_scheduler () =
     [
       ("mpi-wait", 2, fun () -> ignore (Mpi.wait p req));
       ("mpi-waitany", 2, fun () -> ignore (Mpi.wait_any p [ req ]));
-      ("mpi-waitsome", 3, fun () -> ignore (Mpi.wait_some p [ req ]));
+      ("mpi-waitsome", 2, fun () -> ignore (Mpi.wait_some p [ req ]));
     ]
 
 (* Plain code inside an ambient recording policy: the wait's own run
@@ -289,7 +289,7 @@ let test_plain_wait_records_nothing () =
       ignore (Mpi.isend p ~comm ~dst:0 ~tag:5 (Bv.of_bytes (payload 8)));
       ignore (Mpi.wait p r);
       Alcotest.(check bytes) "payload" (payload 8) buf);
-  Alcotest.(check int) "decisions recorded" 0 (Fiber.trace_length tr)
+  Alcotest.(check (list int)) "decisions recorded" [] (Fiber.trace_to_list tr)
 
 (* Plain code: a self-send merely in flight for longer than 10^6 polls
    (~150 ms virtual at 150 ns a poll) is not a hang. Each wait flavour

@@ -177,17 +177,20 @@ let test_sink_belongs_to_env () =
   in
   let trace = Trace.enable a in
   emit b;
-  Alcotest.(check int) "nothing from the other env" 0 (Trace.length trace);
+  Alcotest.(check int) "nothing from the other env" 0
+    (List.length (Trace.events trace));
   Alcotest.(check bool) "the other env has no sink" true
     (Option.is_none b.Env.sink);
   emit a;
-  Alcotest.(check int) "own events recorded" 5 (Trace.length trace);
+  Alcotest.(check int) "own events recorded" 5
+    (List.length (Trace.events trace));
   Alcotest.(check int) "spans balanced" 0 (Trace.open_spans trace);
   Trace.disable a;
   Alcotest.(check bool) "disable leaves no sink" true
     (Option.is_none a.Env.sink);
   emit a;
-  Alcotest.(check int) "nothing after disable" 5 (Trace.length trace);
+  Alcotest.(check int) "nothing after disable" 5
+    (List.length (Trace.events trace));
   Trace.disable a;
   Alcotest.(check bool) "double disable is a no-op" true
     (Option.is_none a.Env.sink)
@@ -234,7 +237,8 @@ let test_thunks_forced_only_when_traced () =
   emit ();
   Alcotest.(check (pair int int)) "traced: forced once each" (1, 1)
     (!details, !args);
-  Alcotest.(check int) "three events recorded" 3 (Trace.length trace);
+  Alcotest.(check int) "three events recorded" 3
+    (List.length (Trace.events trace));
   Trace.disable env
 
 (* ------------------------------------------------------------------ *)

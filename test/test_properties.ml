@@ -50,7 +50,8 @@ let prop_field_roundtrip_all_prims =
       let rt = Runtime.create () in
       let gc = rt.Runtime.gc in
       let mt =
-        Classes.define rt.Runtime.registry ~name:"AllPrims"
+        Classes.complete rt.Runtime.registry
+          (Classes.declare rt.Runtime.registry ~name:"AllPrims")
           ~fields:
             (List.mapi
                (fun i p -> (Printf.sprintf "f%d" i, Types.Prim p, false))
@@ -95,7 +96,8 @@ let prop_float_fields_roundtrip =
       let rt = Runtime.create () in
       let gc = rt.Runtime.gc in
       let mt =
-        Classes.define rt.Runtime.registry ~name:"Floats"
+        Classes.complete rt.Runtime.registry
+          (Classes.declare rt.Runtime.registry ~name:"Floats")
           ~fields:
             [ ("s", Types.Prim Types.R4, false); ("d", Types.Prim Types.R8, false) ]
           ()
@@ -1068,7 +1070,7 @@ let prop_cache_equals_naive_model =
     ~name:"registration cache agrees with the naive list model" ~count:300
     arb_cache_ops
     (fun (capacity, ops) ->
-      let c = RCache.create ~capacity_bytes:capacity () in
+      let c = RCache.create ~capacity_bytes:capacity in
       let m = Cache_model.create capacity in
       List.for_all
         (fun op ->
@@ -1339,9 +1341,7 @@ let ref_complete : completer =
       drain
         (fun _ rs ->
           check ();
-          pump ();
-          if not (List.exists Request.is_complete rs || doomed ()) then
-            until (fun () -> List.exists Request.is_complete rs);
+          until (fun () -> List.exists Request.is_complete rs);
           check ();
           List.filter Request.is_complete rs)
         p reqs
@@ -2171,10 +2171,6 @@ module Stats_model = struct
     let b = bucket_of v in
     h.h_buckets.(b) <- h.h_buckets.(b) + 1
 
-  let reset t =
-    Hashtbl.iter (fun _ r -> r := 0) t.counters;
-    Hashtbl.reset t.hists
-
   let absorb t ~from =
     Hashtbl.iter (fun k r -> add t k !r) from.counters;
     Hashtbl.iter
@@ -2251,7 +2247,6 @@ type stats_op =
   | Incr of int * int  (* accumulator, key *)
   | Add of int * int * int
   | Observe of int * int * float
-  | Reset of int
   | Absorb of int * int  (* into, from *)
   | Merge of int  (* replace with merged [0; 1; 2] *)
 
@@ -2260,7 +2255,6 @@ let show_stats_op = function
   | Incr (a, k) -> Printf.sprintf "incr %d k%d" a k
   | Add (a, k, n) -> Printf.sprintf "add %d k%d %d" a k n
   | Observe (a, k, v) -> Printf.sprintf "observe %d k%d %h" a k v
-  | Reset a -> Printf.sprintf "reset %d" a
   | Absorb (a, b) -> Printf.sprintf "absorb %d <- %d" a b
   | Merge a -> Printf.sprintf "merge -> %d" a
 
@@ -2283,7 +2277,6 @@ let gen_stats_ops =
              acc key
              (oneof [ return 0; int_bound 1000 ]) );
          (6, map3 (fun a k v -> Observe (a, k, v)) acc key sample);
-         (1, map (fun a -> Reset a) acc);
          (1, map2 (fun a b -> Absorb (a, b)) acc acc);
          (1, map (fun a -> Merge a) acc);
        ])
@@ -2334,11 +2327,8 @@ let prop_stats_match_string_keyed_model =
               let k = k lor 1 in
               Stats.observe real.(a) (hist k) v;
               Stats_model.observe model.(a) (name k) v
-          | Reset a ->
-              Stats.reset real.(a);
-              Stats_model.reset model.(a)
           | Absorb (a, b) ->
-              Stats.absorb real.(a) ~from:real.(b);
+              real.(a) <- Stats.merged [ real.(a); real.(b) ];
               Stats_model.absorb model.(a) ~from:model.(b)
           | Merge a ->
               real.(a) <- Stats.merged (Array.to_list real);

@@ -29,7 +29,7 @@ let evicted = function
   | Cache.Miss { evicted } -> evicted
 
 let test_cache_hit_miss () =
-  let c = Cache.create ~capacity_bytes:4096 () in
+  let c = Cache.create ~capacity_bytes:4096 in
   Alcotest.(check bool) "cold miss" false (is_hit (Cache.access c ~addr:0 ~len:1024));
   Alcotest.(check bool) "re-access hits" true (is_hit (Cache.access c ~addr:0 ~len:1024));
   Alcotest.(check bool) "subrange hits" true (is_hit (Cache.access c ~addr:128 ~len:512));
@@ -42,7 +42,7 @@ let test_cache_hit_miss () =
   Alcotest.(check int) "registered" 2048 (Cache.registered_bytes c)
 
 let test_cache_lru_eviction () =
-  let c = Cache.create ~capacity_bytes:3000 () in
+  let c = Cache.create ~capacity_bytes:3000 in
   ignore (Cache.access c ~addr:0 ~len:1000);
   ignore (Cache.access c ~addr:10_000 ~len:1000);
   ignore (Cache.access c ~addr:20_000 ~len:1000);
@@ -58,7 +58,7 @@ let test_cache_lru_eviction () =
   Alcotest.(check int) "eviction count grows" 2 (Cache.evictions c)
 
 let test_cache_multi_eviction () =
-  let c = Cache.create ~capacity_bytes:1000 () in
+  let c = Cache.create ~capacity_bytes:1000 in
   ignore (Cache.access c ~addr:0 ~len:400);
   ignore (Cache.access c ~addr:1000 ~len:400);
   (* 800 bytes held; a 900-byte registration must evict both, LRU first. *)
@@ -67,7 +67,7 @@ let test_cache_multi_eviction () =
     "both evicted, LRU first" [ (0, 400); (1000, 400) ] out
 
 let test_cache_pinning () =
-  let c = Cache.create ~capacity_bytes:2000 () in
+  let c = Cache.create ~capacity_bytes:2000 in
   ignore (Cache.pin c ~addr:0 ~len:1500);
   Alcotest.(check int) "pinned bytes" 1500 (Cache.pinned_bytes c);
   (* The pinned entry cannot be evicted: a miss larger than the remaining
@@ -85,7 +85,7 @@ let test_cache_pinning () =
     (List.mem (0, 1500) out)
 
 let test_cache_pin_hit_promotes () =
-  let c = Cache.create ~capacity_bytes:4096 () in
+  let c = Cache.create ~capacity_bytes:4096 in
   ignore (Cache.access c ~addr:0 ~len:1024);
   Alcotest.(check bool) "pin over cached range hits" true
     (is_hit (Cache.pin c ~addr:0 ~len:1024));
@@ -95,7 +95,7 @@ let test_cache_pin_hit_promotes () =
     (fun () -> Cache.unpin c ~addr:5000 ~len:8)
 
 let test_cache_oversized_region () =
-  let c = Cache.create ~capacity_bytes:1000 () in
+  let c = Cache.create ~capacity_bytes:1000 in
   ignore (Cache.access c ~addr:0 ~len:500);
   (* A region larger than the whole capacity still registers (pinned I/O
      cannot be split), evicting everything evictable. *)

@@ -115,7 +115,8 @@ let test_wrong_class_shape_rejected () =
   let src_rt = Runtime.create () in
   let gc = src_rt.Runtime.gc in
   let mt =
-    Classes.define src_rt.Runtime.registry ~name:"Shape"
+    Classes.complete src_rt.Runtime.registry
+      (Classes.declare src_rt.Runtime.registry ~name:"Shape")
       ~fields:[ ("x", Types.Prim Types.I8, false) ]
       ()
   in
@@ -123,7 +124,8 @@ let test_wrong_class_shape_rejected () =
   let repr = Ser.serialize gc ~visited:Ser.Hashed o in
   let dst_rt = Runtime.create () in
   ignore
-    (Classes.define dst_rt.Runtime.registry ~name:"Shape"
+    (Classes.complete dst_rt.Runtime.registry
+       (Classes.declare dst_rt.Runtime.registry ~name:"Shape")
        ~fields:[ ("x", Types.Prim Types.R4, false) ]
        ());
   try

@@ -47,14 +47,12 @@ let test_trace_ring_buffer_drops_oldest () =
     Simtime.Env.charge env 1000.0;
     Trace.record env ~rank:0 ~op:"tick" ~detail:(fun () -> string_of_int i)
   done;
-  Alcotest.(check int) "bounded" 8 (Trace.length trace);
+  Alcotest.(check int) "bounded" 8 (List.length (Trace.events trace));
   Alcotest.(check int) "dropped counted" 12 (Trace.dropped trace);
   let details = List.map (fun e -> e.Trace.detail) (Trace.events trace) in
   Alcotest.(check (list string)) "kept the newest, oldest first"
     [ "13"; "14"; "15"; "16"; "17"; "18"; "19"; "20" ]
-    details;
-  Trace.clear trace;
-  Alcotest.(check int) "cleared" 0 (Trace.length trace)
+    details
 
 let test_trace_rendezvous_sequence () =
   (* A rendezvous transfer must show the full RTS/CTS/DATA handshake. *)
@@ -331,7 +329,7 @@ let test_csv_creates_missing_dirs () =
   let read path = In_channel.with_open_text path In_channel.input_all in
   Alcotest.(check string) "table csv" ",x\nr,1\n" (read table);
   Alcotest.(check bool) "sweep csv starts with its header" true
-    (String.starts_with ~prefix:Speedup.csv_header (read sweep));
+    (String.starts_with ~prefix:"workload,domains,ranks," (read sweep));
   List.iter Sys.remove [ table; sweep ];
   List.iter Sys.rmdir
     [ Filename.dirname sweep; nested; Filename.dirname nested; root ]
@@ -532,20 +530,24 @@ let test_results_manifest () =
 (* One wait path                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let read_lib rel =
-  In_channel.with_open_text (Filename.concat "../lib" rel) In_channel.input_all
-
-(* Every .ml and .mli file of lib/, relative to it. *)
-let lib_sources () =
-  Sys.readdir "../lib" |> Array.to_list |> List.sort compare
-  |> List.concat_map (fun dir ->
-         let path = Filename.concat "../lib" dir in
-         if not (Sys.is_directory path) then []
-         else
-           Sys.readdir path |> Array.to_list |> List.sort compare
-           |> List.filter (fun f ->
-                  Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
-           |> List.map (Filename.concat dir))
+(* Every .ml and .mli file under [../root], as (path relative to
+   [root], contents) sorted by path; [_build] and dot directories are
+   skipped. *)
+let sources root =
+  let base = Filename.concat ".." root in
+  let rec walk rel =
+    Sys.readdir (Filename.concat base rel) |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun f ->
+           let rel = if rel = "" then f else Filename.concat rel f in
+           let path = Filename.concat base rel in
+           if f.[0] = '.' || f.[0] = '_' then []
+           else if Sys.is_directory path then walk rel
+           else if
+             Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
+           then [ (rel, In_channel.with_open_text path In_channel.input_all) ]
+           else [])
+  in
+  walk ""
 
 (* A source's top-level definitions as (name, text), each running from
    a line that opens with [let] or [and] to the next such line. *)
@@ -572,10 +574,10 @@ let mentions s sub = find_sub s sub 0 <> None
    RMA makes a request in one place and exchanges per-peer values in
    one place. *)
 let test_one_wait_path () =
-  let files = lib_sources () in
+  let files = sources "lib" in
   Alcotest.(check bool) "lib/ has sources" true (List.length files > 50);
-  let defining file sub =
-    definitions (read_lib file)
+  let defining (file, src) sub =
+    definitions src
     |> List.filter_map (fun (n, text) ->
            if mentions text sub then Some (file ^ ": " ^ n) else None)
   in
@@ -583,17 +585,19 @@ let test_one_wait_path () =
     "Fiber.wait_until callers"
     [ "mpi/dynamic.ml: spawn"; "mpi/mpi.ml: poll_until" ]
     (List.concat_map
-       (fun f ->
-         if Filename.check_suffix f ".ml" then defining f "Fiber.wait_until"
+       (fun ((f, _) as file) ->
+         if Filename.check_suffix f ".ml" then defining file "Fiber.wait_until"
          else [])
        files);
   List.iter
     (fun banned ->
       Alcotest.(check (list string))
         (banned ^ " in lib/") []
-        (List.filter (fun f -> mentions (read_lib f) banned) files))
+        (List.filter_map
+           (fun (f, src) -> if mentions src banned then Some f else None)
+           files))
     [ "No_progress"; "1_000_000" ];
-  let rma = definitions (read_lib "mpi/rma.ml") in
+  let rma = definitions (List.assoc "mpi/rma.ml" files) in
   let with_both a b =
     List.filter_map
       (fun (n, text) -> if mentions text a && mentions text b then Some n else None)
@@ -610,6 +614,7 @@ let test_one_wait_path () =
    no MPI world of their own, and every MPI world in lib/check/ starts
    through [Mpi.launch]. *)
 let test_one_workload_catalogue () =
+  let files = sources "lib" in
   List.iter
     (fun (file, banned) ->
       List.iter
@@ -617,7 +622,7 @@ let test_one_workload_catalogue () =
           Alcotest.(check bool)
             (Printf.sprintf "%s mentions %s" file sub)
             false
-            (mentions (read_lib file) sub))
+            (mentions (List.assoc file files) sub))
         banned)
     [
       ("check/explore.ml", [ "Mpi.create_world"; "sendrecv" ]);
@@ -625,11 +630,460 @@ let test_one_workload_catalogue () =
     ];
   Alcotest.(check (list string))
     "lib/check/ files that start fibers with ~pending" []
+    (List.filter_map
+       (fun (f, src) ->
+         if
+           String.starts_with ~prefix:"check/" f
+           && mentions src "Fiber.run ~pending"
+         then Some f
+         else None)
+       files)
+
+(* ------------------------------------------------------------------ *)
+(* Every export has a user                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A source file as a token stream, with comments, strings, character
+   literals, labels, polymorphic variants and record fields dropped. *)
+type token =
+  | Word of string list  (** an identifier or dotted path *)
+  | Local_open of string list  (** [M.( ... )], [M.[ ... ]], [M.{ ... }] *)
+  | Sym of char
+
+let is_ident_char = function
+  | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '\'' -> true
+  | _ -> false
+
+let is_ident_start = function
+  | 'A' .. 'Z' | 'a' .. 'z' | '_' -> true
+  | _ -> false
+
+let capitalised s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
+
+let tokens src =
+  let n = String.length src in
+  let at i = if i < n then src.[i] else ' ' in
+  let rec ident i =
+    if i < n && is_ident_char src.[i] then ident (i + 1) else i
+  in
+  let rec string_end i =
+    if i >= n then n
+    else
+      match src.[i] with
+      | '"' -> i + 1
+      | '\\' -> string_end (i + 2)
+      | _ -> string_end (i + 1)
+  in
+  let rec comment_end depth i =
+    if i >= n then n
+    else
+      match (src.[i], at (i + 1)) with
+      | '(', '*' -> comment_end (depth + 1) (i + 2)
+      | '*', ')' -> if depth = 1 then i + 2 else comment_end (depth - 1) (i + 2)
+      | '"', _ -> comment_end depth (string_end (i + 1))
+      | _ -> comment_end depth (i + 1)
+  in
+  (* [{id|...|id}] starting at [i], if that is what is there. *)
+  let quoted_end i =
+    let j = ident (i + 1) in
+    if at j <> '|' then None
+    else
+      let close = "|" ^ String.sub src (i + 1) (j - i - 1) ^ "}" in
+      Some
+        (match find_sub src close j with
+        | Some k -> k + String.length close
+        | None -> n)
+  in
+  (* A path of [.]-separated components starting at [i]: a word, or a
+     local open when a capitalised prefix is followed by [.(]. *)
+  let rec path i comps =
+    let j = ident i in
+    let comps = String.sub src i (j - i) :: comps in
+    if capitalised (List.hd comps) && at j = '.' then
+      if is_ident_start (at (j + 1)) then path (j + 1) comps
+      else if String.contains "([{" (at (j + 1)) then
+        (Local_open (List.rev comps), j + 1)
+      else (Word (List.rev comps), j + 1)
+    else (Word (List.rev comps), j)
+  in
+  let rec skip_path i =
+    let j = ident i in
+    if j > i && at j = '.' then skip_path (j + 1) else j
+  in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      match src.[i] with
+      | '(' when at (i + 1) = '*' -> go (comment_end 1 (i + 2)) acc
+      | '"' -> go (string_end (i + 1)) acc
+      | '{' when quoted_end i <> None -> go (Option.get (quoted_end i)) acc
+      | '\'' when at (i + 1) = '\\' ->
+          let close = String.index_from_opt src (i + 3) '\'' in
+          go (Option.fold ~none:n ~some:succ close) acc
+      | '\'' when at (i + 2) = '\'' -> go (i + 3) acc
+      (* Type variables, labels, variants, methods and record fields
+         name no value. *)
+      | '\'' | '~' | '?' | '`' | '#' -> go (ident (i + 1)) acc
+      | '.' -> go (skip_path (i + 1)) acc
+      | '0' .. '9' -> go (skip_path i) acc
+      | c when is_ident_start c ->
+          let tok, j = path i [] in
+          go j (tok :: acc)
+      | ' ' | '\n' | '\t' | '\r' -> go (i + 1) acc
+      | c -> go (i + 1) (Sym c :: acc)
+  in
+  go 0 []
+
+(* The values an interface declares, as paths below its own module:
+   [["progress"]], or [["Handle"; "get"]] for a nested signature.
+   Values of a [module type] are not exports. *)
+let declared_values src =
+  let rec go toks stack pending acc =
+    match toks with
+    | [] -> List.rev acc
+    | Word [ "module" ] :: Word [ "type" ] :: rest -> go rest stack None acc
+    | Word [ "module" ] :: Word [ m ] :: rest -> go rest stack (Some m) acc
+    | Word [ "sig" ] :: rest -> go rest (pending :: stack) None acc
+    | Word [ "end" ] :: rest -> go rest (List.tl stack) None acc
+    | Word [ ("val" | "external") ] :: Word [ v ] :: rest ->
+        let acc =
+          if List.mem None stack then acc
+          else (List.rev_map Option.get stack @ [ v ]) :: acc
+        in
+        go rest stack None acc
+    | _ :: rest -> go rest stack pending acc
+  in
+  go (tokens src) [] None []
+
+(* Every dotted name an implementation uses a value by — [Ch3.progress]
+   and [Mpi_core.Ch3.progress] for a use of [Mpi_core.Ch3.progress] —
+   resolving module aliases ([module C = Check.Catalogue]) and opens
+   ([open M], [let open M in], [M.( ... )]: a bare name in such a file
+   may be the opened module's). *)
+let value_names src =
+  let toks = tokens src in
+  let aliases =
+    let rec go acc = function
+      | Word [ "module" ] :: Word [ a ] :: Sym '=' :: Word p :: rest
+        when List.for_all capitalised p ->
+          go ((a, p) :: acc) rest
+      | _ :: rest -> go acc rest
+      | [] -> acc
+    in
+    go [] toks
+  in
+  let expand = function
+    | a :: rest as p -> (
+        match List.assoc_opt a aliases with Some q -> q @ rest | None -> p)
+    | [] -> []
+  in
+  let opens =
+    let rec go acc = function
+      | Word [ ("open" | "include") ] :: Sym '!' :: Word p :: rest
+      | Word [ ("open" | "include") ] :: Word p :: rest
+      | Local_open p :: rest ->
+          go (expand p :: acc) rest
+      | _ :: rest -> go acc rest
+      | [] -> acc
+    in
+    go [] toks
+  in
+  let names = Hashtbl.create 1024 in
+  let rec add_suffixes = function
+    | _ :: (_ :: _ as rest) as p ->
+        Hashtbl.replace names (String.concat "." p) ();
+        add_suffixes rest
+    | _ -> ()
+  in
+  List.iter
+    (function
+      | Word p when not (capitalised (List.nth p (List.length p - 1))) ->
+          let qualified = if List.length p > 1 then [ p; expand p ] else [] in
+          List.iter add_suffixes
+            (qualified @ List.map (fun o -> o @ p) opens)
+      | _ -> ())
+    toks;
+  names
+
+(* Each interface's values as (["Ch3.progress"], the module's own
+   implementation file). *)
+let exports interfaces =
+  List.concat_map
+    (fun (file, src) ->
+      let m =
+        String.capitalize_ascii
+          (Filename.chop_suffix (Filename.basename file) ".mli")
+      in
+      let own = Filename.chop_suffix file ".mli" ^ ".ml" in
+      List.map
+        (fun p -> (String.concat "." (m :: p), own))
+        (declared_values src))
+    interfaces
+
+(* The exports that no implementation outside their own module names. *)
+let unused_exports ~interfaces ~implementations =
+  let users =
+    List.map (fun (file, src) -> (file, value_names src)) implementations
+  in
+  List.filter_map
+    (fun (v, own) ->
+      if List.exists (fun (f, names) -> f <> own && Hashtbl.mem names v) users
+      then None
+      else Some v)
+    (exports interfaces)
+
+let export_roots = [ "lib"; "bin"; "examples"; "benchmark"; "tools" ]
+
+let program_sources () =
+  List.concat_map
+    (fun root ->
+      List.map (fun (f, src) -> (Filename.concat root f, src)) (sources root))
+    export_roots
+
+let with_suffix suffix =
+  List.filter (fun (f, _) -> Filename.check_suffix f suffix)
+
+(* Why an export no program code uses stays exported. *)
+type reason =
+  | Api  (** MPI or managed API surface that DESIGN.md §2 lists *)
+  | Test_hook  (** an oracle, consistency check or planted bug a test drives *)
+
+(* The exports no program code uses that stay: each entry names one
+   value, gives one reason, and some test names it. *)
+let export_allow_list =
+  [
+    (* Point-to-point completion, wildcards and communicator management
+       (DESIGN.md §2, mpi_core). *)
+    ("Mpi.wait_any", Api);
+    ("Mpi.wait_some", Api);
+    ("Mpi.test_all", Api);
+    ("Mpi.test_any", Api);
+    ("Mpi.comm_dup", Api);
+    ("Mpi.comm_split", Api);
+    ("Mpi.shard_comm", Api);
+    ("Mpi.leader_comm", Api);
+    ("Mpi.is_shard_leader", Api);
+    ("Tag_match.any_tag", Api);
+    ("Dynamic.remote_size", Api);
+    (* Groups and their set algebra. *)
+    ("Group.of_ranks", Api);
+    ("Group.size", Api);
+    ("Group.rank_of", Api);
+    ("Group.world_rank", Api);
+    ("Group.members", Api);
+    ("Group.excl", Api);
+    ("Group.union", Api);
+    ("Group.intersection", Api);
+    ("Group.difference", Api);
+    ("Group.equal", Api);
+    ("Group.similar", Api);
+    (* Cartesian topologies. *)
+    ("Cart.dims_create", Api);
+    ("Cart.coords", Api);
+    ("Cart.rank_of_coords", Api);
+    (* Persistent requests. *)
+    ("Persistent.send_init", Api);
+    ("Persistent.recv_init", Api);
+    ("Persistent.start", Api);
+    ("Persistent.start_all", Api);
+    ("Persistent.wait", Api);
+    ("Persistent.is_active", Api);
+    (* Collectives, blocking and nonblocking. *)
+    ("Collectives.alltoall", Api);
+    ("Collectives.scan", Api);
+    ("Collectives.reduce_scatter_block", Api);
+    ("Collectives.sum_i32", Api);
+    ("Collectives.iscatter", Api);
+    ("Collectives.igather", Api);
+    ("Collectives.iallgather", Api);
+    ("Collectives.ialltoall", Api);
+    ("Collectives.ireduce", Api);
+    ("Collectives.iscan", Api);
+    (* One-sided windows. *)
+    ("Rma.size_of", Api);
+    (* Rank restart: re-admit the rank, give it a fresh VM, restore its
+       checkpoint. *)
+    ("Mpi.revive_rank", Api);
+    ("World.respawn_ctx", Api);
+    ("Checkpoint.create_store", Api);
+    ("Checkpoint.due", Api);
+    ("Checkpoint.save", Api);
+    ("Checkpoint.restore", Api);
+    ("Checkpoint.digest", Api);
+    (* Object-to-object transport and the System_mp managed API. *)
+    ("Object_transport.ssend", Api);
+    ("Object_transport.test", Api);
+    ("Object_transport.wait_all", Api);
+    ("System_mp.rank", Api);
+    ("System_mp.size", Api);
+    ("System_mp.osend_range", Api);
+    ("System_mp.obcast", Api);
+    ("System_mp.scatter_array", Api);
+    ("System_mp.gather_array", Api);
+    ("System_mp.ibarrier", Api);
+    ("System_mp.ibcast", Api);
+    ("System_mp.iallreduce_sum_f64", Api);
+    ("System_mp.owin_create", Api);
+    ("System_mp.owin_win", Api);
+    ("System_mp.owin_free", Api);
+    (* Declaring and naming a counter: the counter half of the registry
+       whose histogram half [Coll_sched] uses (simtime's counters). *)
+    ("Stats.counter", Api);
+    ("Stats.counter_name", Api);
+    (* The schedule explorer's planted bugs, shrinker, per-spec runner
+       and trace corpus. *)
+    ("Explore.planted_bug", Test_hook);
+    ("Explore.rma_epoch_bug", Test_hook);
+    ("Explore.planted_detector_bug", Test_hook);
+    ("Explore.minimize_failure", Test_hook);
+    ("Explore.check_entry", Test_hook);
+    ("Corpus.to_string", Test_hook);
+    ("Corpus.of_string", Test_hook);
+    (* Heap and collector checks: consistency, poisoning, the live-object
+       census and a collection requested from outside. *)
+    ("Heap.check_consistency", Test_hook);
+    ("Heap.poison_free", Test_hook);
+    ("Gc.live_objects", Test_hook);
+    ("Gc.request_gc", Test_hook);
+    ("Gc.gc_pending", Test_hook);
+    ("Object_model.md_dims", Test_hook);
+    (* Oracles the serializer and buffer-pool tests compare against. *)
+    ("Std_serializer.object_count", Test_hook);
+    ("Buffer_pool.pooled", Test_hook);
+    (* The registration cache, checked against a naive list model. *)
+    ("Rdma_channel.cache", Test_hook);
+    ("Rdma_channel.Cache.create", Test_hook);
+    ("Rdma_channel.Cache.access", Test_hook);
+    ("Rdma_channel.Cache.pin", Test_hook);
+    ("Rdma_channel.Cache.unpin", Test_hook);
+    ("Rdma_channel.Cache.mem", Test_hook);
+    ("Rdma_channel.Cache.entries", Test_hook);
+    ("Rdma_channel.Cache.registered_bytes", Test_hook);
+    ("Rdma_channel.Cache.pinned_bytes", Test_hook);
+    ("Rdma_channel.Cache.hits", Test_hook);
+    ("Rdma_channel.Cache.misses", Test_hook);
+    ("Rdma_channel.Cache.evictions", Test_hook);
+    (* The tag table, the wire header and the collective-selection and
+       layout predicates the tag, topology and hierarchy tests check. *)
+    ("Comm.tag_ranges", Test_hook);
+    ("Packet.header_bytes", Test_hook);
+    ("Group.is_range", Test_hook);
+    ("Collectives.hier_applicable", Test_hook);
+    ("Collectives.hier_allgather_applicable", Test_hook);
+    (* Failure-detector, parallel-mode and ring observations. *)
+    ("Ft.state", Test_hook);
+    ("Ft.detections", Test_hook);
+    ("Mpi.parallelism", Test_hook);
+    ("Mpi.domain_envs", Test_hook);
+    ("Spsc.try_push", Test_hook);
+    (* Trace and registry readers the observability tests compare
+       against. *)
+    ("Trace.events", Test_hook);
+    ("Trace.dropped", Test_hook);
+    ("Trace.open_spans", Test_hook);
+    ("Stats.to_alist", Test_hook);
+    ("Stats.declared_counters", Test_hook);
+    ("Stats.declared_histograms", Test_hook);
+  ]
+
+(* The scanner on fixtures: nested signatures count by their path,
+   module types export nothing, and a use counts through an alias, an
+   [open], a local open or any qualifying prefix, but not from a comment,
+   a string or the module's own file. *)
+let test_export_scanner () =
+  let foo =
+    {|
+val a : int
+val b : int -> int (* val hidden : int *)
+val c : int
+val d : string
+val e : int
+module X : sig
+  val f : int
+  module Y : sig val g : int end
+end
+module type S = sig val not_exported : int end
+external h : int -> int = "h"
+|}
+  in
+  Alcotest.(check (list (list string)))
+    "declared values"
+    [ [ "a" ]; [ "b" ]; [ "c" ]; [ "d" ]; [ "e" ]; [ "X"; "f" ];
+      [ "X"; "Y"; "g" ]; [ "h" ] ]
+    (declared_values foo);
+  let implementations =
+    [
+      ("lib/p/alias.ml", "module A = P.Foo\nlet _ = A.a");
+      ("lib/p/opened.ml", "open P.Foo\nlet _ = b 1");
+      ("lib/p/local.ml", "let _ = P.Foo.(c + X.Y.g)");
+      ("lib/p/nested.ml", "let _ = Lib.P.Foo.X.f");
+      ( "lib/p/quoted.ml",
+        "open P.Foo\n\
+         (* Foo.d *) let _ = \"Foo.d\" ^ {|Foo.d|} ^ String.make 1 'e'" );
+      ("lib/p/foo.ml", "let e = 1 let _ = d, e, h");
+    ]
+  in
+  Alcotest.(check (list string))
+    "unused" [ "Foo.d"; "Foo.e"; "Foo.h" ]
+    (unused_exports ~interfaces:[ ("lib/p/foo.mli", foo) ] ~implementations);
+  (* Exports removed as unused stay reported if they come back: the
+     parent commit's declarations, against today's implementations. *)
+  let returning =
+    [
+      ("lib/mpi/ch3.mli", "val peer_dead : t -> int -> bool");
+      ( "lib/mpi/ft.mli",
+        "val declare_dead : t -> int -> unit\nval pending_detection : t -> bool"
+      );
+      ( "lib/mpi/collectives.mli",
+        "val bcast_algo_for :\n\
+        \  Simtime.Cost.t -> n:int -> bytes:int -> [ `Binomial | \
+         `Scatter_allgather ]" );
+      ("lib/vm/heap.mli", "val set_mt_id : t -> addr -> int -> unit");
+      ("lib/vm/il.mli", "val pp_instr : Format.formatter -> instr -> unit");
+      ("lib/simtime/cost.mli", "val with_build : build -> t -> t");
+    ]
+  in
+  Alcotest.(check (list string))
+    "the parent's dead exports"
+    [ "Ch3.peer_dead"; "Ft.declare_dead"; "Ft.pending_detection";
+      "Collectives.bcast_algo_for"; "Heap.set_mt_id"; "Il.pp_instr";
+      "Cost.with_build" ]
+    (unused_exports ~interfaces:returning
+       ~implementations:(with_suffix ".ml" (program_sources ())))
+
+let test_every_export_has_a_user () =
+  let program = program_sources () in
+  let interfaces =
+    List.filter
+      (fun (f, _) -> String.starts_with ~prefix:"lib/" f)
+      (with_suffix ".mli" program)
+  in
+  let declared = List.map fst (exports interfaces) in
+  Alcotest.(check bool) "lib/ declares values" true
+    (List.length declared > 500);
+  let unused =
+    unused_exports ~interfaces ~implementations:(with_suffix ".ml" program)
+  in
+  let allowed = List.map fst export_allow_list in
+  let test_names =
+    List.map
+      (fun (_, src) -> value_names src)
+      (with_suffix ".ml" (sources "test"))
+  in
+  let not_in l = List.filter (fun v -> not (List.mem v l)) in
+  Alcotest.(check (list string)) "exports no program code uses" []
+    (not_in allowed unused);
+  Alcotest.(check (list string)) "allow-list entries that name no value" []
+    (not_in declared allowed);
+  Alcotest.(check (list string)) "allow-list entries with a program user" []
+    (not_in unused (List.filter (fun v -> List.mem v declared) allowed));
+  Alcotest.(check (list string)) "allow-list entries no test names" []
     (List.filter
-       (fun f ->
-         String.starts_with ~prefix:"check/" f
-         && mentions (read_lib f) "Fiber.run ~pending")
-       (lib_sources ()))
+       (fun v ->
+         not (List.exists (fun names -> Hashtbl.mem names v) test_names))
+       allowed);
+  Alcotest.(check (list string)) "allow-list entries listed twice" []
+    (List.filter (fun v -> occurrences v allowed > 1) allowed)
 
 let () =
   Alcotest.run "tools"
@@ -671,6 +1125,9 @@ let () =
             test_one_wait_path;
           Alcotest.test_case "one workload catalogue" `Quick
             test_one_workload_catalogue;
+          Alcotest.test_case "every export has a user" `Quick
+            test_every_export_has_a_user;
+          Alcotest.test_case "export scanner" `Quick test_export_scanner;
         ] );
       ( "trace",
         [

@@ -18,7 +18,8 @@ module Runtime = Poison.Runtime
 let make_runtime () = Runtime.create ()
 
 let point_class rt =
-  Classes.define rt.Runtime.registry ~name:"Point"
+  Classes.complete rt.Runtime.registry
+    (Classes.declare rt.Runtime.registry ~name:"Point")
     ~fields:
       [
         ("x", Types.Prim Types.I4, false);
@@ -71,7 +72,8 @@ let test_foreign_field_rejected () =
   let rt = make_runtime () in
   let mt = point_class rt in
   let other =
-    Classes.define rt.Runtime.registry ~name:"Other"
+    Classes.complete rt.Runtime.registry
+      (Classes.declare rt.Runtime.registry ~name:"Other")
       ~fields:[ ("z", Types.Prim Types.I4, false) ]
       ()
   in
@@ -139,9 +141,7 @@ let test_payload_region_sizes () =
   let rt = make_runtime () in
   let a = Om.alloc_array rt.Runtime.gc (Types.Eprim Types.I8) 5 in
   let _, bytes = Om.payload_region rt.Runtime.gc a in
-  Alcotest.(check int) "payload excludes length word" 40 bytes;
-  let _, data_bytes = Om.data_region rt.Runtime.gc a in
-  Alcotest.(check int) "data includes length word" 44 data_bytes
+  Alcotest.(check int) "payload excludes length word" 40 bytes
 
 let test_elem_region_bounds () =
   let rt = make_runtime () in
@@ -405,8 +405,8 @@ let test_create_rejects_bad_geometry () =
   rejects "arena one block past 2^31" ~arena_bytes:((1 lsl 31) + (256 * 1024))
     ~block_bytes:(256 * 1024);
   rejects "arena of 2^32" ~arena_bytes:(1 lsl 32) ~block_bytes:(256 * 1024);
-  let h = Heap.create ~arena_bytes:8192 ~block_bytes:4096 env in
-  Alcotest.(check int) "two-block arena accepted" 8192 (Heap.arena_bytes h)
+  (* Two blocks is the smallest arena accepted. *)
+  ignore (Heap.create ~arena_bytes:8192 ~block_bytes:4096 env)
 
 (* A header that does not parse to its region's boundary raises the
    typed Heap.Corrupt, both for a malformed size and for an overrun. *)
@@ -745,7 +745,8 @@ let prop_field_layout_no_overlap =
       let fields =
         List.mapi (fun i k -> (Printf.sprintf "f%d" i, ty k, false)) kinds
       in
-      let mt = Classes.define registry ~name:"T" ~fields () in
+      let mt = Classes.complete registry
+                 (Classes.declare registry ~name:"T") ~fields () in
       let ranges =
         Array.to_list mt.Classes.c_fields
         |> List.map (fun fd ->
