@@ -101,7 +101,7 @@ let explore seeds faults quick workload_names csv save_failing =
         report.E.r_runs (List.length workloads) failures;
       if failures > 0 then 1 else if !io_errors then 2 else 0)
 
-let replay quick files =
+let replay files =
   let bad = ref 0 in
   List.iter
     (fun path ->
@@ -110,7 +110,7 @@ let replay quick files =
           incr bad;
           Printf.printf "ERROR %s: %s\n" path msg
       | entry -> (
-          match E.replay_entry ~quick entry with
+          match E.replay_entry entry with
           | Ok o ->
               Printf.printf "ok %s (%s, %d decision(s)%s)\n" path
                 o.E.o_workload
@@ -189,7 +189,7 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Replay corpus traces and check them against their expectations.")
-    Term.(const replay $ quick_arg $ files_arg)
+    Term.(const replay $ files_arg)
 
 let list_cmd =
   Cmd.v

@@ -5,6 +5,7 @@ type entry = {
   c_expect : expectation;
   c_note : string;
   c_fault : int option;
+  c_quick : bool;
   c_decisions : int list;
 }
 
@@ -22,6 +23,7 @@ let to_string e =
   (match e.c_fault with
   | Some s -> Buffer.add_string b ("fault " ^ string_of_int s ^ "\n")
   | None -> ());
+  if e.c_quick then Buffer.add_string b "size quick\n";
   Buffer.add_string b
     (String.concat " " ("decisions" :: List.map string_of_int e.c_decisions));
   Buffer.add_char b '\n';
@@ -39,6 +41,7 @@ let of_string s =
       and expect = ref None
       and note = ref ""
       and fault = ref None
+      and quick = ref false
       and decisions = ref None in
       List.iter
         (fun line ->
@@ -65,6 +68,9 @@ let of_string s =
                   match int_of_string_opt value with
                   | Some s -> fault := Some s
                   | None -> failwith ("corpus: bad fault seed: " ^ value))
+              | "size" ->
+                  if value = "quick" then quick := true
+                  else failwith ("corpus: bad size: " ^ value)
               | "decisions" ->
                   decisions :=
                     Some
@@ -86,6 +92,7 @@ let of_string s =
         c_expect = require "expect" !expect;
         c_note = !note;
         c_fault = !fault;
+        c_quick = !quick;
         c_decisions = require "decisions" !decisions;
       }
   | _ -> failwith "corpus: missing magic header"

@@ -8,6 +8,7 @@
 workload planted_bug
 expect fail
 note shrunk from seeded-random(seed=7)
+size quick
 decisions 0 0 2 1 0 1
     v}
 
@@ -26,6 +27,11 @@ type entry = {
   c_fault : int option;
       (** fault-plan seed the failing run was crossed with, if any
           (serialized as a [fault N] line) *)
+  c_quick : bool;
+      (** recorded on the workload's quick size ([explore --quick]),
+          serialized as a [size quick] line; a missing line means full
+          size. A decision stream only means something at the size it was
+          recorded at, so a replay runs the entry at this size. *)
   c_decisions : int list;
 }
 

@@ -530,6 +530,7 @@ let explore ?(quick = false) ?(faults = false) ?progress ~workloads ~seeds ()
                 c_expect = Corpus.Must_fail;
                 c_note = "shrunk from " ^ Policy.name o.o_policy;
                 c_fault = o.o_fault_seed;
+                c_quick = quick;
                 c_decisions = mini;
               } )
             :: !shrunk
@@ -542,12 +543,13 @@ let explore ?(quick = false) ?(faults = false) ?progress ~workloads ~seeds ()
     r_shrunk = List.rev !shrunk;
   }
 
-let replay_entry ?(quick = false) (e : Corpus.entry) =
+let replay_entry (e : Corpus.entry) =
   match find e.c_workload with
   | None -> Error (Printf.sprintf "unknown workload %S" e.c_workload)
   | Some w ->
       let o =
-        run_one ?fault_seed:e.c_fault ~quick w (Policy.Replay e.c_decisions)
+        run_one ?fault_seed:e.c_fault ~quick:e.c_quick w
+          (Policy.Replay e.c_decisions)
       in
       let describe () =
         String.concat "; "

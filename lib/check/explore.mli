@@ -117,7 +117,7 @@ type report = {
   r_failures : outcome list;  (** all failing outcomes, traces dropped *)
   r_shrunk : (string * Corpus.entry) list;
       (** per workload with failures: the first failure's trace,
-          minimized and packaged for the corpus *)
+          minimized and packaged for the corpus, with the size it ran at *)
 }
 
 val explore :
@@ -146,8 +146,9 @@ val minimize_failure :
     under [Policy.Replay]; a run counts as failing if it reports any
     violation or (when [baseline] is given) its digest diverges. *)
 
-val replay_entry : ?quick:bool -> Corpus.entry -> (outcome, string) result
-(** Replay a corpus entry and check it against its expectation:
+val replay_entry : Corpus.entry -> (outcome, string) result
+(** Replay a corpus entry, at the size it was recorded at
+    ([Corpus.c_quick]), and check it against its expectation:
     [Must_fail] entries must still produce a violation (the detector
     works), [Must_pass] entries must stay clean. [Error] carries a
     human-readable mismatch description. *)

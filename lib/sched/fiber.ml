@@ -324,27 +324,81 @@ let rec least_horizon clock h = function
         | Some h' -> least_horizon clock (Float.min h h') rest
         | None -> None)
 
-(* Skip whole quiet scans over [idles] (in scan order). One scan adds
-   every wait's charges to the clock in order; replaying those float
-   additions on a local copy gives the clock's exact bits after k scans.
-   Commit the most scans whose end stays strictly before the horizon [h],
-   so no skipped poll could have seen an arrival. A scan that would not
-   move the clock skips nothing. Each wait's counters learn when its poll
-   in the last skipped scan ended, by replaying that scan once more. *)
+(* The clock after one scan from [x]: every wait's charges, in scan
+   order. *)
+let rec scan_end x = function
+  | [] -> x
+  | i :: rest ->
+      let c = ref x in
+      for j = 0 to Array.length i.charges - 1 do
+        c := !c +. i.charges.(j)
+      done;
+      scan_end !c rest
+
+(* The ulp [2^(e-53)] of a clock in the binade [2^(e-1), 2^e), read off
+   its exponent bits; normal for clocks of at least 2^-969. *)
+let ulp x =
+  Int64.float_of_bits
+    (Int64.sub
+       (Int64.logand (Int64.bits_of_float x) 0x7ff0_0000_0000_0000L)
+       0x0340_0000_0000_0000L)
+
+(* Inside one binade every float is a multiple of its ulp [u], so adding
+   a charge [c >= 0] to a clock there adds exactly [round(c/u)] ulps while
+   the sum stays in the binade — unless [c/u] lies halfway between two
+   integers, where round-to-even looks at the clock's last bit. So one
+   scan adds the same number of ulps wherever it starts in the binade;
+   [ulps_per_scan u d idles] adds them to [d]. -1 when some charge is
+   negative, not finite, a tie, or alone leaves the binade. (Adding
+   2^52 and taking it away rounds [q < 2^52] to the nearest integer.) *)
+let rec ulps_per_scan u d = function
+  | [] -> d
+  | i :: rest ->
+      let d = ref d in
+      for j = 0 to Array.length i.charges - 1 do
+        let q = i.charges.(j) /. u in
+        let r = q +. 0x1p52 -. 0x1p52 in
+        if !d >= 0 && q >= 0.0 && q < 0x1p52 && Float.abs (q -. r) <> 0.5
+        then d := !d + Float.to_int r
+        else d := -1
+      done;
+      if !d < 0 || !d >= 1 lsl 53 then -1 else ulps_per_scan u !d rest
+
+(* Skip whole quiet scans over [idles] (in scan order): commit the most
+   scans whose end stays strictly before the horizon [h], so no skipped
+   poll could have seen an arrival, with the clock bits polling one by
+   one gives. Each scan is added charge by charge; after one commits,
+   the scans that end below both [h] and the end of the clock's binade
+   are committed in one step, in exact integer ulps. The next scan then
+   either crosses into the next binade, where the jump repeats, or ends
+   the skip by reaching [h] or not moving the clock. Each wait's counters
+   learn when its poll in the last skipped scan ended, by replaying that
+   scan once more. DESIGN.md §17. *)
 let skip_scans clock h idles =
-  let per_scan = Array.concat (List.map (fun i -> i.charges) idles) in
   let now = ref (Simtime.Clock.now_ns clock) and k = ref 0 in
   let last = ref !now in
   let go = ref true in
   while !go do
-    let c = ref !now in
-    for j = 0 to Array.length per_scan - 1 do
-      c := !c +. per_scan.(j)
-    done;
-    if !c < h && !c > !now then begin
+    let c = scan_end !now idles in
+    if c < h && c > !now then begin
       last := !now;
-      now := !c;
-      incr k
+      now := c;
+      incr k;
+      if c >= 0x1p-969 then begin
+        let u = ulp c in
+        let d = ulps_per_scan u 0 idles in
+        (* [c < h], so [h] lies past the binade or is a multiple of [u]. *)
+        let lim =
+          if h >= u *. 0x1p53 then 1 lsl 53 else Float.to_int (h /. u)
+        in
+        let m = Float.to_int (c /. u) in
+        let n = if d > 0 then (lim - m - 1) / d else 0 in
+        if n > 0 then begin
+          last := Float.of_int (m + ((n - 1) * d)) *. u;
+          now := Float.of_int (m + (n * d)) *. u;
+          k := !k + n
+        end
+      end
     end
     else go := false
   done;
@@ -363,14 +417,18 @@ let skip_scans clock h idles =
    infinite horizon skips nothing: with nothing in flight, only the
    deadlock detector may end the wait. *)
 let fast_forward_blocked sched =
-  if List.for_all (fun b -> Option.is_some b.idle) sched.blocked then
-    (* [blocked] is newest first; scans run oldest first. *)
-    match List.rev_map (fun b -> Option.get b.idle) sched.blocked with
-    | [] -> ()
-    | { clock; _ } :: _ as idles -> (
-        match least_horizon clock Float.infinity idles with
-        | Some h when h < Float.infinity -> skip_scans clock h idles
-        | _ -> ())
+  (* [blocked] is newest first; consing its descriptors gives scan order. *)
+  let rec quiet idles = function
+    | [] -> Some idles
+    | { idle = Some i; _ } :: rest -> quiet (i :: idles) rest
+    | { idle = None; _ } :: _ -> None
+  in
+  match quiet [] sched.blocked with
+  | Some ({ clock; _ } :: _ as idles) -> (
+      match least_horizon clock Float.infinity idles with
+      | Some h when h < Float.infinity -> skip_scans clock h idles
+      | _ -> ())
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Cooperative (deterministic) main loop                               *)

@@ -142,7 +142,11 @@ val yield : unit -> unit
     scans that would repeat it exactly, and keeps the virtual clock and
     the counters bit for bit where polling one by one would have left
     them (DESIGN.md §17): it commits the most scans whose end stays
-    strictly before the least horizon. It skips nothing when a horizon
+    strictly before the least horizon. Inside one binade of the clock a
+    scan adds a fixed number of ulps, so the skip commits a binade's
+    worth of scans in one step and costs the binades it crosses, not the
+    scans it skips; a charge that lands halfway between two floats, or a
+    negative one, makes it add scan by scan. It skips nothing when a horizon
     is [None], when the least one is infinite (only the deadlock
     detector may end such a scan), or when the waits charge different
     clocks. Plain code reaches the same rule by running its wait as a

@@ -320,13 +320,20 @@ let test_corpus_round_trip () =
       c_expect = Corpus.Must_pass;
       c_note = "round-trip test";
       c_fault = Some 17;
+      c_quick = true;
       c_decisions = [ 0; 3; 1; 0; 2 ];
     }
   in
   Alcotest.(check bool)
     "entry survives to_string/of_string" true
     (Corpus.of_string (Corpus.to_string entry) = entry);
-  let bare = { entry with Corpus.c_note = ""; c_fault = None } in
+  Alcotest.(check bool)
+    "the size is written" true
+    (List.mem "size quick"
+       (String.split_on_char '\n' (Corpus.to_string entry)));
+  let bare =
+    { entry with Corpus.c_note = ""; c_fault = None; c_quick = false }
+  in
   Alcotest.(check bool)
     "optional fields survive omission" true
     (Corpus.of_string (Corpus.to_string bare) = bare)
@@ -341,6 +348,24 @@ let test_corpus_rejects_malformed () =
   bad "workload ring\ndecisions 0";
   bad "# motor schedule trace v1\nworkload ring\nexpect maybe\ndecisions 0";
   bad "# motor schedule trace v1\nworkload ring\nexpect fail\ndecisions x"
+
+(* A trace only means something at the size it was recorded at: the
+   explorer writes a quick run's size into the entry, and a replay of the
+   saved file runs it there. *)
+let test_quick_trace_replays_at_its_size () =
+  let report = E.explore ~quick:true ~workloads:[ planted ] ~seeds:10 () in
+  match report.E.r_shrunk with
+  | [ (_, entry) ] -> (
+      Alcotest.(check bool) "recorded as quick" true entry.Corpus.c_quick;
+      let path = Filename.temp_file "planted_bug" ".trace" in
+      Corpus.save ~path entry;
+      let loaded = Corpus.load ~path in
+      Sys.remove path;
+      Alcotest.(check bool) "the file keeps the size" true (loaded = entry);
+      match E.replay_entry loaded with
+      | Ok o -> Alcotest.(check bool) "fails as expected" true (E.failed o)
+      | Error msg -> Alcotest.fail msg)
+  | l -> Alcotest.failf "expected one shrunk trace, got %d" (List.length l)
 
 let test_committed_corpus_replays () =
   let dir = "corpus" in
@@ -416,6 +441,8 @@ let () =
         [
           Alcotest.test_case "entry round-trips" `Quick
             test_corpus_round_trip;
+          Alcotest.test_case "a quick trace replays at its size" `Quick
+            test_quick_trace_replays_at_its_size;
           Alcotest.test_case "malformed entries rejected" `Quick
             test_corpus_rejects_malformed;
           Alcotest.test_case "committed traces replay as expected" `Quick

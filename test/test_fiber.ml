@@ -267,6 +267,40 @@ let test_two_step_progress_under_random () =
         true !done_)
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
+(* A skip costs the binades it crosses, not the scans it skips: a wait
+   that polls 2^36 times at 1 ns a poll, from 2^40 ns to its horizon
+   2^36 ns later, ends in a blink. Every sum here is an exact integer,
+   so the clock and the poll count follow without a reference loop. *)
+let test_skip_cost_independent_of_scans () =
+  let clock = Simtime.Clock.create () in
+  let start = 0x1p40 and h = 0x1p40 +. 0x1p36 in
+  Simtime.Clock.advance_to clock start;
+  let polls = ref 0 in
+  let idle =
+    {
+      Fiber.clock;
+      charges = [| 1.0 |];
+      count = (fun n ~at:_ -> polls := !polls + n);
+      horizon = (fun () -> Some h);
+    }
+  in
+  Fiber.run
+    [
+      ( "waiter",
+        fun () ->
+          Fiber.wait_until ~idle (fun () ->
+              Simtime.Clock.now_ns clock >= h
+              || begin
+                   Simtime.Clock.advance clock 1.0;
+                   incr polls;
+                   Fiber.note_activity ();
+                   false
+                 end) );
+    ];
+  Alcotest.(check (float 0.0)) "ends at the horizon" h
+    (Simtime.Clock.now_ns clock);
+  Alcotest.(check int) "one poll per nanosecond" (1 lsl 36) !polls
+
 let prop_many_fibers_all_run =
   QCheck.Test.make ~name:"n fibers all complete" ~count:50
     QCheck.(int_range 1 64)
@@ -307,6 +341,8 @@ let () =
             test_wait_predicate_exception_propagates;
           Alcotest.test_case "spawned fiber exception" `Quick
             test_spawned_fiber_exception_propagates;
+          Alcotest.test_case "skip cost independent of scans" `Quick
+            test_skip_cost_independent_of_scans;
         ] );
       ( "policies",
         [

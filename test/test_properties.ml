@@ -590,12 +590,13 @@ let gen_entry =
          (int_range 0 24))
   in
   map
-    (fun (w, (ef, (n, (f, ds)))) ->
+    (fun (w, (ef, (n, (f, (q, ds))))) ->
       {
         Corpus.c_workload = w;
         c_expect = (if ef then Corpus.Must_fail else Corpus.Must_pass);
         c_note = n;
         c_fault = f;
+        c_quick = q;
         c_decisions = ds;
       })
     (pair ident
@@ -603,7 +604,7 @@ let gen_entry =
           (pair note
              (pair
                 (opt (int_range 0 10_000))
-                (list_size (int_range 0 40) (int_range 0 64))))))
+                (pair bool (list_size (int_range 0 40) (int_range 0 64)))))))
 
 let arb_entry = QCheck.make gen_entry ~print:Corpus.to_string
 
@@ -1563,6 +1564,226 @@ let prop_fast_forward_exact =
         QCheck.Test.fail_reportf "stats differ:\n%s\nvs\n%s" stats ref_stats;
       trace = ref_trace)
 
+(* The skip at the float level: waits that charge fixed costs to a bare
+   clock and wake at their horizons, run by [Fiber.run] with descriptors,
+   against polling one by one in a loop here. The cases aim at what a
+   closed form could get wrong: clocks just below a power of two and
+   above 2^53 (where a charge of 1.0 is a tie), horizons on a scan's end
+   and on the binade's edge, zero, subnormal, tie and mixed charges. *)
+type skip_case = {
+  sk_start : float;
+  sk_waits : (float array * float) array;  (* charges, horizon *)
+}
+
+let print_skip_case c =
+  Printf.sprintf "start %h, waits [%s]" c.sk_start
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (ch, h) ->
+               Printf.sprintf "{%s} until %h"
+                 (String.concat " "
+                    (Array.to_list (Array.map (Printf.sprintf "%h") ch)))
+                 h)
+             c.sk_waits)))
+
+(* What each wait leaves: its clock at waking, its false polls, and the
+   clock right after its last one (the stamp a heartbeat would keep). *)
+type skip_result = {
+  sr_clock : float;
+  sr_woke : float array;
+  sr_polls : int array;
+  sr_stamp : float array;
+}
+
+(* [%h] prints every bit of a float, so equal prints are equal bits. *)
+let print_skip_result r =
+  Printf.sprintf "clock %h, woke [%s], polls [%s], stamps [%s]" r.sr_clock
+    (String.concat " "
+       (Array.to_list (Array.map (Printf.sprintf "%h") r.sr_woke)))
+    (String.concat " " (Array.to_list (Array.map string_of_int r.sr_polls)))
+    (String.concat " "
+       (Array.to_list (Array.map (Printf.sprintf "%h") r.sr_stamp)))
+
+let skip_budget = 100_000
+
+(* Polling one by one, as the scheduler does: each fiber polls once when
+   it starts, then every scan polls the blocked waits in order. [None]
+   when the clock stalls short of a horizon (a scan moves nothing and
+   wakes nobody, so every later scan repeats it) or the scans exceed the
+   budget. *)
+let skip_reference c =
+  let n = Array.length c.sk_waits in
+  let now = ref c.sk_start in
+  let r =
+    {
+      sr_clock = 0.0;
+      sr_woke = Array.make n Float.nan;
+      sr_polls = Array.make n 0;
+      sr_stamp = Array.make n Float.nan;
+    }
+  in
+  let poll i =
+    let charges, h = c.sk_waits.(i) in
+    if !now >= h then begin
+      r.sr_woke.(i) <- !now;
+      true
+    end
+    else begin
+      Array.iter (fun x -> now := !now +. x) charges;
+      r.sr_polls.(i) <- r.sr_polls.(i) + 1;
+      r.sr_stamp.(i) <- !now;
+      false
+    end
+  in
+  let rec scans budget blocked =
+    if blocked = [] then Some { r with sr_clock = !now }
+    else if budget = 0 then None
+    else
+      let before = !now in
+      let still = List.filter (fun i -> not (poll i)) blocked in
+      if List.length still = List.length blocked && !now = before then None
+      else scans (budget - 1) still
+  in
+  scans skip_budget (List.filter (fun i -> not (poll i)) (List.init n Fun.id))
+
+(* The same waits as fibers with descriptors. A predicate that polls past
+   the budget fails the run instead of hanging it. *)
+let skip_fibers c =
+  let n = Array.length c.sk_waits in
+  let clock = Simtime.Clock.create () in
+  Simtime.Clock.advance_to clock c.sk_start;
+  let woke = Array.make n Float.nan
+  and polls = Array.make n 0
+  and stamp = Array.make n Float.nan
+  and real = ref 0 in
+  let fiber i =
+    let charges, h = c.sk_waits.(i) in
+    let idle =
+      {
+        Fiber.clock;
+        charges;
+        count =
+          (fun k ~at ->
+            polls.(i) <- polls.(i) + k;
+            stamp.(i) <- at);
+        horizon = (fun () -> Some h);
+      }
+    in
+    ( Printf.sprintf "w%d" i,
+      fun () ->
+        Fiber.wait_until ~idle (fun () ->
+            let now = Simtime.Clock.now_ns clock in
+            if now >= h then begin
+              woke.(i) <- now;
+              true
+            end
+            else begin
+              incr real;
+              if !real > n * (skip_budget + 1) then failwith "runaway polling";
+              Array.iter (Simtime.Clock.advance clock) charges;
+              polls.(i) <- polls.(i) + 1;
+              stamp.(i) <- Simtime.Clock.now_ns clock;
+              Fiber.note_activity ();
+              false
+            end) )
+  in
+  Fiber.run (List.init n fiber);
+  {
+    sr_clock = Simtime.Clock.now_ns clock;
+    sr_woke = woke;
+    sr_polls = polls;
+    sr_stamp = stamp;
+  }
+
+let gen_skip_case =
+  let open QCheck.Gen in
+  let raw =
+    (* The start's binade is [2^(e-1), 2^e), its ulp [u]; e = 54 is the
+       binade above 2^53. *)
+    let* e = oneof [ int_range (-20) 53; return 54; int_range 55 75 ] in
+    let top = Float.ldexp 1.0 e and u = Float.ldexp 1.0 (e - 53) in
+    let* start =
+      oneof
+        [
+          map (fun j -> top -. (float_of_int j *. u)) (int_range 1 4000);
+          map
+            (fun f -> Float.ldexp (0.5 +. (f /. 2.0)) e)
+            (float_bound_exclusive 1.0);
+        ]
+    in
+    let charge =
+      oneof
+        [
+          return 0.0;
+          map
+            (fun k -> Float.ldexp (float_of_int k) (-1074))
+            (int_range 1 1000);
+          map (fun k -> float_of_int ((2 * k) + 1) *. u /. 2.0) (int_range 0 7);
+          map (fun k -> float_of_int k *. u) (int_range 1 64);
+          map (fun f -> f *. 64.0 *. u) (float_bound_inclusive 1.0);
+          return 1.0;
+          float_bound_inclusive 100.0;
+        ]
+    in
+    let* n = int_range 1 16 in
+    let* charges = array_repeat n (array_size (int_range 0 4) charge) in
+    (* Usually one wait charges enough to cross into the next binade. *)
+    let* drive =
+      frequency
+        [
+          (3, map (fun k -> [| float_of_int k *. 2.0 *. u |]) (int_range 1 8));
+          (1, return [||]);
+        ]
+    in
+    charges.(0) <- Array.append charges.(0) drive;
+    let scan x = Array.fold_left (Array.fold_left ( +. )) x charges in
+    let rec ends x j = if j = 0 then x else ends (scan x) (j - 1) in
+    let* j = int_range 0 3000 in
+    let* kind = int_range 0 4 in
+    let* f = float_bound_inclusive 1.0 in
+    let reach = ends start 3000 in
+    let h =
+      match kind with
+      | 0 -> ends start j (* a scan's end *)
+      | 1 -> Float.min top reach (* the binade's edge *)
+      | 2 -> Float.min (2.0 *. top) reach (* the next one's *)
+      | 3 ->
+          let a = ends start j in
+          a +. ((scan a -. a) *. f) (* inside a scan *)
+      | _ -> start (* awake at once *)
+    in
+    (* Some waits wake up to 20 scans after the first. *)
+    let* later =
+      array_repeat n (frequency [ (3, return 0); (1, int_range 1 20) ])
+    in
+    return
+      {
+        sk_start = start;
+        sk_waits =
+          Array.mapi
+            (fun i ch -> (ch, Float.max h (ends h later.(i))))
+            charges;
+      }
+  in
+  (* Keep the cases whose clock reaches every horizon. *)
+  let rec reaching st =
+    let c = raw st in
+    if Option.is_some (skip_reference c) then c else reaching st
+  in
+  reaching
+
+let prop_skip_closed_form_exact =
+  QCheck.Test.make
+    ~name:"skips of bare charges match polling one by one, bit for bit"
+    ~count:300
+    (QCheck.make ~print:print_skip_case gen_skip_case)
+    (fun c ->
+      let expected = print_skip_result (Option.get (skip_reference c)) in
+      let got = print_skip_result (skip_fibers c) in
+      got = expected
+      || QCheck.Test.fail_reportf "got %s\nexpected %s" got expected)
+
 (* RMA epochs whose update lands late: rank 0 computes before it puts
    (or accumulates) 60 KiB while its peer already waits in the closing
    fence (or for the lock). Those waits are quiet until the data
@@ -2444,6 +2665,7 @@ let () =
       ( "idle fast-forward",
         [
           QCheck_alcotest.to_alcotest prop_fast_forward_exact;
+          QCheck_alcotest.to_alcotest prop_skip_closed_form_exact;
           Alcotest.test_case "wrapped worlds fast-forward exactly" `Quick
             test_wrapped_worlds_fast_forward;
           Alcotest.test_case "heartbeats stay exact across long skips" `Quick
